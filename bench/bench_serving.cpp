@@ -198,8 +198,8 @@ ThreadedResult run_threaded(const ServeConfig& cfg, std::size_t threads,
   result.batch = batch;
   result.owners_resolved = metrics.owners_resolved;
   result.qps = static_cast<double>(metrics.owners_resolved) / seconds;
-  result.p50_us = metrics.latency.quantile_us(0.5);
-  result.p99_us = metrics.latency.quantile_us(0.99);
+  result.p50_us = metrics.latency.quantile(0.5);
+  result.p99_us = metrics.latency.quantile(0.99);
   result.swaps = metrics.epoch_swaps;
   return result;
 }
@@ -444,8 +444,8 @@ void write_json(const std::string& path, const ServeConfig& cfg,
         << ", \"memory_reduction_x\": " << s.memory_reduction_x << "}"
         << (k + 1 < scales.size() ? "," : "") << '\n';
   }
-  // Full metrics-registry snapshot: every ServingMetrics instance this
-  // process created (one per run_threaded call, distinct `instance` labels),
+  // Full metrics-registry snapshot: every LocatorService this process
+  // created (one per run_threaded call, distinct `instance` labels),
   // so regressions in counters are diffable alongside the latency numbers.
   out << "  ],\n  \"metrics\": "
       << eppi::obs::Registry::global().render_json() << "\n}\n";

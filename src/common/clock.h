@@ -3,8 +3,8 @@
 // Observability output (log prefixes, trace spans) wants timestamps that are
 // monotonic, comparable across threads, and small enough to read — so both
 // the logger and the trace layer measure against one shared anchor taken the
-// first time anyone asks. Header-only on purpose: src/obs must be usable
-// from eppi_common itself (ServingMetrics lives there), so the shared clock
+// first time anyone asks. Header-only on purpose: eppi_obs links no other
+// library and eppi_common does not link eppi_obs, so a clock both use
 // cannot live behind either library's link line.
 #pragma once
 

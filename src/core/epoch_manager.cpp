@@ -271,9 +271,7 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
     }
     rec.col_splices.push_back(std::move(col));
   }
-  rec.matrix_crc = matrix_checksum(published);
   rec.postings_crc = postings_checksum(published);
-  rec.has_postings_crc = true;
 
   adopt_epoch(published, lambda, &rec);
   has_last_info_ = true;
@@ -672,9 +670,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
     }
     rec.col_splices.push_back(std::move(col));
   }
-  rec.matrix_crc = matrix_checksum(published);
   rec.postings_crc = postings_checksum(published);
-  rec.has_postings_crc = true;
 
   adopt_epoch(published, lambda, &rec);
   has_last_info_ = false;

@@ -21,7 +21,7 @@ constexpr char kQuarantineDir[] = "quarantine";
 
 constexpr std::uint8_t kRecordSticky = 1;
 constexpr std::uint8_t kRecordEpoch = 2;
-constexpr std::uint8_t kRecordDelta = 3;    // pins replay to matrix_checksum
+constexpr std::uint8_t kRecordDelta = 3;    // read-only: pins matrix_checksum
 constexpr std::uint8_t kRecordDeltaV2 = 4;  // pins replay to postings_checksum
 
 // Journal records cannot plausibly exceed this; a larger length field is a
@@ -56,17 +56,16 @@ bool manifest_magic_ok(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> delta_payload(const EpochStore::EpochDelta& d) {
   BinaryWriter w;
-  // Both delta record generations share one layout; the type byte decides
-  // whether the u32 after λ is a matrix_checksum (type 3, legacy) or a
-  // postings_checksum (type 4). Old readers skip type 4 as unknown rather
-  // than misinterpreting the checksum.
-  w.write_u8(d.has_postings_crc ? kRecordDeltaV2 : kRecordDelta);
+  // Type 4 shares the legacy type-3 layout except for the u32 after λ: a
+  // postings_checksum instead of a matrix_checksum. Old readers skip type 4
+  // as unknown rather than misinterpreting the checksum.
+  w.write_u8(kRecordDeltaV2);
   w.write_u64(d.epoch);
   w.write_u64(d.base_epoch);
   w.write_u64(d.rows);
   w.write_u64(d.cols);
   w.write_u64(std::bit_cast<std::uint64_t>(d.lambda));
-  w.write_u32(d.has_postings_crc ? d.postings_crc : d.matrix_crc);
+  w.write_u32(d.postings_crc);
   w.write_varint(d.joined.size());
   for (const std::uint32_t p : d.joined) w.write_u32(p);
   w.write_varint(d.left.size());
@@ -95,8 +94,11 @@ EpochStore::EpochDelta read_delta(BinaryReader& r, bool postings_pinned) {
   d.cols = r.read_u64();
   d.lambda = std::bit_cast<double>(r.read_u64());
   const std::uint32_t crc = r.read_u32();
-  d.has_postings_crc = postings_pinned;
-  (postings_pinned ? d.postings_crc : d.matrix_crc) = crc;
+  if (postings_pinned) {
+    d.postings_crc = crc;
+  } else {
+    d.legacy_matrix_crc = crc;
+  }
   // Each count is validated against the bytes actually left before any
   // allocation: an implausible count is a malformed record, not an OOM.
   const auto checked_count = [&r](std::size_t per_element) {
@@ -128,8 +130,8 @@ EpochStore::EpochDelta read_delta(BinaryReader& r, bool postings_pinned) {
 // Either way the verification runs in posting space.
 bool delta_matches(const PostingIndex& next,
                    const EpochStore::EpochDelta& d) {
-  return d.has_postings_crc ? postings_checksum(next) == d.postings_crc
-                            : matrix_checksum(next) == d.matrix_crc;
+  return d.legacy_matrix_crc ? matrix_checksum(next) == *d.legacy_matrix_crc
+                             : postings_checksum(next) == d.postings_crc;
 }
 
 // Result of a read-only journal scan, shared by recovery and fsck.
@@ -138,6 +140,8 @@ struct ManifestScan {
   bool conflicting_sticky = false;
   std::vector<EpochStore::EpochRecord> epochs;
   std::map<std::uint64_t, EpochStore::EpochDelta> deltas;
+  // Each delta's journal payload as written, for quarantine dumps.
+  std::map<std::uint64_t, std::span<const std::uint8_t>> delta_payloads;
   std::size_t valid_prefix = 0;  // bytes up to the last good record
   bool torn_tail = false;
   std::vector<std::string> notes;
@@ -209,6 +213,7 @@ ManifestScan scan_manifest(std::span<const std::uint8_t> bytes) {
                                std::to_string(rec.epoch) + " skipped");
         } else {
           scan.epochs.push_back(std::move(rec));
+          scan.delta_payloads.emplace(delta.epoch, payload);
           scan.deltas.emplace(delta.epoch, std::move(delta));
         }
       }
@@ -449,7 +454,7 @@ void EpochStore::recover() {
       const std::string qname =
           std::string("delta-") + std::to_string(rec.epoch) + ".rec";
       storage::atomic_write_file(vfs_, qdir + "/" + qname,
-                                 delta_payload(it->second));
+                                 scan.delta_payloads.at(rec.epoch));
       ++report_.quarantined;
       obs::Registry::global()
           .counter("eppi_store_quarantined_total", {},
@@ -594,6 +599,8 @@ void EpochStore::commit_delta(const EpochDelta& delta) {
               " is not loadable; commit a full epoch instead");
   require(delta.epoch > delta.base_epoch,
           "EpochStore: epoch must advance the lineage");
+  require(!delta.legacy_matrix_crc,
+          "EpochStore: legacy type-3 delta records are read-only");
   require(delta.rows >= epochs_.back().rows &&
               delta.cols >= epochs_.back().cols,
           "EpochStore: a delta may not shrink the matrix");
@@ -659,19 +666,6 @@ std::size_t EpochStore::deltas_since_full() const {
   return n;
 }
 
-std::uint32_t matrix_checksum(const eppi::BitMatrix& matrix) {
-  BinaryWriter w;
-  w.write_u64(matrix.rows());
-  w.write_u64(matrix.cols());
-  for (std::size_t i = 0; i < matrix.rows(); ++i) {
-    const std::uint64_t* words = matrix.row_words(i);
-    for (std::size_t k = 0; k < matrix.words_per_row(); ++k) {
-      w.write_u64(words[k]);
-    }
-  }
-  return crc32c(w.buffer());
-}
-
 eppi::BitMatrix apply_delta(const eppi::BitMatrix& base,
                             const EpochStore::EpochDelta& delta) {
   require(delta.rows >= base.rows() && delta.cols >= base.cols(),
@@ -733,8 +727,8 @@ std::uint32_t matrix_checksum(const PostingIndex& postings) {
       by_provider[p].push_back(static_cast<IdentityId>(j));
     }
   }
-  // Stream exactly the bytes matrix_checksum(BitMatrix) hashes — u64 LE
-  // shape then packed row words — reusing ONE row's worth of buffer.
+  // Stream the u64 LE shape then each row's packed u64 LE words, reusing
+  // ONE row's worth of buffer.
   BinaryWriter header;
   header.write_u64(rows);
   header.write_u64(cols);

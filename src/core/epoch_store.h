@@ -13,9 +13,11 @@
 //                   epoch (id, file name, shape, λ), and delta records for
 //                   incremental epochs (membership changes + spliced
 //                   rows/columns + a checksum of the replayed result; no
-//                   index file is written for a delta epoch). The journal is
-//                   the source of truth: an index file not referenced by a
-//                   record was never committed.
+//                   index file is written for a delta epoch). Delta records
+//                   are written as type 4 (postings_checksum); legacy type-3
+//                   records (matrix_checksum) are read and replayed only.
+//                   The journal is the source of truth: an index file not
+//                   referenced by a record was never committed.
 //   epoch-<N>.idx   the published index of epoch N in the compressed
 //                   sharded eppi-index-v3 format (core/index_io.h);
 //                   v1/v2 files from older stores are still readable.
@@ -99,13 +101,13 @@ class EpochStore {
     std::vector<std::uint32_t> left;    // providers retired (rows zeroed)
     std::vector<Row> row_splices;       // full rows (joining providers)
     std::vector<Column> col_splices;    // recomputed identity columns
-    std::uint32_t matrix_crc = 0;  // matrix_checksum() of the replayed result
-    // Newer records (journal type 4) pin the replay to postings_checksum()
-    // instead — a column-major fingerprint that replay can verify directly
-    // in posting space. Legacy type-3 records carry only matrix_crc; both
-    // kinds verify without materializing the dense matrix.
+    // postings_checksum() of the replayed result; journaled as a type-4
+    // record, which is the only delta record the store writes.
     std::uint32_t postings_crc = 0;
-    bool has_postings_crc = false;
+    // Set only when the record was read from a legacy type-3 journal entry,
+    // which pins the replay to matrix_checksum() instead. Read-only: such a
+    // delta cannot be committed. Both kinds verify in posting space.
+    std::optional<std::uint32_t> legacy_matrix_crc;
   };
 
   struct RecoveryReport {
@@ -196,16 +198,12 @@ class EpochStore {
   bool journal_dirty_ = false;
 };
 
-// CRC32C fingerprint of a published matrix (shape + packed row words) — what
-// a legacy (type-3) delta record pins its replayed result to.
-std::uint32_t matrix_checksum(const eppi::BitMatrix& matrix);
-
-// The same fingerprint computed from the compressed serving form: the
-// postings are transposed back to per-provider rows and the packed words
-// are streamed through the CRC one provider at a time, so the value is
-// bit-identical to matrix_checksum(BitMatrix) without ever holding the
-// m×n matrix. This is what lets recovery verify legacy delta chains in
-// posting space.
+// CRC32C fingerprint of the published matrix — u64 LE rows and cols, then
+// every row's packed u64 LE words — that a legacy type-3 delta record pins
+// its replayed result to. Computed from the compressed serving form: the
+// postings are transposed back to per-provider rows and streamed through
+// the CRC one provider at a time, never holding the m×n matrix. This is
+// what lets recovery verify legacy delta chains in posting space.
 std::uint32_t matrix_checksum(const PostingIndex& postings);
 
 // Column-major fingerprint of the published postings (shape + per-identity
@@ -246,7 +244,7 @@ struct FsckReport {
   std::size_t files_checked = 0;
 };
 
-// Validates a single index file (either format version).
+// Validates a single index file (any format version).
 FsckReport fsck_index_file(storage::Vfs& vfs, const std::string& path);
 
 // Validates a whole store directory: manifest framing, sticky record

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/crc32c.h"
 
@@ -90,16 +89,6 @@ std::string check_dims(std::uint64_t rows, std::uint64_t cols, Dims& dims) {
   dims.payload_bytes =
       static_cast<std::size_t>(rows) * dims.words_per_row * 8;
   return {};
-}
-
-void append_payload(std::vector<std::uint8_t>& out, const PpiIndex& index) {
-  const auto& matrix = index.matrix();
-  for (std::size_t i = 0; i < matrix.rows(); ++i) {
-    const std::uint64_t* words = matrix.row_words(i);
-    for (std::size_t w = 0; w < matrix.words_per_row(); ++w) {
-      append_u64(out, words[w]);
-    }
-  }
 }
 
 // Inverts a v1/v2 dense payload straight into posting lists — the compat
@@ -399,37 +388,6 @@ const char* to_string(IndexSection section) noexcept {
     case IndexSection::kTrailing: return "trailing";
   }
   return "?";
-}
-
-std::vector<std::uint8_t> save_index_bytes(const PpiIndex& index) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagicV2, kMagicV2 + sizeof(kMagicV2));
-  append_u64(out, index.matrix().rows());
-  append_u64(out, index.matrix().cols());
-  append_u32(out, crc32c_mask(crc32c(out)));
-  const std::size_t payload_begin = out.size();
-  append_payload(out, index);
-  append_u32(out, crc32c_mask(crc32c(std::span(out).subspan(payload_begin))));
-  const std::uint32_t seal = crc32c(out);
-  out.insert(out.end(), kSealMagic, kSealMagic + sizeof(kSealMagic));
-  append_u32(out, crc32c_mask(seal));
-  return out;
-}
-
-void save_index(std::ostream& out, const PpiIndex& index) {
-  const auto bytes = save_index_bytes(index);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-void save_index_v1(std::ostream& out, const PpiIndex& index) {
-  std::vector<std::uint8_t> bytes;
-  bytes.insert(bytes.end(), kMagicV1, kMagicV1 + sizeof(kMagicV1));
-  append_u64(bytes, index.matrix().rows());
-  append_u64(bytes, index.matrix().cols());
-  append_payload(bytes, index);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
 }
 
 std::vector<std::uint8_t> save_index_v3_bytes(const PostingIndex& index,

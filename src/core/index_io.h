@@ -1,13 +1,13 @@
 // Binary persistence for the published PPI.
 //
 // The PPI server hands the constructed index to its serving tier (and ships
-// it to replicas); this module defines the on-disk/wire format. Two versions
-// exist:
+// it to replicas); this module defines the on-disk/wire format. Only v3 is
+// written; v1 and v2 files from older stores are read-only (load, validate,
+// fsck), pinned by golden fixtures in the tests:
 //
 //   eppi-index-v1  magic + dimensions + packed row words. No integrity
 //                  metadata: a torn write or bit flip loads as a silently
-//                  different index. Still readable (and writable, for
-//                  compatibility tests), never written by default.
+//                  different index.
 //
 //   eppi-index-v2  the dense checksummed format. Three sections:
 //                    header  magic "eppiidx2", u64 rows, u64 cols,
@@ -17,9 +17,7 @@
 //                            preceding byte. The footer is written last, so
 //                            its absence identifies a torn (partially
 //                            written) file as opposed to bit rot.
-//                  Trailing bytes after the footer are rejected. Still
-//                  readable (migration + compatibility), no longer written
-//                  by the store.
+//                  Trailing bytes after the footer are rejected.
 //
 //   eppi-index-v3  the compressed sharded format the store writes today. It
 //                  persists the PostingShard storage verbatim — tagged
@@ -92,15 +90,6 @@ class CorruptIndexError : public SerializeError {
  private:
   IndexSection section_;
 };
-
-// Writes the index in the eppi-index-v2 format (dense, checksummed).
-// Kept for migration tests and old tooling; the store writes v3.
-void save_index(std::ostream& out, const PpiIndex& index);
-std::vector<std::uint8_t> save_index_bytes(const PpiIndex& index);
-
-// Legacy writer for the unchecksummed eppi-index-v1 format; kept so
-// cross-version loads stay testable and old tooling can be fed.
-void save_index_v1(std::ostream& out, const PpiIndex& index);
 
 // Writes the compressed sharded eppi-index-v3 format. `lexicon` is
 // optional (nullptr omits the section) — store-internal commits always

@@ -1,7 +1,9 @@
 #include "core/locator_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <string>
 
 #include "common/clock.h"
 
@@ -36,12 +38,55 @@ double elapsed_us(std::chrono::steady_clock::time_point start) noexcept {
       .count();
 }
 
+obs::Labels next_instance_labels() {
+  static std::atomic<std::uint64_t> next{0};
+  return obs::Labels{}.add(
+      "instance", std::to_string(next.fetch_add(1, std::memory_order_relaxed)));
+}
+
 }  // namespace
 
 LocatorService::LocatorService() : LocatorService(Options{}) {}
 
 LocatorService::LocatorService(Options options)
-    : options_(std::move(options)), manager_(manager_options(options_)) {}
+    : LocatorService(std::move(options), next_instance_labels()) {}
+
+LocatorService::LocatorService(Options options, const obs::Labels& instance)
+    : options_(std::move(options)),
+      manager_(manager_options(options_)),
+      queries_(obs::Registry::global().counter(
+          "eppi_serving_queries_total", instance,
+          "Single-owner QueryPPI calls resolved")),
+      batches_(obs::Registry::global().counter(
+          "eppi_serving_batches_total", instance,
+          "query_ppi_many calls resolved")),
+      owners_resolved_(obs::Registry::global().counter(
+          "eppi_serving_owners_resolved_total", instance,
+          "Owners answered, single + batched")),
+      unknown_owners_(obs::Registry::global().counter(
+          "eppi_serving_unknown_owners_total", instance,
+          "Lookups for owners absent from the served epoch")),
+      epoch_swaps_(obs::Registry::global().counter(
+          "eppi_serving_epoch_swaps_total", instance,
+          "Epoch snapshot publications (swaps and staleness updates)")),
+      degraded_serves_(obs::Registry::global().counter(
+          "eppi_serving_degraded_serves_total", instance,
+          "Queries answered from a stale (degraded) epoch")),
+      latency_us_(obs::Registry::global().histogram(
+          "eppi_serving_latency_us", instance,
+          "Query latency in microseconds, log2 buckets")) {}
+
+LocatorService::Metrics LocatorService::metrics() const {
+  Metrics m;
+  m.queries = queries_.value();
+  m.batches = batches_.value();
+  m.owners_resolved = owners_resolved_.value();
+  m.unknown_owners = unknown_owners_.value();
+  m.epoch_swaps = epoch_swaps_.value();
+  m.degraded_serves = degraded_serves_.value();
+  m.latency = latency_us_.snapshot();
+  return m;
+}
 
 ProviderId LocatorService::register_provider(const std::string& name) {
   const auto [it, inserted] = provider_ids_.try_emplace(
@@ -365,7 +410,7 @@ void LocatorService::publish_with(
   span.attr("epoch", snap->epoch);
   span.attr("degraded", snap->degraded);
   snapshot_.publish(std::move(snap));
-  metrics_.record_epoch_swap();
+  epoch_swaps_.add();
 }
 
 void LocatorService::publish_staleness_update() {
@@ -382,7 +427,7 @@ void LocatorService::publish_staleness_update() {
   span.attr("degraded", snap->degraded);
   // built_at is kept: the served content is unchanged and keeps aging.
   snapshot_.publish(std::move(snap));
-  metrics_.record_epoch_swap();
+  epoch_swaps_.add();
 }
 
 std::shared_ptr<const EpochSnapshot> LocatorService::acquire_serving() const {
@@ -424,11 +469,13 @@ std::vector<std::string> LocatorService::query_ppi(
   try {
     result = resolve(*snap, owner);
   } catch (const eppi::ConfigError&) {
-    metrics_.record_unknown_owner();
+    unknown_owners_.add();
     throw;
   }
-  if (snap->degraded) metrics_.record_degraded_serve();
-  metrics_.record_query(elapsed_us(start));
+  if (snap->degraded) degraded_serves_.add();
+  queries_.add();
+  owners_resolved_.add();
+  latency_us_.record(elapsed_us(start));
   return result;
 }
 
@@ -440,15 +487,17 @@ LocatorService::QueryResult LocatorService::query_ppi_with_status(
   try {
     result.providers = resolve(*snap, owner);
   } catch (const eppi::ConfigError&) {
-    metrics_.record_unknown_owner();
+    unknown_owners_.add();
     throw;
   }
   result.epoch = snap->epoch;
   result.degraded = snap->degraded;
   result.rebuilds_behind = snap->rebuilds_behind;
   result.age_seconds = snap->age_seconds();
-  if (snap->degraded) metrics_.record_degraded_serve();
-  metrics_.record_query(elapsed_us(start));
+  if (snap->degraded) degraded_serves_.add();
+  queries_.add();
+  owners_resolved_.add();
+  latency_us_.record(elapsed_us(start));
   return result;
 }
 
@@ -467,16 +516,18 @@ LocatorService::BatchQueryResult LocatorService::query_ppi_many(
       if (!result.providers.back().empty()) ++resolved;
     }
   } catch (const eppi::ConfigError&) {
-    metrics_.record_unknown_owner();
+    unknown_owners_.add();
     throw;
   }
   result.epoch = snap->epoch;
   result.degraded = snap->degraded;
   result.rebuilds_behind = snap->rebuilds_behind;
   result.age_seconds = snap->age_seconds();
-  if (snap->degraded) metrics_.record_degraded_serve();
+  if (snap->degraded) degraded_serves_.add();
   const std::uint64_t us = elapsed_us(start);
-  metrics_.record_batch(owners.size(), us);
+  batches_.add();
+  owners_resolved_.add(owners.size());
+  latency_us_.record(us);
   span.attr("resolved", static_cast<std::uint64_t>(resolved));
   span.attr("epoch", snap->epoch);
   // Sizes, timings, and trace ids only — never owner names (the slow log is

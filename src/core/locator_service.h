@@ -48,13 +48,13 @@
 #include <vector>
 
 #include "common/bit_matrix.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/beta_policy.h"
 #include "core/distributed_constructor.h"
 #include "core/epoch_manager.h"
 #include "core/epoch_snapshot.h"
 #include "core/ppi_index.h"
+#include "obs/registry.h"
 
 namespace eppi::core {
 
@@ -211,10 +211,18 @@ class LocatorService {
   BatchQueryResult query_ppi_many(std::span<const std::string> owners) const;
 
   // Serving-tier counters and latency distribution (lock-free; safe from
-  // any thread).
-  eppi::ServingMetrics::Snapshot metrics() const {
-    return metrics_.snapshot();
-  }
+  // any thread). The same instruments are exported by the global
+  // obs::Registry as eppi_serving_* under this service's `instance` label.
+  struct Metrics {
+    std::uint64_t queries = 0;          // single-owner query calls
+    std::uint64_t batches = 0;          // query_ppi_many calls
+    std::uint64_t owners_resolved = 0;  // owners answered, single + batched
+    std::uint64_t unknown_owners = 0;
+    std::uint64_t epoch_swaps = 0;      // snapshot publications
+    std::uint64_t degraded_serves = 0;
+    obs::Histogram::Snapshot latency;   // microseconds per call
+  };
+  Metrics metrics() const;
 
   // --- AuthSearch(s, {p}, t) -----------------------------------------------
   struct SearchResult {
@@ -240,6 +248,10 @@ class LocatorService {
   }
 
  private:
+  // All seven serving instruments share one freshly minted `instance` label,
+  // so services in one process (common in tests) never share counters.
+  LocatorService(Options options, const obs::Labels& instance);
+
   const eppi::BitMatrix& rebuild_matrix() const;
   void mark_owner_dirty(IdentityId t);
   // Writer side: freeze the current builder state + manager staleness into
@@ -292,7 +304,16 @@ class LocatorService {
   std::shared_ptr<const Lexicon> lexicon_cache_;
   bool lexicon_dirty_ = true;
   SnapshotSlot snapshot_;
-  mutable eppi::ServingMetrics metrics_;
+  // Serving instruments on obs::Registry::global(), registered once at
+  // construction; recording is one relaxed fetch_add each, so the wait-free
+  // read path stays lock-free.
+  obs::Counter& queries_;
+  obs::Counter& batches_;
+  obs::Counter& owners_resolved_;
+  obs::Counter& unknown_owners_;
+  obs::Counter& epoch_swaps_;
+  obs::Counter& degraded_serves_;
+  obs::Histogram& latency_us_;
 };
 
 }  // namespace eppi::core

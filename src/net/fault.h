@@ -101,13 +101,6 @@ struct FaultScenario {
   std::map<PartyId, CrashPoint> crashes;
   std::map<PartyId, ChurnEvent> churn;
 
-  // Legacy DroppingTransport rule: drop every k-th data frame crossing the
-  // transport (0 = off), counted globally in send order. Unlike the old
-  // implementation the count skips ack/control frames, so layering reliable
-  // delivery on top does not shift which data frames are lost, and each
-  // dropped frame is counted exactly once.
-  std::uint64_t drop_every = 0;
-
   const LinkFault& fault_for(PartyId from, PartyId to) const noexcept {
     const auto it = link_faults.find({from, to});
     return it == link_faults.end() ? default_fault : it->second;

@@ -45,8 +45,8 @@ void FaultyTransport::send(Message msg) {
       return;
     }
     // Only first-time data sends advance counters: acks and reliability-layer
-    // retransmissions are excluded so crash points and the every-k drop rule
-    // hit the same protocol frames whether or not reliable delivery is on.
+    // retransmissions are excluded so crash points hit the same protocol
+    // frames whether or not reliable delivery is on.
     const bool counted =
         !is_ack_tag(msg.tag) && (msg.tag & kRetransmitBit) == 0;
     const auto crash_it = scenario_.crashes.find(from);
@@ -64,12 +64,6 @@ void FaultyTransport::send(Message msg) {
       ++sends_by_party_[from];
     } else if (counted) {
       ++sends_by_party_[from];
-    }
-
-    if (scenario_.drop_every != 0 && counted &&
-        ++every_k_count_ % scenario_.drop_every == 0) {
-      ++stats_.dropped;
-      return;
     }
 
     const LinkFault& fault = scenario_.fault_for(from, msg.to);

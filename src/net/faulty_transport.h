@@ -11,9 +11,6 @@
 //  * crash — the send tripping a party's crash point throws SimulatedCrash
 //    in that party's thread; all later sends from the crashed party
 //    (including retransmissions issued on its behalf) are swallowed.
-//
-// Replaces the ad-hoc DroppingTransport, which survives as a thin alias in
-// transport.h for the existing failure-injection tests.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +79,6 @@ class FaultyTransport final : public Transport {
       EPPI_GUARDED_BY(mutex_);
   std::map<PartyId, std::uint64_t> sends_by_party_ EPPI_GUARDED_BY(mutex_);
   std::map<PartyId, bool> crashed_ EPPI_GUARDED_BY(mutex_);
-  std::uint64_t every_k_count_ EPPI_GUARDED_BY(mutex_) = 0;
   FaultStats stats_ EPPI_GUARDED_BY(mutex_);
 
   std::priority_queue<Delayed, std::vector<Delayed>, std::greater<Delayed>>
@@ -94,30 +90,6 @@ class FaultyTransport final : public Transport {
   std::thread scheduler_;
   bool stopping_ EPPI_GUARDED_BY(mutex_) = false;
   bool scheduler_started_ EPPI_GUARDED_BY(mutex_) = false;
-};
-
-// Legacy decorator kept for existing failure-injection tests: drops every
-// k-th data frame. Now a thin alias over FaultyTransport's drop_every rule,
-// which fixes the old counting semantics — ack/control frames no longer
-// advance the counter, so the same data frames are lost whether or not the
-// reliability layer is stacked on top.
-class DroppingTransport final : public Transport {
- public:
-  DroppingTransport(Transport& inner, std::uint64_t drop_every)
-      : faulty_(inner, scenario_for(drop_every)) {}
-
-  void send(Message msg) override { faulty_.send(std::move(msg)); }
-
-  std::uint64_t dropped() const { return faulty_.stats().dropped; }
-
- private:
-  static FaultScenario scenario_for(std::uint64_t drop_every) {
-    FaultScenario scenario;
-    scenario.drop_every = drop_every;
-    return scenario;
-  }
-
-  FaultyTransport faulty_;
 };
 
 }  // namespace eppi::net

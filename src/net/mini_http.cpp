@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -109,12 +110,14 @@ void MiniHttpServer::stop() {
     std::vector<std::thread> batch;
     {
       const MutexLock lock(mutex_);
-      batch.swap(conn_threads_);
+      for (auto& [id, t] : conn_threads_) batch.push_back(std::move(t));
+      conn_threads_.clear();
+      if (last_finished_.joinable()) {
+        batch.push_back(std::move(last_finished_));
+      }
     }
     if (batch.empty()) break;
-    for (auto& t : batch) {
-      if (t.joinable()) t.join();
-    }
+    for (auto& t : batch) t.join();
   }
 }
 
@@ -128,7 +131,11 @@ void MiniHttpServer::accept_loop() {
     }
     if (fd < 0) continue;
     live_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
+    // Registered under mutex_, which the new thread needs before it can look
+    // itself up, so it always finds its own entry.
+    std::thread t([this, fd] { handle_connection(fd); });
+    const std::thread::id id = t.get_id();
+    conn_threads_.emplace(id, std::move(t));
   }
 }
 
@@ -208,11 +215,21 @@ void MiniHttpServer::handle_connection(int fd) {
     EPPI_DEBUG("MiniHttpServer: client on fd " << fd
                                                << " closed mid-response");
   }
+  std::thread previous;
   {
     const MutexLock lock(mutex_);
     live_fds_.erase(fd);
+    // stop() may already have taken this thread's handle to join it.
+    const auto self = conn_threads_.find(std::this_thread::get_id());
+    if (self != conn_threads_.end()) {
+      previous = std::exchange(last_finished_, std::move(self->second));
+      conn_threads_.erase(self);
+    }
   }
   ::close(fd);
+  // The client already has its whole response, so waiting here for the
+  // previous finisher to exit delays no one.
+  if (previous.joinable()) previous.join();
 }
 
 }  // namespace eppi::net

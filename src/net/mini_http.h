@@ -16,6 +16,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -66,7 +67,14 @@ class MiniHttpServer {
   std::thread accept_thread_;
 
   mutable Mutex mutex_;
-  std::vector<std::thread> conn_threads_ EPPI_GUARDED_BY(mutex_);
+  // Connection threads still serving, keyed by their own id so a finishing
+  // thread can find its handle. A finishing thread parks its handle in
+  // last_finished_ and joins the one parked before it, so finished threads
+  // are reaped one behind another instead of held until stop(), and
+  // neither the accept loop nor a client ever waits on a join.
+  std::unordered_map<std::thread::id, std::thread> conn_threads_
+      EPPI_GUARDED_BY(mutex_);
+  std::thread last_finished_ EPPI_GUARDED_BY(mutex_);
   std::set<int> live_fds_ EPPI_GUARDED_BY(mutex_);
   bool stopping_ EPPI_GUARDED_BY(mutex_) = false;
   bool started_ = false;

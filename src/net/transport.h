@@ -36,7 +36,4 @@ class InMemoryTransport final : public Transport {
   CostMeter& meter_;
 };
 
-// DroppingTransport (the every-k-th-message fault injector) migrated to a
-// thin alias over the composable FaultyTransport; see faulty_transport.h.
-
 }  // namespace eppi::net

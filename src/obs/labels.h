@@ -1,7 +1,7 @@
 // Fixed-capacity label sets for metrics registry instruments.
 //
 // Labels distinguish instances of the same metric name (e.g. one
-// ServingMetrics per LocatorService, or a per-party counter). They are
+// `instance` per LocatorService, or a per-party counter). They are
 // consulted only at registration time — the hot path holds a Counter&
 // and never touches labels again — so plain std::string storage is fine;
 // the fixed capacity exists to keep cardinality honest, not for speed.

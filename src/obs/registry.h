@@ -1,12 +1,13 @@
 // Process-wide metrics registry: named counters, gauges, and log2
 // histograms with small fixed label sets.
 //
-// Shape follows the serving tier's rules (common/metrics.h): the record
-// path is relaxed atomics only — no lock, no allocation — so any thread may
-// bump a counter concurrently with snapshot rendering. The mutex exists only
-// around registration (name+labels → instrument lookup), which callers do
-// once and cache the returned reference; instruments live in std::deques so
-// those references stay valid for the registry's lifetime.
+// The record path is relaxed atomics only — no lock, no allocation — so the
+// wait-free serving tier (core/locator_service.h) and any other thread may
+// bump a counter concurrently with snapshot rendering. Relaxed ordering is
+// enough: the values are statistics, nothing is published through them. The
+// mutex exists only around registration (name+labels → instrument lookup),
+// which callers do once and cache the returned reference; instruments live
+// in std::deques so those references stay valid for the registry's lifetime.
 //
 // Exposition is pull-based: render_prometheus() emits the text format
 // (counters as `_total`-suffixed samples, histograms as cumulative
@@ -70,9 +71,9 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-// Log2 histogram over non-negative integer samples, same bucketing as
-// LatencyHistogram: bucket k counts samples in [2^k, 2^(k+1)) with bucket 0
-// also taking 0, clamped into the last bucket past 2^32. One relaxed
+// Log2 histogram over non-negative integer samples: bucket k counts samples
+// in [2^k, 2^(k+1)) with bucket 0 also taking 0 and 1, clamped into the last
+// bucket past 2^32. One relaxed
 // fetch_add per record plus a relaxed sum accumulation.
 class Histogram {
  public:

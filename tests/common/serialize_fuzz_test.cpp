@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/index_io.h"
+#include "fixtures/legacy_formats.h"
 #include "mpc/circuit_builder.h"
 #include "mpc/circuit_io.h"
 
@@ -73,18 +74,9 @@ TEST(SerializeFuzzTest, BinaryReaderSurvivesCorruption) {
 }
 
 TEST(SerializeFuzzTest, IndexLoaderSurvivesCorruption) {
-  Rng rng(5);
-  BitMatrix matrix(9, 70);
-  for (std::size_t i = 0; i < 9; ++i) {
-    for (std::size_t j = 0; j < 70; ++j) {
-      if (rng.bernoulli(0.3)) matrix.set(i, j, true);
-    }
-  }
-  std::stringstream ss;
-  core::save_index(ss, core::PpiIndex(std::move(matrix)));
-  const std::string str = ss.str();
-  std::vector<std::uint8_t> valid(str.begin(), str.end());
-  fuzz_decoder(valid,
+  // The unchecksummed v1 layout through the stream entry point: most
+  // corruptions parse as a different index, the rest must throw cleanly.
+  fuzz_decoder(fixtures::bytes_of(fixtures::kV1Index),
                [](const std::vector<std::uint8_t>& bytes) {
                  std::stringstream in(
                      std::string(bytes.begin(), bytes.end()));
@@ -105,7 +97,7 @@ core::PpiIndex fuzz_index() {
 }
 
 TEST(SerializeFuzzTest, IndexLoaderSurvivesV2Corruption) {
-  fuzz_decoder(core::save_index_bytes(fuzz_index()),
+  fuzz_decoder(fixtures::bytes_of(fixtures::kV2Index),
                [](const std::vector<std::uint8_t>& bytes) {
                  (void)core::load_index_bytes(bytes);
                },
@@ -133,15 +125,12 @@ TEST(SerializeFuzzTest, IndexLoaderSurvivesV3Corruption) {
 // mid-dimension and mid-shard, and the loader must reject each prefix,
 // never crash or over-allocate.
 TEST(SerializeFuzzTest, IndexLoaderRejectsEveryTruncationPoint) {
-  const core::PpiIndex index = fuzz_index();
-
-  std::stringstream v1;
-  core::save_index_v1(v1, index);
-  const std::string v1_str = v1.str();
-  const std::vector<std::uint8_t> v1_bytes(v1_str.begin(), v1_str.end());
-  const std::vector<std::uint8_t> v2_bytes = core::save_index_bytes(index);
+  const std::vector<std::uint8_t> v1_bytes =
+      fixtures::bytes_of(fixtures::kV1Index);
+  const std::vector<std::uint8_t> v2_bytes =
+      fixtures::bytes_of(fixtures::kV2Index);
   const std::vector<std::uint8_t> v3_bytes =
-      core::save_index_v3_bytes(core::PostingIndex(index), nullptr);
+      core::save_index_v3_bytes(core::PostingIndex(fuzz_index()), nullptr);
 
   for (const auto& valid : {v1_bytes, v2_bytes, v3_bytes}) {
     for (std::size_t cut = 0; cut < valid.size(); ++cut) {
@@ -157,19 +146,18 @@ TEST(SerializeFuzzTest, IndexLoaderRejectsEveryTruncationPoint) {
 }
 
 TEST(SerializeFuzzTest, IndexCrossVersionLoads) {
-  const core::PpiIndex index = fuzz_index();
-
-  // v1 bytes load through the same entry point as v2.
-  std::stringstream v1;
-  core::save_index_v1(v1, index);
-  const std::string v1_str = v1.str();
-  const std::vector<std::uint8_t> v1_bytes(v1_str.begin(), v1_str.end());
+  // v1 and v2 bytes of the same index load through one entry point.
+  const core::PpiIndex index(fixtures::golden_matrix());
+  const std::vector<std::uint8_t> v1_bytes =
+      fixtures::bytes_of(fixtures::kV1Index);
+  const std::vector<std::uint8_t> v2_bytes =
+      fixtures::bytes_of(fixtures::kV2Index);
   EXPECT_EQ(core::load_index_bytes(v1_bytes).matrix(), index.matrix());
   EXPECT_EQ(core::validate_index(v1_bytes).version, 1);
+  EXPECT_EQ(core::load_index_bytes(v2_bytes).matrix(), index.matrix());
 
   // A v1 header with a v2 body (and vice versa) must be rejected, not
   // misparsed: the magic decides the layout and the checksums do the rest.
-  const std::vector<std::uint8_t> v2_bytes = core::save_index_bytes(index);
   std::vector<std::uint8_t> relabeled_v1 = v2_bytes;
   std::memcpy(relabeled_v1.data(), "eppiidx1", 8);
   EXPECT_THROW((void)core::load_index_bytes(relabeled_v1), SerializeError);

@@ -14,12 +14,15 @@
 #include <vector>
 
 #include "common/bit_matrix.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "core/epoch_manager.h"
 #include "core/epoch_store.h"
 #include "core/index_io.h"
 #include "core/posting_index.h"
 #include "core/sticky_publisher.h"
+#include "fixtures/legacy_formats.h"
 #include "storage/mem_vfs.h"
 
 namespace eppi::core {
@@ -82,7 +85,22 @@ TEST(IndexDifferentialTest, QueriesMatchDenseAcrossDensitiesAndShardSpans) {
 
 // --- checksum differential --------------------------------------------------
 
-// The two matrix_checksum overloads must agree bit for bit: recovery
+// The dense definition of the legacy type-3 checksum: CRC32C over u64 LE
+// rows, cols, then every row's packed words.
+std::uint32_t dense_matrix_checksum(const eppi::BitMatrix& matrix) {
+  BinaryWriter w;
+  w.write_u64(matrix.rows());
+  w.write_u64(matrix.cols());
+  for (std::size_t i = 0; i < matrix.rows(); ++i) {
+    const std::uint64_t* words = matrix.row_words(i);
+    for (std::size_t k = 0; k < matrix.words_per_row(); ++k) {
+      w.write_u64(words[k]);
+    }
+  }
+  return crc32c(w.buffer());
+}
+
+// matrix_checksum must reproduce the dense definition bit for bit: recovery
 // verifies LEGACY delta records (pinned to the dense checksum) in posting
 // space, which is only sound if the posting-space computation reproduces
 // the dense value exactly.
@@ -94,7 +112,7 @@ TEST(IndexDifferentialTest, MatrixChecksumAgreesAcrossRepresentations) {
           std::pair<std::size_t, std::size_t>{21, 193}}) {
       const auto matrix = random_matrix(m, n, m * 31 + n, density);
       const PostingIndex postings(matrix, 64);
-      EXPECT_EQ(matrix_checksum(matrix), matrix_checksum(postings))
+      EXPECT_EQ(dense_matrix_checksum(matrix), matrix_checksum(postings))
           << m << "x" << n << " d=" << density;
       EXPECT_EQ(postings_checksum(matrix), postings_checksum(postings))
           << m << "x" << n << " d=" << density;
@@ -137,9 +155,7 @@ EpochStore::EpochDelta make_delta(const eppi::BitMatrix& next,
     }
     d.col_splices.push_back(std::move(col));
   }
-  d.matrix_crc = matrix_checksum(next);
   d.postings_crc = postings_checksum(next);
-  d.has_postings_crc = true;
   return d;
 }
 
@@ -206,7 +222,8 @@ TEST(IndexDifferentialTest, DeltaSpliceMatchesDenseApplyDelta) {
     const PostingIndex compressed =
         apply_delta_postings(base_postings, c.delta);
     expect_identical(dense, compressed, c.name);
-    EXPECT_EQ(matrix_checksum(dense), matrix_checksum(compressed)) << c.name;
+    EXPECT_EQ(dense_matrix_checksum(dense), matrix_checksum(compressed))
+        << c.name;
     EXPECT_EQ(postings_checksum(dense), postings_checksum(compressed))
         << c.name;
   }
@@ -296,31 +313,22 @@ TEST(IndexDifferentialTest, StoreRecoveryMatchesDenseReplay) {
   }
 }
 
-// Legacy pin: a delta record carrying ONLY the dense matrix checksum (a
-// pre-v3 journal, has_postings_crc=false) must still replay and verify in
-// posting space. This is the PR 8 bit-identity pin carried onto v3.
+// Legacy pin: a type-3 delta record carrying ONLY the dense matrix checksum
+// (golden journal bytes from before the store stopped writing them) must
+// still replay and verify in posting space over its v2 base file.
 TEST(IndexDifferentialTest, LegacyMatrixPinnedDeltaReplaysOnV3) {
   MemVfs vfs;
-  const auto base = random_matrix(5, 60, 13, 0.25);
-  eppi::BitMatrix e2 = base;
-  e2.set(4, 59, !e2.get(4, 59));
-
-  {
-    EpochStore store(vfs, "store");
-    store.record_sticky_state({.master_key = 5, .enable_mixing = true});
-    store.commit_epoch(1, PostingIndex(base, 64), 0.1);
-    auto delta = make_delta(e2, 2, 1, {}, {}, {}, {59});
-    delta.has_postings_crc = false;  // journal as a legacy type-3 record
-    delta.postings_crc = 0;
-    store.commit_delta(delta);
-  }
+  fixtures::seed_type3_store(vfs, "store");
+  const eppi::BitMatrix e2 = fixtures::golden_next_matrix();
 
   EpochStore reopened(vfs, "store");
   ASSERT_EQ(reopened.latest_epoch(), 2u);
   const auto& rec = reopened.delta_record(2);
-  EXPECT_FALSE(rec.has_postings_crc);
-  EXPECT_EQ(rec.matrix_crc, matrix_checksum(e2));
+  ASSERT_TRUE(rec.legacy_matrix_crc.has_value());
+  EXPECT_EQ(*rec.legacy_matrix_crc, dense_matrix_checksum(e2));
   expect_identical(e2, reopened.load_epoch_postings(2).postings, "legacy");
+  // The dense oracle replays the same record to the same matrix.
+  EXPECT_EQ(apply_delta(fixtures::golden_matrix(), rec), e2);
 }
 
 // The manager's incremental rebuild (PR 8) committed through the new v3

@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "dataset/synthetic.h"
+#include "fixtures/legacy_formats.h"
 
 namespace eppi::core {
 namespace {
@@ -22,10 +23,15 @@ PpiIndex sample_index(std::size_t m, std::size_t n, std::uint64_t seed) {
   return PpiIndex(std::move(matrix));
 }
 
+// Writes through the current (v3) writer into a stream.
+void save(std::stringstream& ss, const PpiIndex& index) {
+  save_index_v3(ss, PostingIndex(index), nullptr);
+}
+
 TEST(IndexIoTest, RoundTripPreservesMatrix) {
   const PpiIndex original = sample_index(17, 130, 1);  // cols span 3 words
   std::stringstream ss;
-  save_index(ss, original);
+  save(ss, original);
   const PpiIndex loaded = load_index(ss);
   EXPECT_EQ(loaded.matrix(), original.matrix());
 }
@@ -33,7 +39,7 @@ TEST(IndexIoTest, RoundTripPreservesMatrix) {
 TEST(IndexIoTest, RoundTripEmptyIndex) {
   const PpiIndex original{eppi::BitMatrix(3, 4)};
   std::stringstream ss;
-  save_index(ss, original);
+  save(ss, original);
   const PpiIndex loaded = load_index(ss);
   EXPECT_EQ(loaded.providers(), 3u);
   EXPECT_EQ(loaded.identities(), 4u);
@@ -43,7 +49,7 @@ TEST(IndexIoTest, RoundTripEmptyIndex) {
 TEST(IndexIoTest, QueriesSurviveRoundTrip) {
   const PpiIndex original = sample_index(20, 10, 2);
   std::stringstream ss;
-  save_index(ss, original);
+  save(ss, original);
   const PpiIndex loaded = load_index(ss);
   for (IdentityId j = 0; j < 10; ++j) {
     EXPECT_EQ(loaded.query(j), original.query(j));
@@ -58,7 +64,7 @@ TEST(IndexIoTest, BadMagicRejected) {
 TEST(IndexIoTest, TruncatedFileRejected) {
   const PpiIndex original = sample_index(8, 8, 3);
   std::stringstream ss;
-  save_index(ss, original);
+  save(ss, original);
   const std::string full = ss.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_index(truncated), eppi::SerializeError);
@@ -80,7 +86,7 @@ TEST(IndexIoTest, EmptyStreamRejected) {
   EXPECT_THROW(load_index(ss), eppi::SerializeError);
 }
 
-// --- eppi-index-v2 integrity sections --------------------------------------
+// --- eppi-index-v1/v2: read-only, pinned by golden fixtures ----------------
 
 IndexSection section_of(const std::vector<std::uint8_t>& bytes) {
   try {
@@ -93,37 +99,38 @@ IndexSection section_of(const std::vector<std::uint8_t>& bytes) {
 }
 
 TEST(IndexIoTest, V2BytesRoundTrip) {
-  const PpiIndex original = sample_index(9, 70, 4);
-  const auto bytes = save_index_bytes(original);
-  const PpiIndex loaded = load_index_bytes(bytes);
-  EXPECT_EQ(loaded.matrix(), original.matrix());
-  const IndexValidation v = validate_index(bytes);
+  const PpiIndex loaded = load_index_bytes(fixtures::kV2Index);
+  EXPECT_EQ(loaded.matrix(), fixtures::golden_matrix());
+  const IndexValidation v = validate_index(fixtures::kV2Index);
   EXPECT_TRUE(v.ok);
   EXPECT_EQ(v.version, 2);
+  EXPECT_EQ(index_shape(fixtures::kV2Index).cols, 70u);
 }
 
 TEST(IndexIoTest, V1StillLoads) {
-  const PpiIndex original = sample_index(6, 40, 5);
-  std::stringstream ss;
-  save_index_v1(ss, original);
+  std::stringstream ss(std::string(std::begin(fixtures::kV1Index),
+                                   std::end(fixtures::kV1Index)));
   const PpiIndex loaded = load_index(ss);
-  EXPECT_EQ(loaded.matrix(), original.matrix());
+  EXPECT_EQ(loaded.matrix(), fixtures::golden_matrix());
+  const IndexValidation v = validate_index(fixtures::kV1Index);
+  EXPECT_TRUE(v.ok);
+  EXPECT_EQ(v.version, 1);
 }
 
 TEST(IndexIoTest, V2HeaderBitFlipNamesHeaderSection) {
-  auto bytes = save_index_bytes(sample_index(5, 9, 6));
+  auto bytes = fixtures::bytes_of(fixtures::kV2Index);
   bytes[10] ^= 0x01;  // inside the dimension fields
   EXPECT_EQ(section_of(bytes), IndexSection::kHeader);
 }
 
 TEST(IndexIoTest, V2PayloadBitFlipNamesPayloadSection) {
-  auto bytes = save_index_bytes(sample_index(5, 9, 6));
+  auto bytes = fixtures::bytes_of(fixtures::kV2Index);
   bytes[30] ^= 0x80;  // inside the packed matrix words
   EXPECT_EQ(section_of(bytes), IndexSection::kPayload);
 }
 
 TEST(IndexIoTest, V2TornWriteNamesFooterSection) {
-  const auto bytes = save_index_bytes(sample_index(5, 9, 6));
+  const auto bytes = fixtures::bytes_of(fixtures::kV2Index);
   // Cut inside the footer: header and payload verify, the seal is missing —
   // the signature of a partially flushed write.
   const std::vector<std::uint8_t> torn(bytes.begin(), bytes.end() - 6);
@@ -131,21 +138,21 @@ TEST(IndexIoTest, V2TornWriteNamesFooterSection) {
 }
 
 TEST(IndexIoTest, V2TrailingGarbageRejected) {
-  auto bytes = save_index_bytes(sample_index(5, 9, 6));
+  auto bytes = fixtures::bytes_of(fixtures::kV2Index);
   bytes.push_back(0x00);
   EXPECT_EQ(section_of(bytes), IndexSection::kTrailing);
 }
 
 TEST(IndexIoTest, V1TrailingGarbageRejected) {
-  const PpiIndex original = sample_index(6, 40, 5);
-  std::stringstream ss;
-  save_index_v1(ss, original);
+  std::stringstream ss(std::string(std::begin(fixtures::kV1Index),
+                                   std::end(fixtures::kV1Index)));
+  ss.seekp(0, std::ios::end);
   ss << "extra";
   EXPECT_THROW(load_index(ss), eppi::SerializeError);
 }
 
 TEST(IndexIoTest, ValidateReportsEverySection) {
-  auto bytes = save_index_bytes(sample_index(4, 17, 7));
+  auto bytes = fixtures::bytes_of(fixtures::kV2Index);
   bytes[30] ^= 0x01;                      // corrupt the payload...
   bytes[bytes.size() - 1] ^= 0x01;        // ...and the seal checksum
   const IndexValidation v = validate_index(bytes);

@@ -15,6 +15,7 @@
 #include "core/index_io.h"
 #include "core/lexicon.h"
 #include "core/posting_index.h"
+#include "fixtures/legacy_formats.h"
 #include "storage/mem_vfs.h"
 
 namespace eppi::core {
@@ -186,15 +187,13 @@ TEST(IndexV3IoTest, TrailingBytesRejected) {
 // and re-persisting as v3 then loading again is lossless: the v2→v3
 // migration a store performs implicitly on its next commit.
 TEST(IndexV3IoTest, V2ToV3MigrationRoundTrip) {
-  const auto matrix = sample_matrix(19, 140, 8);
-  const PpiIndex dense(matrix);
-  const auto v2_bytes = save_index_bytes(dense);
-  ASSERT_EQ(validate_index(v2_bytes).version, 2);
+  const eppi::BitMatrix matrix = fixtures::golden_matrix();
+  ASSERT_EQ(validate_index(fixtures::kV2Index).version, 2);
 
-  const LoadedIndex migrated = load_postings_bytes(v2_bytes);
+  const LoadedIndex migrated = load_postings_bytes(fixtures::kV2Index);
   EXPECT_EQ(migrated.lexicon, nullptr);
-  EXPECT_EQ(migrated.postings.providers(), 19u);
-  EXPECT_EQ(migrated.postings.identities(), 140u);
+  EXPECT_EQ(migrated.postings.providers(), 6u);
+  EXPECT_EQ(migrated.postings.identities(), 70u);
 
   const auto v3_bytes = save_index_v3_bytes(migrated.postings, nullptr);
   ASSERT_EQ(validate_index(v3_bytes).version, 3);
@@ -291,9 +290,7 @@ TEST(IndexV3IoTest, FsckStoreCleanOnV3Lineage) {
       if (e2.get(i, 8)) col.bits[i >> 3] |= 1u << (i & 7);
     }
     d.col_splices.push_back(std::move(col));
-    d.matrix_crc = matrix_checksum(e2);
     d.postings_crc = postings_checksum(e2);
-    d.has_postings_crc = true;
     store.commit_delta(d);
   }
   const FsckReport report = fsck_store(vfs, "store");

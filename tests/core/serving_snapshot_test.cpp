@@ -222,8 +222,8 @@ TEST(ServingSnapshotTest, MetricsCountServingTraffic) {
   EXPECT_EQ(snap.epoch_swaps, 1u);
   EXPECT_EQ(snap.degraded_serves, 0u);
   EXPECT_EQ(snap.latency.total, 4u);
-  EXPECT_LE(snap.latency.quantile_us(0.5), snap.latency.quantile_us(0.99));
-  EXPECT_GT(snap.latency.quantile_us(0.99), 0.0);
+  EXPECT_LE(snap.latency.quantile(0.5), snap.latency.quantile(0.99));
+  EXPECT_GT(snap.latency.quantile(0.99), 0.0);
 }
 
 }  // namespace

@@ -86,8 +86,8 @@ TEST(ClusterTest, PartyRngStreamsAreDeterministicAcrossRuns) {
 
 TEST(ClusterTest, RecvForTimesOutOnDroppedMessage) {
   Cluster cluster(2);
-  DroppingTransport dropper(cluster.base_transport(), /*drop_every=*/1);
-  cluster.set_transport(dropper);
+  const FaultyTransport& faulty =
+      cluster.inject_faults(FaultScenario::parse("link 0->1: drop=1.0"));
   std::atomic<bool> timed_out{false};
   cluster.run([&](PartyContext& ctx) {
     if (ctx.id() == 0) {
@@ -99,7 +99,7 @@ TEST(ClusterTest, RecvForTimesOutOnDroppedMessage) {
     }
   });
   EXPECT_TRUE(timed_out.load());
-  EXPECT_EQ(dropper.dropped(), 1u);
+  EXPECT_EQ(faulty.stats().dropped, 1u);
 }
 
 TEST(ClusterTest, RecvForReturnsDeliveredMessage) {

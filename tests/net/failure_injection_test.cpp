@@ -1,6 +1,6 @@
 // Failure injection: protocols must fail cleanly (ProtocolError), not hang,
 // when the transport drops messages — exercised through the cluster-level
-// receive timeout and the DroppingTransport decorator.
+// receive timeout and FaultScenario scripts injected into the cluster.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -20,15 +20,15 @@ TEST(FailureInjectionTest, SecSumShareFailsCleanlyOnMessageLoss) {
       kM, std::vector<std::uint8_t>(2, 1));
   Cluster cluster(kM);
   cluster.set_recv_timeout(std::chrono::milliseconds(100));
-  DroppingTransport dropper(cluster.base_transport(), /*drop_every=*/3);
-  cluster.set_transport(dropper);
+  const FaultyTransport& faulty =
+      cluster.inject_faults(FaultScenario::parse("all: drop=1.0"));
   const eppi::secret::SecSumShareParams params{3, 0, 2};
   EXPECT_THROW(cluster.run([&](PartyContext& ctx) {
                  (void)eppi::secret::run_sec_sum_share_party(
                      ctx, params, inputs[ctx.id()]);
                }),
                eppi::ProtocolError);
-  EXPECT_GT(dropper.dropped(), 0u);
+  EXPECT_GT(faulty.stats().dropped, 0u);
 }
 
 TEST(FailureInjectionTest, GmwFailsCleanlyOnMessageLoss) {
@@ -40,8 +40,7 @@ TEST(FailureInjectionTest, GmwFailsCleanlyOnMessageLoss) {
 
   Cluster cluster(2);
   cluster.set_recv_timeout(std::chrono::milliseconds(100));
-  DroppingTransport dropper(cluster.base_transport(), /*drop_every=*/4);
-  cluster.set_transport(dropper);
+  cluster.inject_faults(FaultScenario::parse("link 1->0: drop=1.0"));
   EXPECT_THROW(cluster.run([&](PartyContext& ctx) {
                  eppi::mpc::GmwSession session;
                  session.parties = {0, 1};

@@ -223,26 +223,31 @@ TEST(FaultyTransportTest, ClusterRecordsCrashedPartyWithoutFailingRun) {
   EXPECT_FALSE(got.has_value());
 }
 
-TEST(DroppingTransportTest, CountsOnlyDataFrames) {
-  // The migrated alias fixes the old semantics: ack frames neither advance
-  // the every-k counter nor are counted as drops.
-  std::vector<Mailbox> boxes(2);
-  CostMeter meter;
-  InMemoryTransport inner(boxes, meter);
-  DroppingTransport dropper(inner, /*drop_every=*/2);
-  Message ack = data_msg(0, 1, 50);
-  ack.tag |= kAckBit;
-  dropper.send(data_msg(0, 1, 0));  // data #1: forwarded
-  dropper.send(ack);                // ack: ignored by the counter
-  dropper.send(data_msg(0, 1, 1));  // data #2: dropped
-  dropper.send(data_msg(0, 1, 2));  // data #3: forwarded
-  dropper.send(data_msg(0, 1, 3));  // data #4: dropped
-  EXPECT_EQ(dropper.dropped(), 2u);
-  Message out;
-  EXPECT_TRUE(boxes[1].try_recv(0, MessageTag::kUserBase, 0, out));
-  EXPECT_FALSE(boxes[1].try_recv(0, MessageTag::kUserBase, 1, out));
-  EXPECT_TRUE(boxes[1].try_recv(0, MessageTag::kUserBase, 2, out));
-  EXPECT_FALSE(boxes[1].try_recv(0, MessageTag::kUserBase, 3, out));
+TEST(FaultyTransportTest, ScriptedLinkDropIsDirectional) {
+  // A link override over the lossless default: every frame 0->1 is lost,
+  // the reverse direction is untouched, and each loss is counted once.
+  Cluster cluster(2);
+  const FaultyTransport& faulty =
+      cluster.inject_faults(FaultScenario::parse("link 0->1: drop=1.0"));
+  std::optional<std::vector<std::uint8_t>> at_0;
+  std::optional<std::vector<std::uint8_t>> at_1;
+  cluster.run([&](PartyContext& ctx) {
+    if (ctx.id() == 0) {
+      ctx.send(1, MessageTag::kUserBase, 0, {1});
+      ctx.send(1, MessageTag::kUserBase, 1, {2});
+      at_0 = ctx.recv_for(1, MessageTag::kUserBase, 0,
+                          std::chrono::milliseconds(500));
+    } else {
+      ctx.send(0, MessageTag::kUserBase, 0, {3});
+      at_1 = ctx.recv_for(0, MessageTag::kUserBase, 0,
+                          std::chrono::milliseconds(50));
+    }
+  });
+  ASSERT_TRUE(at_0.has_value());
+  EXPECT_EQ((*at_0)[0], 3);
+  EXPECT_FALSE(at_1.has_value());
+  EXPECT_EQ(faulty.stats().dropped, 2u);
+  EXPECT_EQ(faulty.stats().forwarded, 1u);
 }
 
 }  // namespace

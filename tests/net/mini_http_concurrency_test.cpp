@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,6 +147,39 @@ TEST(MiniHttpConcurrencyTest, StopWithInFlightRequestsIsClean) {
   server.stop();  // must join per-connection threads, not abandon them
   for (auto& c : clients) c.join();
   SUCCEED();
+}
+
+std::size_t mapped_regions() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(MiniHttpConcurrencyTest, FinishedConnectionThreadsAreReaped) {
+  // Every connection runs on its own thread, and a thread that is never
+  // joined keeps its stack mapped (about two regions each). Sequential
+  // requests must not pile those up until stop(): the mapping count stays
+  // flat instead of growing by thousands of lines.
+  MiniHttpServer server(0, [](const HttpRequest&) {
+    HttpResponse resp;
+    resp.body = "ok\n";
+    return resp;
+  });
+  server.start();
+  const std::uint16_t port = server.port();
+  (void)http_get(port, "/warmup");
+  const std::size_t before = mapped_regions();
+  constexpr int kRequests = 2000;
+  int ok = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    if (http_get(port, "/x").find("HTTP/1.1 200") == 0) ++ok;
+  }
+  const std::size_t after = mapped_regions();
+  server.stop();
+  EXPECT_EQ(ok, kRequests);
+  EXPECT_LT(after, before + 100) << "mapped regions " << before << " -> "
+                                 << after;
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Serving- and storage-tier instrumentation: ServingMetrics lives on the
-// global registry (distinct per-instance labels, Prometheus-visible), the
+// Serving- and storage-tier instrumentation: LocatorService registers its
+// eppi_serving_* instruments on the global registry (distinct per-instance
+// labels, Prometheus-visible), the
 // LocatorService emits serve.build/serve.publish spans, and EpochStore
 // commit/recover run under store.* spans with byte counts.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "core/epoch_store.h"
 #include "core/locator_service.h"
@@ -57,7 +59,7 @@ TEST(ObsServingTest, QueryAndSwapShowUpInPrometheusRender) {
   EXPECT_EQ(snap.epoch_swaps, 1u);
 
   // The same counters are visible through the global registry's exposition
-  // (ServingMetrics registers them under eppi_serving_* with an instance
+  // (LocatorService registers them under eppi_serving_* with an instance
   // label); the render must carry the family and at least our two queries.
   const std::string text =
       eppi::obs::Registry::global().render_prometheus();
@@ -67,6 +69,48 @@ TEST(ObsServingTest, QueryAndSwapShowUpInPrometheusRender) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE eppi_serving_latency_us histogram"),
             std::string::npos);
+}
+
+TEST(ServingMetricsTest, SnapshotReflectsRecordedCalls) {
+  LocatorService service(centralized_options());
+  populate(service);
+  service.construct_ppi();
+  (void)service.query_ppi("alice");
+  const std::vector<std::string> batch = {"alice", "bob", "alice"};
+  (void)service.query_ppi_many(batch);
+  EXPECT_THROW((void)service.query_ppi("mallory"), eppi::ConfigError);
+
+  const auto snap = service.metrics();
+  EXPECT_EQ(snap.queries, 1u);
+  EXPECT_EQ(snap.batches, 1u);
+  EXPECT_EQ(snap.owners_resolved, 4u);
+  EXPECT_EQ(snap.unknown_owners, 1u);
+  EXPECT_EQ(snap.epoch_swaps, 1u);
+  EXPECT_EQ(snap.degraded_serves, 0u);  // healthy build, never degraded
+  EXPECT_EQ(snap.latency.total, 2u);    // one per answered call
+}
+
+TEST(ServingMetricsTest, InstancesAreIndependentOnTheRegistry) {
+  // Both services register on Registry::global() under distinct `instance`
+  // labels (common in tests: many services per process); serving from one
+  // must not bleed into the other's counters or latency.
+  LocatorService a(centralized_options());
+  LocatorService b(centralized_options());
+  populate(a);
+  populate(b);
+  a.construct_ppi();
+  (void)a.query_ppi("alice");
+  (void)a.query_ppi("bob");
+  EXPECT_THROW((void)a.query_ppi("mallory"), eppi::ConfigError);
+
+  EXPECT_EQ(a.metrics().queries, 2u);
+  EXPECT_EQ(a.metrics().unknown_owners, 1u);
+  EXPECT_EQ(a.metrics().latency.total, 2u);
+  const auto other = b.metrics();
+  EXPECT_EQ(other.queries, 0u);
+  EXPECT_EQ(other.unknown_owners, 0u);
+  EXPECT_EQ(other.epoch_swaps, 0u);
+  EXPECT_EQ(other.latency.total, 0u);
 }
 
 TEST(ObsServingTest, BuildAndPublishEmitSpans) {

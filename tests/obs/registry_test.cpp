@@ -1,6 +1,6 @@
 // Metrics registry contract (obs/registry.h): idempotent registration,
-// label separation, log2 bucketing shared with LatencyHistogram, quantile
-// edges, and both exposition formats.
+// label separation, log2 bucketing, quantile edges, and both exposition
+// formats.
 #include "obs/registry.h"
 
 #include <gtest/gtest.h>
@@ -38,9 +38,9 @@ TEST(RegistryTest, CounterAndGaugeSemantics) {
   EXPECT_EQ(level.value(), 7);
 }
 
-TEST(RegistryTest, HistogramBucketingMatchesLatencyHistogram) {
-  // Same law as common/metrics.h bucket_for: v <= 1 -> bucket 0, otherwise
-  // floor(log2 v), clamped into the last bucket.
+TEST(RegistryTest, HistogramBucketingIsLog2) {
+  // v <= 1 -> bucket 0, otherwise floor(log2 v), clamped into the last
+  // bucket.
   EXPECT_EQ(Histogram::bucket_for(0), 0u);
   EXPECT_EQ(Histogram::bucket_for(1), 0u);
   EXPECT_EQ(Histogram::bucket_for(2), 1u);
@@ -73,6 +73,69 @@ TEST(RegistryTest, HistogramQuantileEdges) {
   EXPECT_EQ(snap.quantile(0.5), 4.0);
   EXPECT_EQ(snap.quantile(1.0), 128.0);  // bucket 6: [64, 128)
   EXPECT_EQ(snap.sum, 103u);
+}
+
+// LatencyHistogramTest pins the quantile semantics every latency readout
+// (serving p50/p99, bench reports) relies on: microsecond samples into
+// log2 buckets, reported as the owning bucket's upper edge.
+
+TEST(LatencyHistogramTest, EmptyHistogramQuantileIsZero) {
+  Registry reg;
+  Histogram& h = reg.histogram("h");
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.total, 0u);
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(snap.quantile(q), 0.0) << "q=" << q;
+  }
+}
+
+TEST(LatencyHistogramTest, SingleSampleOwnsEveryQuantile) {
+  Registry reg;
+  Histogram& h = reg.histogram("h");
+  h.record(3.0);  // bucket 1: [2, 4)
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.total, 1u);
+  for (const double q : {0.0, 0.5, 1.0}) {  // rank clamps up to sample 1
+    EXPECT_EQ(snap.quantile(q), 4.0) << "q=" << q;
+  }
+}
+
+TEST(LatencyHistogramTest, OutOfRangeQIsClamped) {
+  Registry reg;
+  Histogram& h = reg.histogram("h");
+  h.record(3.0);
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.quantile(-1.0), snap.quantile(0.0));
+  EXPECT_EQ(snap.quantile(2.0), snap.quantile(1.0));
+}
+
+TEST(LatencyHistogramTest, BucketBoundarySamplesReportUpperEdges) {
+  // A sample at exactly 2^k lands in bucket k and reports its upper edge
+  // 2^(k+1); rank(q) = max(1, ceil(q * 3)) walks ranks 1, 1, 2, 3.
+  Registry reg;
+  Histogram& h = reg.histogram("h");
+  h.record(1.0);  // bucket 0 (sub-2us), upper edge 2
+  h.record(2.0);  // bucket 1: [2, 4), upper edge 4
+  h.record(4.0);  // bucket 2: [4, 8), upper edge 8
+  const auto snap = h.snapshot();
+  ASSERT_EQ(snap.total, 3u);
+  EXPECT_EQ(snap.counts[0], 1u);
+  EXPECT_EQ(snap.counts[1], 1u);
+  EXPECT_EQ(snap.counts[2], 1u);
+  EXPECT_EQ(snap.quantile(0.0), 2.0);
+  EXPECT_EQ(snap.quantile(1.0 / 3.0), 2.0);
+  EXPECT_EQ(snap.quantile(0.5), 4.0);
+  EXPECT_EQ(snap.quantile(1.0), 8.0);
+}
+
+TEST(LatencyHistogramTest, SubMicrosecondAndGarbageLandInBucketZero) {
+  Registry reg;
+  Histogram& h = reg.histogram("h");
+  h.record(0.5);
+  h.record(-7.0);
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.counts[0], 2u);
+  EXPECT_EQ(snap.quantile(1.0), 2.0);  // bucket 0's upper edge
 }
 
 TEST(RegistryTest, PrometheusRenderShape) {

@@ -9,17 +9,23 @@
 //   * killing the process at every storage operation leaves a store that
 //     recovers, fscks clean, and resumes into a byte-identical rebuild;
 //   * a delta whose base epoch file rots is quarantined (not served), and
-//     the journaled membership (joined/left) survives a restart.
+//     the journaled membership (joined/left) survives a restart;
+//   * a legacy type-3 journal over a v2 epoch file (golden bytes) still
+//     recovers, replays and fscks, and quarantines a checksum mismatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/bit_matrix.h"
+#include "common/crc32c.h"
 #include "core/epoch_manager.h"
 #include "core/epoch_store.h"
 #include "core/index_io.h"
+#include "fixtures/legacy_formats.h"
 #include "storage/faulty_vfs.h"
 #include "storage/mem_vfs.h"
 
@@ -99,15 +105,15 @@ void run_workload(eppi::storage::Vfs& vfs) {
 }
 
 // The three committed matrices of an uninterrupted run, by epoch id.
-std::vector<std::vector<std::uint8_t>> reference_epochs() {
+std::vector<eppi::BitMatrix> reference_epochs() {
   MemVfs vfs;
   run_workload(vfs);
   EpochStore store(vfs, kDir);
-  std::vector<std::vector<std::uint8_t>> bytes;
+  std::vector<eppi::BitMatrix> matrices;
   for (std::uint64_t e = 1; e <= 3; ++e) {
-    bytes.push_back(save_index_bytes(store.load_epoch(e)));
+    matrices.push_back(store.load_epoch(e).matrix());
   }
-  return bytes;
+  return matrices;
 }
 
 TEST(DeltaStoreTest, IncrementalEpochsAreJournaledAsDeltas) {
@@ -139,7 +145,7 @@ TEST(DeltaStoreTest, ReplayedLoadsMatchAcrossReopen) {
   // byte-identically, including the intermediate delta epoch.
   EpochStore store(vfs, kDir);
   for (std::uint64_t e = 1; e <= 3; ++e) {
-    EXPECT_EQ(save_index_bytes(store.load_epoch(e)), reference[e - 1])
+    EXPECT_EQ(store.load_epoch(e).matrix(), reference[e - 1])
         << "epoch " << e;
   }
 }
@@ -171,7 +177,7 @@ TEST(DeltaStoreTest, TruncationAtEveryByteRecoversToWholeEpochs) {
         if (!rec.file_intact) continue;
         ASSERT_GE(rec.epoch, 1u);
         ASSERT_LE(rec.epoch, 3u);
-        EXPECT_EQ(save_index_bytes(store.load_epoch(rec.epoch)),
+        EXPECT_EQ(store.load_epoch(rec.epoch).matrix(),
                   reference[rec.epoch - 1]);
       }
       // And the repaired store passes fsck.
@@ -204,7 +210,7 @@ TEST(DeltaStoreTest, CrashAtEveryOperationBoundary) {
     EXPECT_TRUE(fsck_store(vfs, kDir).ok);
     for (const auto& rec : store.lineage()) {
       if (rec.file_intact) {
-        EXPECT_EQ(save_index_bytes(store.load_epoch(rec.epoch)),
+        EXPECT_EQ(store.load_epoch(rec.epoch).matrix(),
                   reference[rec.epoch - 1]);
       }
     }
@@ -217,7 +223,7 @@ TEST(DeltaStoreTest, CrashAtEveryOperationBoundary) {
     manager.attach_store(store);
     const auto rebuilt =
         manager.rebuild_delta(truth_epoch3(), epsilons, request_epoch3());
-    EXPECT_EQ(save_index_bytes(rebuilt.index), reference[2]);
+    EXPECT_EQ(rebuilt.index.matrix(), reference[2]);
   }
 }
 
@@ -272,6 +278,73 @@ TEST(DeltaStoreTest, JournaledMembershipSurvivesRestart) {
   for (std::size_t j = 0; j < 12; ++j) {
     EXPECT_FALSE(rebuilt.index.matrix().get(3, j)) << "col " << j;
   }
+}
+
+bool has_note(const std::vector<std::string>& notes, const std::string& note) {
+  return std::find(notes.begin(), notes.end(), note) != notes.end();
+}
+
+// Nothing writes type-3 delta records or v2 epoch files any more, so this
+// store is golden bytes: sticky + epoch-1 (v2 file) + a type-3 delta that
+// grows the shape, retires provider 5, joins provider 6 and splices columns.
+TEST(DeltaStoreTest, LegacyType3StoreRecoversAndFscks) {
+  MemVfs vfs;
+  fixtures::seed_type3_store(vfs, kDir);
+  const FsckReport report = fsck_store(vfs, kDir);
+  EXPECT_TRUE(report.ok);
+  EXPECT_TRUE(has_note(report.notes, "epoch-1.idx: v2 ok"));
+  EXPECT_TRUE(has_note(report.notes, "delta 2: replay ok"));
+
+  EpochStore store(vfs, kDir);
+  EXPECT_EQ(store.recovery_report().quarantined, 0u);
+  ASSERT_EQ(store.latest_epoch(), 2u);
+  EXPECT_EQ(store.sticky_state().master_key, 0x5eedu);
+  EXPECT_EQ(store.lambda_history(), (std::vector<double>{0.125, 0.25}));
+  EXPECT_EQ(store.load_epoch(1).matrix(), fixtures::golden_matrix());
+  EXPECT_EQ(store.load_epoch_postings(2).postings.to_matrix_index().matrix(),
+            fixtures::golden_next_matrix());
+}
+
+// One flipped byte of the type-3 record's pinned matrix checksum, with the
+// journal frame re-sealed so the record still reads whole: replay misses the
+// checksum, so the delta is quarantined and its payload dumped verbatim.
+TEST(DeltaStoreTest, LegacyType3ChecksumMismatchIsQuarantined) {
+  MemVfs vfs;
+  fixtures::seed_type3_store(vfs, kDir);
+  auto manifest = vfs.read_file(kManifest);
+  const auto u32_at = [&manifest](std::size_t at) {
+    std::uint32_t v = 0;
+    for (int b = 0; b < 4; ++b) {
+      v |= static_cast<std::uint32_t>(manifest[at + b]) << (8 * b);
+    }
+    return v;
+  };
+  // Frames are [u32 len][u32 masked crc][payload]; the delta is the last.
+  std::size_t frame = 8;  // past the manifest magic
+  while (frame + 8 + u32_at(frame) < manifest.size()) {
+    frame += 8 + u32_at(frame);
+  }
+  const std::size_t payload_at = frame + 8;
+  const std::size_t len = u32_at(frame);
+  ASSERT_EQ(payload_at + len, manifest.size());
+  ASSERT_EQ(manifest[payload_at], 3);  // record type 3
+  manifest[payload_at + 1 + 5 * 8] ^= 0x01;  // after type + 5 u64 fields
+  const std::uint32_t seal = crc32c_mask(
+      crc32c(std::span(manifest).subspan(payload_at, len)));
+  for (int b = 0; b < 4; ++b) {
+    manifest[frame + 4 + b] = static_cast<std::uint8_t>(seal >> (8 * b));
+  }
+  eppi::storage::atomic_write_file(vfs, kManifest, manifest);
+
+  EXPECT_FALSE(fsck_store(vfs, kDir).ok);
+  EpochStore store(vfs, kDir);
+  EXPECT_EQ(store.recovery_report().quarantined, 1u);
+  EXPECT_FALSE(store.recovery_report().manifest_truncated);
+  EXPECT_EQ(store.latest_epoch(), 1u);
+  EXPECT_EQ(store.load_epoch(1).matrix(), fixtures::golden_matrix());
+  EXPECT_EQ(vfs.read_file(std::string(kDir) + "/quarantine/delta-2.rec"),
+            std::vector<std::uint8_t>(manifest.begin() + payload_at,
+                                      manifest.end()));
 }
 
 }  // namespace

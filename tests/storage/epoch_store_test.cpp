@@ -12,6 +12,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/index_io.h"
+#include "fixtures/legacy_formats.h"
 #include "storage/mem_vfs.h"
 
 namespace eppi::core {
@@ -148,7 +149,8 @@ TEST(EpochStoreTest, OrphanFilesAreQuarantinedNotDeleted) {
   const std::vector<std::uint8_t> junk{1, 2, 3};
   vfs.write_file("store/epoch-9.idx.tmp", junk);
   vfs.fsync_file("store/epoch-9.idx.tmp");
-  const auto orphan = save_index_bytes(sample_index(3, 10, 9));
+  const auto orphan =
+      save_index_v3_bytes(PostingIndex(sample_index(3, 10, 9)), nullptr);
   vfs.write_file("store/epoch-9.idx", orphan);
   vfs.fsync_file("store/epoch-9.idx");
   vfs.fsync_dir("store");
@@ -330,7 +332,7 @@ TEST(EpochStoreTest, DamagedManifestHeaderRefusesToOpen) {
 TEST(EpochStoreTest, FsckSingleIndexFile) {
   MemVfs vfs;
   vfs.make_dir("d");
-  const auto good = save_index_bytes(sample_index(5, 30, 1));
+  const auto good = fixtures::bytes_of(fixtures::kV2Index);
   vfs.write_file("d/good.idx", good);
   vfs.fsync_file("d/good.idx");
   EXPECT_TRUE(fsck_index_file(vfs, "d/good.idx").ok);

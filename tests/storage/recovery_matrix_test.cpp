@@ -69,17 +69,17 @@ void run_workload(eppi::storage::Vfs& vfs) {
   manager.rebuild(truth_epoch2(), epsilons);
 }
 
-// Reference: the final epoch-2 index bytes of an uninterrupted run.
-std::vector<std::uint8_t> reference_bytes() {
+// Reference: the final epoch-2 matrix of an uninterrupted run.
+eppi::BitMatrix reference_matrix() {
   MemVfs vfs;
   run_workload(vfs);
   EpochStore store(vfs, kDir);
-  return save_index_bytes(store.load_epoch(*store.latest_epoch()));
+  return store.load_epoch(*store.latest_epoch()).matrix();
 }
 
 // After any injected fault: power-cycle, recover, and prove the store is
 // valid and the sticky decisions are unchanged.
-void check_recovery(MemVfs& vfs, const std::vector<std::uint8_t>& reference) {
+void check_recovery(MemVfs& vfs, const eppi::BitMatrix& reference) {
   vfs.crash();
 
   // Recovery must always produce an openable store...
@@ -107,13 +107,13 @@ void check_recovery(MemVfs& vfs, const std::vector<std::uint8_t>& reference) {
   manager.attach_store(store);
   const std::vector<double> epsilons(12, 0.5);
   const auto rebuilt = manager.rebuild(truth_epoch2(), epsilons);
-  EXPECT_EQ(save_index_bytes(rebuilt.index), reference);
+  EXPECT_EQ(rebuilt.index.matrix(), reference);
 
   // And what was just committed is durable: power-cycle once more.
   vfs.crash();
   EpochStore after(vfs, kDir);
   ASSERT_TRUE(after.latest_epoch().has_value());
-  EXPECT_EQ(save_index_bytes(after.load_epoch(*after.latest_epoch())),
+  EXPECT_EQ(after.load_epoch(*after.latest_epoch()).matrix(),
             reference);
 }
 
@@ -130,7 +130,7 @@ TEST(RecoveryMatrixTest, WorkloadTouchesEnoughBoundariesToMatter) {
 }
 
 TEST(RecoveryMatrixTest, CrashAtEveryOperationBoundary) {
-  const auto reference = reference_bytes();
+  const auto reference = reference_matrix();
   const std::uint64_t total = count_workload_ops();
   for (std::uint64_t k = 0; k < total; ++k) {
     SCOPED_TRACE("crash at op " + std::to_string(k));
@@ -142,7 +142,7 @@ TEST(RecoveryMatrixTest, CrashAtEveryOperationBoundary) {
 }
 
 TEST(RecoveryMatrixTest, TornWriteAtEveryOperationBoundary) {
-  const auto reference = reference_bytes();
+  const auto reference = reference_matrix();
   const std::uint64_t total = count_workload_ops();
   for (const std::size_t torn_bytes : {std::size_t{0}, std::size_t{5}}) {
     for (std::uint64_t k = 0; k < total; ++k) {
@@ -157,7 +157,7 @@ TEST(RecoveryMatrixTest, TornWriteAtEveryOperationBoundary) {
 }
 
 TEST(RecoveryMatrixTest, TransientFailureLeavesManagerConsistent) {
-  const auto reference = reference_bytes();
+  const auto reference = reference_matrix();
   const std::uint64_t total = count_workload_ops();
   const std::vector<double> epsilons(12, 0.5);
   for (std::uint64_t k = 0; k < total; ++k) {
@@ -181,7 +181,7 @@ TEST(RecoveryMatrixTest, TransientFailureLeavesManagerConsistent) {
     EXPECT_TRUE(fsck_store(vfs, kDir).ok);
     EpochStore store(vfs, kDir);
     ASSERT_TRUE(store.latest_epoch().has_value());
-    EXPECT_EQ(save_index_bytes(store.load_epoch(*store.latest_epoch())),
+    EXPECT_EQ(store.load_epoch(*store.latest_epoch()).matrix(),
               reference);
   }
 }

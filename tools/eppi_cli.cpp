@@ -47,7 +47,7 @@
 //       Exercises the concurrent serving tier (docs/serving.md): builds a
 //       LocatorService from the table, then hammers QueryPPI from reader
 //       threads — optionally while a writer thread rebuilds and swaps
-//       epochs — and prints the ServingMetrics counters and latency
+//       epochs — and prints the eppi_serving_* counters and latency
 //       quantiles. Options:
 //         --eps <x>        privacy degree for every owner (default 0.6)
 //         --threads <T>    reader threads (default 2)
@@ -965,8 +965,8 @@ int cmd_serve(const std::vector<std::string>& args) {
                  ? static_cast<double>(metrics.owners_resolved) / seconds
                  : 0.0)
       << "/s)\n"
-      << "latency p50/p99:  " << metrics.latency.quantile_us(0.5)
-      << " / " << metrics.latency.quantile_us(0.99) << " us per call\n"
+      << "latency p50/p99:  " << metrics.latency.quantile(0.5)
+      << " / " << metrics.latency.quantile(0.99) << " us per call\n"
       << "epoch swaps:      " << metrics.epoch_swaps << '\n'
       << "degraded serves:  " << metrics.degraded_serves << '\n'
       << "unknown owners:   " << metrics.unknown_owners << '\n';
