@@ -12,8 +12,6 @@
 
 #include "bench_util.h"
 #include "mpc/eppi_circuits.h"
-#include "mpc/garbled.h"
-#include "mpc/gmw.h"
 #include "mpc/optimizer.h"
 #include "secret/mod_ring.h"
 
@@ -148,33 +146,5 @@ int main() {
     table.print("Ablation 5: circuit optimizer (DCE + CSE + NOT-collapse)");
   }
 
-  // 6. Protocol model: Yao garbled circuits (constant rounds, tables up
-  //    front) vs GMW (depth rounds, per-AND openings) — the Fairplay [15]
-  //    vs FairplayMP/GMW trade the paper's MPC lineage spans. Two-party
-  //    CountBelow instances of growing depth.
-  {
-    eppi::bench::ResultTable table({"identities", "and-depth", "gmw-rounds",
-                                    "yao-rounds", "gmw-open-bits",
-                                    "yao-table-bytes"});
-    for (const std::size_t n : {4u, 16u, 64u}) {
-      eppi::mpc::CountBelowSpec spec;
-      spec.c = 2;
-      spec.q = 1024;
-      spec.thresholds = std::vector<std::uint64_t>(n, 512);
-      const auto circuit = eppi::mpc::build_count_below_circuit(spec);
-      const auto& stats = circuit.stats();
-      table.add_row({std::to_string(n), std::to_string(stats.and_depth),
-                     std::to_string(eppi::mpc::gmw_round_count(circuit)),
-                     "3",
-                     std::to_string(2 * stats.and_gates),
-                     std::to_string(eppi::mpc::garbled_table_bytes(circuit))});
-    }
-    table.print(
-        "Ablation 6: Yao (garbled) vs GMW round/communication structure");
-    std::cout << "Yao ships 32 bytes per AND once and finishes in constant "
-                 "rounds; GMW opens\n2 bits per AND but pays a round per "
-                 "layer -- latency-bound networks favor Yao,\nbandwidth-"
-                 "bound ones favor GMW.\n";
-  }
   return 0;
 }

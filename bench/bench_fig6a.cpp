@@ -62,12 +62,13 @@ EppiStageResult run_eppi_stage(const eppi::BitMatrix& truth,
     const auto shares =
         eppi::secret::run_sec_sum_share_party(ctx, ss_params, row);
     if (ctx.id() >= c) return;
-    const auto bits = eppi::mpc::share_input_bits(*shares, ring.bit_width());
+    const auto inputs =
+        eppi::mpc::bitslice_inputs(*shares, ring.bit_width());
     eppi::mpc::GmwSession session;
     for (std::size_t i = 0; i < c; ++i) {
       session.parties.push_back(static_cast<eppi::net::PartyId>(i));
     }
-    (void)eppi::mpc::run_gmw_party(ctx, session, circuit, bits);
+    (void)eppi::mpc::run_gmw_party(ctx, session, circuit, inputs);
   });
   const auto stop = std::chrono::steady_clock::now();
 

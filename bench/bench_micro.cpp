@@ -12,7 +12,6 @@
 #include "dataset/synthetic.h"
 #include "mpc/circuit_builder.h"
 #include "mpc/eppi_circuits.h"
-#include "mpc/garbled.h"
 #include "mpc/gmw.h"
 #include "mpc/plain_eval.h"
 #include "net/cluster.h"
@@ -94,7 +93,7 @@ void BM_PlainEvalCountBelow(benchmark::State& state) {
   spec.q = 1 << 10;
   spec.thresholds = std::vector<std::uint64_t>(64, 100);
   const auto circuit = eppi::mpc::build_count_below_circuit(spec);
-  std::vector<bool> inputs(circuit.inputs().size(), false);
+  std::vector<bool> inputs(circuit.inputs().size() * circuit.lanes(), false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(eppi::mpc::evaluate_plain(circuit, inputs));
   }
@@ -120,23 +119,6 @@ void BM_GmwTwoPartyAnd64(benchmark::State& state) {
 }
 BENCHMARK(BM_GmwTwoPartyAnd64);
 
-void BM_GarbledTwoPartyAnd64(benchmark::State& state) {
-  eppi::mpc::CircuitBuilder cb;
-  const auto a = cb.input_bits(0, 64);
-  const auto b = cb.input_bits(1, 64);
-  for (int i = 0; i < 64; ++i) cb.output(cb.And(a[i], b[i]));
-  const auto circuit = cb.take();
-  const std::vector<bool> inputs(64, true);
-  for (auto _ : state) {
-    eppi::net::Cluster cluster(2);
-    cluster.run([&](eppi::net::PartyContext& ctx) {
-      eppi::mpc::GarbledSession session;
-      benchmark::DoNotOptimize(
-          eppi::mpc::run_garbled_party(ctx, session, circuit, inputs));
-    });
-  }
-}
-BENCHMARK(BM_GarbledTwoPartyAnd64);
 
 void BM_Reshare(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

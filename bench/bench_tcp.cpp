@@ -8,6 +8,9 @@
 // reported so a deployment can calibrate CostModel::rtt against its own
 // network (docs/deployment.md shows the arithmetic).
 //
+// Each ablation row is the median of several runs, each timed from the
+// moment every party is up to the moment every party is done.
+//
 // Usage: bench_tcp [--smoke] [--json <path>]
 //   --smoke   smallest sizes only (CI gate)
 //   --json    machine-readable results (default BENCH_tcp.json)
@@ -17,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <latch>
 #include <netinet/in.h>
 #include <string>
 #include <sys/socket.h>
@@ -64,35 +68,68 @@ std::uint16_t find_port_base(std::size_t count) {
   return 23000;
 }
 
-double run_inproc(std::size_t m,
-                  const std::function<void(PartyContext&, std::size_t)>& body) {
+using Body = std::function<void(PartyContext&, std::size_t)>;
+
+// Times the protocol alone on either harness: the clock starts once every
+// party is up (threads spawned, sockets meshed) and stops once every
+// party's body has returned, before any teardown.
+class ProtocolClock {
+ public:
+  explicit ProtocolClock(std::size_t m)
+      : ready_(static_cast<std::ptrdiff_t>(m)),
+        finished_(static_cast<std::ptrdiff_t>(m)) {}
+
+  void run(PartyContext& ctx, std::size_t i, const Body& body) {
+    ready_.arrive_and_wait();
+    if (i == 0) start_ = std::chrono::steady_clock::now();
+    body(ctx, i);
+    finished_.arrive_and_wait();
+    if (i == 0) stop_ = std::chrono::steady_clock::now();
+  }
+
+  double ms() const {
+    return std::chrono::duration<double, std::milli>(stop_ - start_).count();
+  }
+
+ private:
+  std::latch ready_;
+  std::latch finished_;
+  std::chrono::steady_clock::time_point start_;
+  std::chrono::steady_clock::time_point stop_;
+};
+
+double run_inproc(std::size_t m, const Body& body) {
   eppi::net::Cluster cluster(m, 3);
-  const auto start = std::chrono::steady_clock::now();
-  cluster.run([&](PartyContext& ctx) { body(ctx, ctx.id()); });
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+  ProtocolClock clock(m);
+  cluster.run([&](PartyContext& ctx) { clock.run(ctx, ctx.id(), body); });
+  return clock.ms();
 }
 
-double run_tcp(std::size_t m,
-               const std::function<void(PartyContext&, std::size_t)>& body) {
+double run_tcp(std::size_t m, const Body& body) {
   const std::uint16_t base = find_port_base(m);
   std::vector<Endpoint> endpoints(m);
   for (std::size_t i = 0; i < m; ++i) {
     endpoints[i].port = static_cast<std::uint16_t>(base + i);
   }
-  const auto start = std::chrono::steady_clock::now();
+  ProtocolClock clock(m);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < m; ++i) {
     threads.emplace_back([&, i] {
       eppi::net::SocketRuntime runtime(static_cast<PartyId>(i), endpoints, 3);
-      body(runtime.context(), i);
+      clock.run(runtime.context(), i, body);
     });
   }
   for (auto& t : threads) t.join();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+  return clock.ms();
+}
+
+// Median of `reps` timings: one shot of a few-millisecond protocol is
+// mostly scheduler noise.
+double median_ms(int reps, const std::function<double()>& once) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) ms.push_back(once());
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
 }
 
 // Application-level round trip over an established loopback link: send one
@@ -152,7 +189,8 @@ struct AblationRow {
   double tcp_ms = 0.0;
 };
 
-void write_json(const std::string& path, bool smoke, const RttResult& rtt,
+void write_json(const std::string& path, bool smoke, int reps,
+                const RttResult& rtt,
                 const std::vector<AblationRow>& ablation) {
   std::ofstream out(path);
   if (!out) {
@@ -161,7 +199,8 @@ void write_json(const std::string& path, bool smoke, const RttResult& rtt,
   }
   out << "{\n  \"bench\": \"tcp\",\n";
   out << "  \"build\": " << eppi::bench::build_info_json() << ",\n";
-  out << "  \"config\": {\"smoke\": " << (smoke ? "true" : "false") << "},\n";
+  out << "  \"config\": {\"smoke\": " << (smoke ? "true" : "false")
+      << ", \"reps\": " << reps << "},\n";
   out << "  \"loopback_rtt\": {\"iters\": " << rtt.iters
       << ", \"p50_us\": " << rtt.p50_us << ", \"avg_us\": " << rtt.avg_us
       << "},\n";
@@ -195,6 +234,7 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t kN = smoke ? 32 : 64;  // identities
+  const int kReps = smoke ? 5 : 9;
   eppi::bench::ResultTable table(
       {"protocol", "parties", "inproc-ms", "tcp-ms"});
   std::vector<AblationRow> ablation;
@@ -213,7 +253,9 @@ int main(int argc, char** argv) {
     const auto body = [&](PartyContext& ctx, std::size_t i) {
       (void)eppi::secret::run_sec_sum_share_party(ctx, params, inputs[i]);
     };
-    AblationRow arow{"secsumshare", m, run_inproc(m, body), run_tcp(m, body)};
+    AblationRow arow{"secsumshare", m,
+                     median_ms(kReps, [&] { return run_inproc(m, body); }),
+                     median_ms(kReps, [&] { return run_tcp(m, body); })};
     table.add_row({arow.protocol, std::to_string(m),
                    eppi::bench::fmt(arow.inproc_ms, 2),
                    eppi::bench::fmt(arow.tcp_ms, 2)});
@@ -237,8 +279,9 @@ int main(int argc, char** argv) {
       (void)eppi::core::run_construction_party(ctx, rows[i], epsilons,
                                                options);
     };
-    AblationRow arow{"construction", m, run_inproc(m, body),
-                     run_tcp(m, body)};
+    AblationRow arow{"construction", m,
+                     median_ms(kReps, [&] { return run_inproc(m, body); }),
+                     median_ms(kReps, [&] { return run_tcp(m, body); })};
     table.add_row({arow.protocol, std::to_string(m),
                    eppi::bench::fmt(arow.inproc_ms, 2),
                    eppi::bench::fmt(arow.tcp_ms, 2)});
@@ -258,6 +301,6 @@ int main(int argc, char** argv) {
                "CostModel::rtt with (your ping) + (p50 above) as the "
                "per-round floor.\n";
 
-  write_json(json_path, smoke, rtt, ablation);
+  write_json(json_path, smoke, kReps, rtt, ablation);
   return 0;
 }

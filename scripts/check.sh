@@ -12,16 +12,20 @@
 #   index       plain build, but only the compressed-posting-index harness:
 #               codec property/fuzz tests, the dense-vs-compressed
 #               differential suite, and v3 persistence (ctest -L index)
+#   mpc         plain build, but only the generic-MPC layer: circuit
+#               builder, the bitsliced GMW engine, and the ε-PPI templates
+#               checked bit for bit against their plain references with
+#               pinned logical sizes (ctest -L mpc)
 #   obs         plain build, but only the observability layer: metrics
 #               registry, trace ring, JSONL replay, and the construction/
 #               serving/storage instrumentation gates (ctest -L obs), plus
 #               the CLI smoke pipe: serve --smoke --prom | eppi_cli stats -
 #   asan        ASan+UBSan build in ./build-asan, full ctest
-#   tsan        TSan build in ./build-tsan, fault-, concurrency-, obs- and
-#               index-labeled tests (the threaded cluster/reliability
-#               paths, the epoch-snapshot serving tier, the lock-free trace
-#               ring, and the shared-shard snapshot swaps are where races
-#               would live)
+#   tsan        TSan build in ./build-tsan, fault-, concurrency-, obs-,
+#               index- and mpc-labeled tests (the threaded cluster/
+#               reliability paths, the epoch-snapshot serving tier, the
+#               lock-free trace ring, the shared-shard snapshot swaps and
+#               the multi-party GMW sessions are where races would live)
 #   bench       smoke-mode bench_serving + bench_tcp, diffed against the
 #               committed BENCH_*.json baselines with a loose (5x) tolerance
 #               via scripts/check_bench.py — catches order-of-magnitude
@@ -67,6 +71,9 @@ case "$stage" in
     ;;
   index)
     run_preset default -L index
+    ;;
+  mpc)
+    run_preset default -L mpc
     ;;
   obs)
     run_preset default -L obs
@@ -141,7 +148,7 @@ case "$stage" in
     "$0" analyze
     ;;
   *)
-    echo "usage: $0 [plain|fault|storage|concurrency|index|obs|bench|asan|tsan|lint|analyze|all]" >&2
+    echo "usage: $0 [plain|fault|storage|concurrency|index|mpc|obs|bench|asan|tsan|lint|analyze|all]" >&2
     exit 2
     ;;
 esac

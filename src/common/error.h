@@ -62,4 +62,10 @@ inline void require(bool cond, const std::string& what) {
   if (!cond) detail::throw_config(what);
 }
 
+// Literal messages build no string unless the check fails (hot paths call
+// require per identity).
+inline void require(bool cond, const char* what) {
+  if (!cond) detail::throw_config(what);
+}
+
 }  // namespace eppi

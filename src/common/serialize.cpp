@@ -88,6 +88,9 @@ std::vector<std::uint8_t> BinaryReader::read_bytes() {
 
 std::vector<std::uint64_t> BinaryReader::read_u64_vector() {
   const std::uint64_t len = read_varint();
+  // Every element takes at least one byte: a corrupt length must not
+  // reserve more than the input can hold.
+  need(len);
   std::vector<std::uint64_t> out;
   out.reserve(len);
   for (std::uint64_t k = 0; k < len; ++k) out.push_back(read_varint());

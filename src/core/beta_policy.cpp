@@ -1,7 +1,10 @@
 #include "core/beta_policy.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/error.h"
 #include "core/guarantee.h"
@@ -11,7 +14,10 @@ namespace eppi::core {
 namespace {
 
 void check_unit(double x, const char* name) {
-  require(x >= 0.0 && x <= 1.0, std::string(name) + " must be in [0,1]");
+  // Branch first: the message is only built for the error.
+  if (!(x >= 0.0 && x <= 1.0)) {
+    throw ConfigError(std::string(name) + " must be in [0,1]");
+  }
 }
 
 }  // namespace
@@ -125,13 +131,68 @@ std::uint64_t common_threshold(const BetaPolicy& policy, double epsilon,
   return lo;
 }
 
+std::vector<std::uint32_t> epsilon_order(std::span<const double> epsilons) {
+  const std::size_t n = epsilons.size();
+  // Bucket sort: ε·k is monotone in ε, so the buckets come out in order and
+  // only a bucket's few members need comparing.
+  const std::size_t k = std::bit_ceil(std::max<std::size_t>(n, 1));
+  const auto bucket = [k](double e) {
+    return std::min(k - 1, static_cast<std::size_t>(e * static_cast<double>(k)));
+  };
+  std::vector<std::uint32_t> start(k + 1, 0);
+  for (const double e : epsilons) {
+    check_unit(e, "epsilon");
+    ++start[bucket(e) + 1];
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<std::uint32_t> order(n);
+  std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+  for (std::uint32_t j = 0; j < n; ++j) order[next[bucket(epsilons[j])]++] = j;
+  const auto before = [&](std::uint32_t a, std::uint32_t b) {
+    return epsilons[a] < epsilons[b] || (epsilons[a] == epsilons[b] && a < b);
+  };
+  for (std::size_t b = 0; b < k; ++b) {
+    if (start[b + 1] - start[b] > 1) {
+      std::sort(order.begin() + start[b], order.begin() + start[b + 1], before);
+    }
+  }
+  return order;
+}
+
 std::vector<std::uint64_t> common_thresholds(const BetaPolicy& policy,
                                              std::span<const double> epsilons,
                                              std::size_t m) {
-  std::vector<std::uint64_t> out;
-  out.reserve(epsilons.size());
-  for (const double eps : epsilons) {
-    out.push_back(common_threshold(policy, eps, m));
+  std::vector<std::uint64_t> out(epsilons.size());
+  if (policy.kind == PolicyKind::kExact) {
+    // Bisection-based β: evaluated per identity.
+    for (std::size_t j = 0; j < epsilons.size(); ++j) {
+      out[j] = common_threshold(policy, epsilons[j], m);
+    }
+    return out;
+  }
+  // β_b, β_d and β_c are compositions of correctly rounded monotone steps
+  // in ε, so thresholds never rise along ascending ε: a run whose two ends
+  // agree is filled without evaluating the policy inside it.
+  const std::vector<std::uint32_t> order = epsilon_order(epsilons);
+  const auto at = [&](std::size_t i) {
+    return common_threshold(policy, epsilons[order[i]], m);
+  };
+  // Fills order[lo..hi] given the thresholds at both ends.
+  const auto fill = [&](auto& self, std::size_t lo, std::size_t hi,
+                        std::uint64_t t_lo, std::uint64_t t_hi) -> void {
+    if (t_lo == t_hi || hi - lo <= 1) {
+      for (std::size_t i = lo; i < hi; ++i) out[order[i]] = t_lo;
+      out[order[hi]] = t_hi;
+      return;
+    }
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const std::uint64_t t_mid = at(mid);
+    self(self, lo, mid, t_lo, t_mid);
+    self(self, mid, hi, t_mid, t_hi);
+  };
+  if (!order.empty()) {
+    const std::size_t last = order.size() - 1;
+    fill(fill, 0, last, at(0), at(last));
   }
   return out;
 }

@@ -85,7 +85,12 @@ double beta_clamped(const BetaPolicy& policy, double sigma, double epsilon,
 std::uint64_t common_threshold(const BetaPolicy& policy, double epsilon,
                                std::size_t m);
 
-// Per-identity thresholds for a whole epsilon vector.
+// Identity indices by ascending ε (ties in index order). Every ε must be in
+// [0,1].
+std::vector<std::uint32_t> epsilon_order(std::span<const double> epsilons);
+
+// Per-identity thresholds for a whole epsilon vector. Every ε must be in
+// [0,1].
 std::vector<std::uint64_t> common_thresholds(const BetaPolicy& policy,
                                              std::span<const double> epsilons,
                                              std::size_t m);

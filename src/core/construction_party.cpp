@@ -9,9 +9,9 @@
 #include "core/mixing.h"
 #include "core/publisher.h"
 #include "mpc/eppi_circuits.h"
-#include "mpc/garbled.h"
 #include "mpc/gmw.h"
 #include "net/phase_span.h"
+#include "obs/trace.h"
 #include "secret/sec_sum_share.h"
 
 namespace eppi::core {
@@ -37,17 +37,12 @@ struct EpsilonRanks {
 
 EpsilonRanks rank_epsilons(std::span<const double> epsilons) {
   EpsilonRanks er;
-  er.unique_values.assign(epsilons.begin(), epsilons.end());
-  std::sort(er.unique_values.begin(), er.unique_values.end());
-  er.unique_values.erase(
-      std::unique(er.unique_values.begin(), er.unique_values.end()),
-      er.unique_values.end());
-  er.ranks.reserve(epsilons.size());
-  for (const double e : epsilons) {
-    const auto it = std::lower_bound(er.unique_values.begin(),
-                                     er.unique_values.end(), e);
-    er.ranks.push_back(
-        static_cast<std::uint64_t>(it - er.unique_values.begin()) + 1);
+  er.ranks.resize(epsilons.size());
+  for (const std::uint32_t j : epsilon_order(epsilons)) {
+    if (er.unique_values.empty() || epsilons[j] != er.unique_values.back()) {
+      er.unique_values.push_back(epsilons[j]);
+    }
+    er.ranks[j] = er.unique_values.size();
   }
   return er;
 }
@@ -93,12 +88,8 @@ ConstructionPartyResult run_construction_party(
   require(epsilons.size() == n, "construction party: epsilon count");
   require(options.c >= 2 && options.c <= m,
           "construction party: need 2 <= c <= m");
-  require(options.backend == MpcBackend::kGmw || options.c == 2,
-          "construction party: the garbled backend is two-party (c == 2)");
 
-  // Public, deterministic pre-computation (identical on every party).
   const eppi::secret::SecSumShareParams ss_params{options.c, options.q, n};
-  const EpsilonRanks er = rank_epsilons(epsilons);
 
   const PartyId me = ctx.id();
   const bool coordinator = me < options.c;
@@ -137,42 +128,37 @@ ConstructionPartyResult run_construction_party(
   const std::size_t m_eff = result.survivors.size();
   const eppi::secret::ModRing ring(committed_q);
   const unsigned width = ring.bit_width();
-  const auto thresholds = common_thresholds(options.policy, epsilons, m_eff);
 
   OpenedMix opened;
   if (coordinator) {
+    // Public, deterministic pre-computation (identical on every
+    // coordinator): ε ranks, thresholds and the CountBelow template.
+    std::optional<eppi::obs::Span> prepare;
+    prepare.emplace("mpc.prepare");
+    const EpsilonRanks er = rank_epsilons(epsilons);
+    const auto thresholds =
+        common_thresholds(options.policy, epsilons, m_eff);
     eppi::mpc::CountBelowSpec cb_spec;
     cb_spec.c = options.c;
     cb_spec.q = ring.q();
     cb_spec.thresholds.assign(thresholds.begin(), thresholds.end());
     cb_spec.xi_ranks = er.ranks;
     const auto cb_circuit = eppi::mpc::build_count_below_circuit(cb_spec);
+    prepare.reset();
 
     eppi::mpc::GmwSession session;
     for (std::size_t i = 0; i < options.c; ++i) {
       session.parties.push_back(static_cast<PartyId>(i));
     }
-    const auto run_secure = [&](const eppi::mpc::Circuit& circuit,
-                                const std::vector<bool>& bits,
-                                std::uint64_t seq_base) {
-      if (options.backend == MpcBackend::kGarbled) {
-        eppi::mpc::GarbledSession yao;
-        yao.garbler = 0;
-        yao.evaluator = 1;
-        yao.seq_base = seq_base;
-        return eppi::mpc::run_garbled_party(ctx, yao, circuit, bits);
-      }
-      eppi::mpc::GmwSession gmw = session;
-      gmw.seq_base = seq_base;
-      return eppi::mpc::run_gmw_party(ctx, gmw, circuit, bits);
-    };
 
     // Phase 1.2a: CountBelow.
     std::optional<eppi::net::PhaseSpan> phase;
     phase.emplace(ctx, "phase:count_below");
-    const auto cb_bits = eppi::mpc::share_input_bits(*my_shares, width);
-    const auto cb_out = run_secure(cb_circuit, cb_bits, 0);
-    const auto counted = eppi::mpc::decode_count_below(cb_spec, cb_out);
+    const auto cb_out = eppi::mpc::run_gmw_party(
+        ctx, session, cb_circuit,
+        eppi::mpc::bitslice_inputs(*my_shares, width));
+    const auto counted = eppi::mpc::decode_count_below(
+        cb_spec, eppi::mpc::opened_bits(cb_circuit, cb_out));
     phase->span().attr("common_count", counted.common_count);
     phase.reset();
 
@@ -184,6 +170,7 @@ ConstructionPartyResult run_construction_party(
             : 0.0;
 
     // Phase 1.2b: MixAndReveal.
+    prepare.emplace("mpc.prepare");
     eppi::mpc::MixRevealSpec mr_spec;
     mr_spec.c = options.c;
     mr_spec.q = ring.q();
@@ -191,19 +178,29 @@ ConstructionPartyResult run_construction_party(
     mr_spec.lambda = lambda;
     mr_spec.coin_bits = options.coin_bits;
     const auto mr_circuit = eppi::mpc::build_mix_reveal_circuit(mr_spec);
+    prepare.reset();
 
     phase.emplace(ctx, "phase:mix_reveal");
     phase->span().attr("lambda", lambda);
-    std::vector<bool> mr_bits = eppi::mpc::share_input_bits(*my_shares, width);
-    mr_bits.reserve(mr_bits.size() + n * options.coin_bits);
+    // λ-coins: one fair bit per coin bit, identity after identity.
+    std::vector<eppi::SecretU64> coins;
+    coins.reserve(n);
     for (std::size_t j = 0; j < n; ++j) {
+      std::uint64_t coin = 0;
       for (unsigned b = 0; b < options.coin_bits; ++b) {
-        mr_bits.push_back(ctx.rng().bernoulli(0.5));
+        if (ctx.rng().bernoulli(0.5)) coin |= std::uint64_t{1} << b;
       }
+      coins.emplace_back(coin);
     }
+    auto mr_inputs = eppi::mpc::bitslice_inputs(*my_shares, width);
+    const auto coin_inputs =
+        eppi::mpc::bitslice_inputs(coins, options.coin_bits);
+    mr_inputs.insert(mr_inputs.end(), coin_inputs.begin(), coin_inputs.end());
+    session.seq_base = eppi::mpc::GmwSession::kSeqStride;
     const auto mr_out =
-        run_secure(mr_circuit, mr_bits, eppi::mpc::GmwSession::kSeqStride);
-    const auto results = eppi::mpc::decode_mix_reveal(mr_spec, mr_out);
+        eppi::mpc::run_gmw_party(ctx, session, mr_circuit, mr_inputs);
+    const auto results = eppi::mpc::decode_mix_reveal(
+        mr_spec, eppi::mpc::opened_bits(mr_circuit, mr_out));
     phase.reset();
 
     opened.mixed.resize(n);

@@ -18,8 +18,6 @@ DistributedResult construct_distributed(const eppi::BitMatrix& truth,
   require(epsilons.size() == n, "construct_distributed: epsilon count");
   require(options.c >= 2 && options.c <= m,
           "construct_distributed: need 2 <= c <= m");
-  require(options.backend == MpcBackend::kGmw || options.c == 2,
-          "construct_distributed: the garbled backend is two-party (c == 2)");
 
   // Per-party private inputs (rows of the truth matrix).
   std::vector<std::vector<std::uint8_t>> rows(m,

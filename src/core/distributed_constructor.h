@@ -39,12 +39,6 @@
 
 namespace eppi::core {
 
-// Engine used for the secure stages among the coordinators.
-enum class MpcBackend {
-  kGmw,      // any c; rounds proportional to circuit depth
-  kGarbled,  // c == 2 only; constant rounds (Yao garbled circuits)
-};
-
 // Dropout tolerance for the distributed construction. Defaults are
 // paper-faithful: everything off, receives unbounded, exactly the §IV
 // protocol. Enabling `enabled` turns on bounded receives, the SecSumShare
@@ -80,7 +74,6 @@ struct DistributedOptions {
   std::uint64_t q = 0;        // SecSumShare modulus; 0 = auto power of two
   unsigned coin_bits = 16;    // λ-coin resolution inside the MPC
   std::uint64_t seed = 1;     // drives all party RNG streams
-  MpcBackend backend = MpcBackend::kGmw;
   FaultToleranceOptions fault_tolerance;
 };
 

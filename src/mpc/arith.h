@@ -1,7 +1,7 @@
 // Arithmetic-share MPC engine over Z_q (the VIFF model).
 //
 // The paper's related work spans two generic-MPC models: Boolean circuits
-// (Fairplay/FairplayMP — our mpc/gmw.h and mpc/garbled.h) and arithmetic
+// (Fairplay/FairplayMP — our mpc/gmw.h) and arithmetic
 // circuits over secret-shared ring elements (VIFF [18]). This engine is the
 // arithmetic side: values live as additive shares mod q among c parties;
 // addition, subtraction and scalar multiplication are local, multiplication

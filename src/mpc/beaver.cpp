@@ -1,60 +1,39 @@
 #include "mpc/beaver.h"
 
+#include "mpc/circuit.h"
+
 namespace eppi::mpc {
-
-std::size_t packed_size(std::uint64_t bits) noexcept {
-  return static_cast<std::size_t>((bits + 7) / 8);
-}
-
-void set_packed_bit(std::vector<std::uint8_t>& v, std::uint64_t i, bool bit) {
-  if (bit) {
-    v[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-  } else {
-    v[i / 8] &= static_cast<std::uint8_t>(~(1u << (i % 8)));
-  }
-}
-
-bool get_packed_bit(const std::vector<std::uint8_t>& v,
-                    std::uint64_t i) noexcept {
-  return (v[i / 8] >> (i % 8)) & 1;
-}
 
 std::vector<TripleShares> deal_triples(std::size_t n_parties,
                                        std::uint64_t count, eppi::Rng& rng) {
-  const std::size_t bytes = packed_size(count);
-  // Generate into raw packed buffers, then seal them under the Secret taint.
-  std::vector<std::vector<std::uint8_t>> a_raw(
-      n_parties, std::vector<std::uint8_t>(bytes, 0));
-  auto b_raw = a_raw;
-  auto c_raw = a_raw;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const bool a = rng.bernoulli(0.5);
-    const bool b = rng.bernoulli(0.5);
-    const bool c = a && b;
-    bool a_acc = false;
-    bool b_acc = false;
-    bool c_acc = false;
-    for (std::size_t p = 0; p + 1 < n_parties; ++p) {
-      const bool sa = rng.bernoulli(0.5);
-      const bool sb = rng.bernoulli(0.5);
-      const bool sc = rng.bernoulli(0.5);
-      set_packed_bit(a_raw[p], i, sa);
-      set_packed_bit(b_raw[p], i, sb);
-      set_packed_bit(c_raw[p], i, sc);
-      a_acc ^= sa;
-      b_acc ^= sb;
-      c_acc ^= sc;
-    }
-    set_packed_bit(a_raw[n_parties - 1], i, a_acc != a);
-    set_packed_bit(b_raw[n_parties - 1], i, b_acc != b);
-    set_packed_bit(c_raw[n_parties - 1], i, c_acc != c);
-  }
+  const std::size_t words = lane_words(count);
   std::vector<TripleShares> shares(n_parties);
-  for (std::size_t p = 0; p < n_parties; ++p) {
-    shares[p].a = eppi::SecretBytes(std::move(a_raw[p]));
-    shares[p].b = eppi::SecretBytes(std::move(b_raw[p]));
-    shares[p].c = eppi::SecretBytes(std::move(c_raw[p]));
-    shares[p].count = count;
+  for (auto& s : shares) {
+    s.a.resize(words);
+    s.b.resize(words);
+    s.c.resize(words);
+    s.count = count;
+  }
+  for (std::size_t i = 0; i < words; ++i) {
+    const std::uint64_t mask = i + 1 == words ? tail_mask(count) : ~0ull;
+    // Generate raw words, then seal each share under the Secret taint.
+    std::uint64_t a = rng.next() & mask;
+    std::uint64_t b = rng.next() & mask;
+    std::uint64_t c = a & b;
+    for (std::size_t p = 0; p + 1 < n_parties; ++p) {
+      const std::uint64_t sa = rng.next() & mask;
+      const std::uint64_t sb = rng.next() & mask;
+      const std::uint64_t sc = rng.next() & mask;
+      shares[p].a[i] = eppi::SecretU64(sa);
+      shares[p].b[i] = eppi::SecretU64(sb);
+      shares[p].c[i] = eppi::SecretU64(sc);
+      a ^= sa;
+      b ^= sb;
+      c ^= sc;
+    }
+    shares[n_parties - 1].a[i] = eppi::SecretU64(a);
+    shares[n_parties - 1].b[i] = eppi::SecretU64(b);
+    shares[n_parties - 1].c[i] = eppi::SecretU64(c);
   }
   return shares;
 }

@@ -1,9 +1,10 @@
 // Beaver multiplication-triple preprocessing for GMW AND gates.
 //
-// Each AND gate consumes one Boolean Beaver triple (a, b, ab) XOR-shared
-// among the session parties. We generate triples in a preprocessing phase
-// run by a designated dealer party (the session's first party), which is a
-// standard simulation of an offline phase.
+// Each AND gate lane consumes one Boolean Beaver triple (a, b, ab) XOR-
+// shared among the session parties; the bitsliced engine takes them 64 at
+// a time, one word per gate per 64 lanes. We generate triples in a
+// preprocessing phase run by a designated dealer party (the session's first
+// party), which is a standard simulation of an offline phase.
 //
 // SUBSTITUTION NOTE (see DESIGN.md §2): FairplayMP realizes secure gates via
 // a BMR garbling protocol; production GMW deployments generate triples with
@@ -23,38 +24,19 @@
 
 namespace eppi::mpc {
 
-// One party's XOR shares of a batch of bit triples, packed bitwise. The
-// buffers carry the Secret taint; bit accessors hand out tainted SecretBit
-// values, so triple material cannot be logged or compared either.
+// One party's XOR shares of a batch of bit triples, 64 to a word (triple i
+// in bit i % 64 of word i / 64). The words carry the Secret taint, so
+// triple material cannot be logged or compared either.
 struct TripleShares {
-  eppi::SecretBytes a;  // packed bits, count bits valid
-  eppi::SecretBytes b;
-  eppi::SecretBytes c;
+  std::vector<eppi::SecretU64> a;  // count bits valid, tail bits zero
+  std::vector<eppi::SecretU64> b;
+  std::vector<eppi::SecretU64> c;
   std::uint64_t count = 0;
-
-  eppi::SecretBit a_bit(std::uint64_t i) const noexcept { return bit(a, i); }
-  eppi::SecretBit b_bit(std::uint64_t i) const noexcept { return bit(b, i); }
-  eppi::SecretBit c_bit(std::uint64_t i) const noexcept { return bit(c, i); }
-
- private:
-  // Share-local unpacking, not a leak: the bit goes straight back under
-  // taint as a SecretBit.
-  static eppi::SecretBit bit(const eppi::SecretBytes& v,
-                             std::uint64_t i) noexcept {
-    const std::vector<std::uint8_t>& buf = v.unwrap_for_wire();
-    return eppi::SecretBit(((buf[i / 8] >> (i % 8)) & 1) != 0);
-  }
 };
 
 // Dealer-side generation: returns one TripleShares per party such that for
 // every triple index, XOR of a-shares & XOR of b-shares == XOR of c-shares.
 std::vector<TripleShares> deal_triples(std::size_t n_parties,
                                        std::uint64_t count, eppi::Rng& rng);
-
-// Bit-packing helpers shared with the GMW engine's message encoding.
-void set_packed_bit(std::vector<std::uint8_t>& v, std::uint64_t i, bool bit);
-bool get_packed_bit(const std::vector<std::uint8_t>& v,
-                    std::uint64_t i) noexcept;
-std::size_t packed_size(std::uint64_t bits) noexcept;
 
 }  // namespace eppi::mpc

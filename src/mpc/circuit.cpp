@@ -18,4 +18,16 @@ WireVec Circuit::inputs_of(std::uint32_t party) const {
   return result;
 }
 
+std::size_t Circuit::lanes_at(unsigned level) const noexcept {
+  std::size_t lanes = lanes_;
+  for (unsigned k = 0; k < level; ++k) lanes = (lanes + 1) / 2;
+  return lanes;
+}
+
+const std::vector<std::uint64_t>& Circuit::public_words(Wire w) const {
+  require(w < gates_.size() && gates_[w].op == GateOp::kPublic,
+          "Circuit: wire is not a public word");
+  return public_words_[gates_[w].a];
+}
+
 }  // namespace eppi::mpc

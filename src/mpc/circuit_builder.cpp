@@ -12,48 +12,100 @@ unsigned bit_width_for(std::uint64_t max_value) noexcept {
                         : static_cast<unsigned>(std::bit_width(max_value));
 }
 
-CircuitBuilder::CircuitBuilder() = default;
+namespace {
+
+constexpr Wire kNoWire = ~Wire{0};
+
+void count(CircuitStats& stats, GateOp op, std::uint64_t weight) {
+  switch (op) {
+    case GateOp::kInput:
+      stats.input_wires += weight;
+      break;
+    case GateOp::kXor:
+      stats.xor_gates += weight;
+      break;
+    case GateOp::kAnd:
+      stats.and_gates += weight;
+      break;
+    case GateOp::kNot:
+      stats.not_gates += weight;
+      break;
+    default:
+      break;
+  }
+}
+
+}  // namespace
+
+CircuitBuilder::CircuitBuilder(std::size_t lanes) {
+  require(lanes >= 1, "CircuitBuilder: need at least one lane");
+  circuit_.lanes_ = lanes;
+}
 
 Wire CircuitBuilder::append(GateOp op, Wire a, Wire b) {
   const Wire w = static_cast<Wire>(circuit_.gates_.size());
-  circuit_.gates_.push_back(Gate{op, a, b});
+  const auto& pub = circuit_.public_;
+  const auto& layers = circuit_.layers_;
+  bool is_public = false;
   std::uint32_t layer = 0;
   switch (op) {
     case GateOp::kInput:
-      ++circuit_.stats_.input_wires;
       break;
     case GateOp::kConstZero:
     case GateOp::kConstOne:
+    case GateOp::kPublic:
+      is_public = true;
       break;
     case GateOp::kXor:
-      ++circuit_.stats_.xor_gates;
-      layer = std::max(circuit_.layers_[a], circuit_.layers_[b]);
-      break;
     case GateOp::kAnd:
-      ++circuit_.stats_.and_gates;
-      layer = std::max(circuit_.layers_[a], circuit_.layers_[b]) + 1;
-      circuit_.stats_.and_depth =
-          std::max<std::uint64_t>(circuit_.stats_.and_depth, layer);
+      require(circuit_.levels_[a] == level_ && circuit_.levels_[b] == level_,
+              "CircuitBuilder: operands from another lane level");
+      is_public = pub[a] && pub[b];
+      layer = std::max(layers[a], layers[b]);
+      // Only an AND of two secrets needs a communication round.
+      if (op == GateOp::kAnd && !pub[a] && !pub[b]) ++layer;
       break;
     case GateOp::kNot:
-      ++circuit_.stats_.not_gates;
-      layer = circuit_.layers_[a];
+      require(circuit_.levels_[a] == level_,
+              "CircuitBuilder: operand from another lane level");
+      is_public = pub[a];
+      layer = layers[a];
+      break;
+    case GateOp::kHalve:
+      require(circuit_.levels_[a] + 1u == level_,
+              "CircuitBuilder: halve reads the level above");
+      is_public = pub[a];
+      layer = layers[a];
       break;
   }
+  circuit_.gates_.push_back(Gate{op, a, b});
   circuit_.layers_.push_back(layer);
+  circuit_.levels_.push_back(static_cast<std::uint8_t>(level_));
+  circuit_.public_.push_back(is_public ? 1 : 0);
+  // Public computation and AND with a public word fold per lane in the
+  // unrolled view, so neither counts as a gate.
+  const bool local_and = op == GateOp::kAnd && (pub[a] || pub[b]);
+  if (!is_public && !local_and) {
+    count(circuit_.stats_, op, lanes_here());
+    count(circuit_.template_stats_, op, 1);
+    circuit_.stats_.and_depth =
+        std::max<std::uint64_t>(circuit_.stats_.and_depth, layer);
+    circuit_.template_stats_.and_depth = circuit_.stats_.and_depth;
+  }
   const_val_.push_back(op == GateOp::kConstZero ? 0
                        : op == GateOp::kConstOne ? 1
                                                  : -1);
   return w;
 }
 
-std::optional<bool> CircuitBuilder::const_of(Wire w) const {
+std::optional<bool> CircuitBuilder::constant_value(Wire w) const {
   const std::int8_t v = const_val_[w];
   if (v < 0) return std::nullopt;
   return v != 0;
 }
 
 Wire CircuitBuilder::input_bit(std::uint32_t party) {
+  require(level_ == 0, "CircuitBuilder: inputs live at lane level 0");
   const Wire w = append(GateOp::kInput, party, 0);
   circuit_.inputs_.push_back(w);
   return w;
@@ -65,20 +117,75 @@ WireVec CircuitBuilder::input_bits(std::uint32_t party, unsigned width) {
   return v;
 }
 
-Wire CircuitBuilder::zero() {
-  if (!has_zero_) {
-    zero_wire_ = append(GateOp::kConstZero, 0, 0);
-    has_zero_ = true;
+WireVec CircuitBuilder::public_bits(std::span<const std::uint64_t> values,
+                                    unsigned width) {
+  require(level_ == 0, "CircuitBuilder: public words live at lane level 0");
+  require(values.size() == circuit_.lanes_,
+          "CircuitBuilder: one public value per lane");
+  require(width <= 64, "CircuitBuilder: public values are 64-bit");
+  // Bit b is uniform across lanes iff it agrees in the OR and the AND of
+  // every value; only the others become public words.
+  std::uint64_t any = 0;
+  std::uint64_t all = ~std::uint64_t{0};
+  for (const std::uint64_t x : values) {
+    any |= x;
+    all &= x;
   }
-  return zero_wire_;
+  const std::uint64_t varying = any ^ all;
+  WireVec v(width);
+  for (unsigned b = 0; b < width; ++b) {
+    if ((varying >> b & 1) == 0) {
+      v[b] = constant((all >> b & 1) != 0);
+      continue;
+    }
+    std::vector<std::uint64_t> words(lane_words(values.size()), 0);
+    for (std::size_t l = 0; l < values.size(); ++l) {
+      words[l / 64] |= (values[l] >> b & 1) << (l % 64);
+    }
+    v[b] = public_word(std::move(words));
+  }
+  return v;
 }
 
-Wire CircuitBuilder::one() {
-  if (!has_one_) {
-    one_wire_ = append(GateOp::kConstOne, 0, 0);
-    has_one_ = true;
-  }
-  return one_wire_;
+Wire CircuitBuilder::public_word(std::vector<std::uint64_t> words) {
+  require(words.size() == lane_words(lanes_here()),
+          "CircuitBuilder: public word lane count");
+  const auto index = static_cast<Wire>(circuit_.public_words_.size());
+  circuit_.public_words_.push_back(std::move(words));
+  return append(GateOp::kPublic, index, 0);
+}
+
+Wire CircuitBuilder::constant_wire(GateOp op) {
+  auto& cache = op == GateOp::kConstZero ? zero_at_ : one_at_;
+  if (cache.size() <= level_) cache.resize(level_ + 1, kNoWire);
+  if (cache[level_] == kNoWire) cache[level_] = append(op, 0, 0);
+  return cache[level_];
+}
+
+Wire CircuitBuilder::zero() { return constant_wire(GateOp::kConstZero); }
+
+Wire CircuitBuilder::one() { return constant_wire(GateOp::kConstOne); }
+
+void CircuitBuilder::next_level() {
+  // 64 halvings bring any lane count to one.
+  require(level_ < 64, "CircuitBuilder: too many lane levels");
+  ++level_;
+}
+
+Wire CircuitBuilder::halve(Wire w, bool high) {
+  require(level_ >= 1 && circuit_.levels_[w] + 1u == level_,
+          "CircuitBuilder: halve reads the level above");
+  const auto c = constant_value(w);
+  // A constant stays constant unless the high half needs a zero pad lane.
+  const bool padded = circuit_.lanes_at(level_ - 1) % 2 == 1;
+  if (c && (!*c || !high || !padded)) return constant(*c);
+  return append(GateOp::kHalve, w, high ? 1 : 0);
+}
+
+WireVec CircuitBuilder::halve_vec(const WireVec& v, bool high) {
+  WireVec out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = halve(v[i], high);
+  return out;
 }
 
 WireVec CircuitBuilder::constant_bits(std::uint64_t value, unsigned width) {
@@ -88,8 +195,8 @@ WireVec CircuitBuilder::constant_bits(std::uint64_t value, unsigned width) {
 }
 
 Wire CircuitBuilder::Xor(Wire a, Wire b) {
-  const auto ca = const_of(a);
-  const auto cb = const_of(b);
+  const auto ca = constant_value(a);
+  const auto cb = constant_value(b);
   if (ca && cb) return constant(*ca != *cb);
   if (ca) return *ca ? Not(b) : b;
   if (cb) return *cb ? Not(a) : a;
@@ -98,8 +205,8 @@ Wire CircuitBuilder::Xor(Wire a, Wire b) {
 }
 
 Wire CircuitBuilder::And(Wire a, Wire b) {
-  const auto ca = const_of(a);
-  const auto cb = const_of(b);
+  const auto ca = constant_value(a);
+  const auto cb = constant_value(b);
   if (ca) return *ca ? b : zero();
   if (cb) return *cb ? a : zero();
   if (a == b) return a;
@@ -107,7 +214,7 @@ Wire CircuitBuilder::And(Wire a, Wire b) {
 }
 
 Wire CircuitBuilder::Not(Wire a) {
-  const auto ca = const_of(a);
+  const auto ca = constant_value(a);
   if (ca) return constant(!*ca);
   return append(GateOp::kNot, a, 0);
 }

@@ -9,6 +9,13 @@
 // propagation.
 //
 // Multi-bit values are little-endian WireVecs (bit 0 first).
+//
+// A builder made with `lanes` > 1 writes a per-identity template (see
+// circuit.h). Public values that are the same in every lane fold exactly
+// like constants; values that differ by lane enter as public words, and a
+// gate over public operands only, or an AND with one public operand, is
+// local. Cross-lane reductions step down one lane level at a time
+// (next_level + halve): constants and new gates belong to the current level.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +28,17 @@ namespace eppi::mpc {
 
 class CircuitBuilder {
  public:
-  CircuitBuilder();
+  explicit CircuitBuilder(std::size_t lanes = 1);
 
   // --- wires -------------------------------------------------------------
+  // Inputs and public words live at level 0.
   Wire input_bit(std::uint32_t party);
   WireVec input_bits(std::uint32_t party, unsigned width);
+  // `width` bits of one public value per lane; a bit that is equal in every
+  // lane folds to a constant.
+  WireVec public_bits(std::span<const std::uint64_t> values, unsigned width);
+  // A public wire from its lane words (tail bits zero).
+  Wire public_word(std::vector<std::uint64_t> words);
   Wire zero();
   Wire one();
   Wire constant(bool value) { return value ? one() : zero(); }
@@ -63,6 +76,21 @@ class CircuitBuilder {
   // Zero-extend to `width`.
   WireVec zext(WireVec v, unsigned width);
 
+  // --- lane levels ---------------------------------------------------------
+  // Steps down to the next level: half the lanes, rounded up.
+  void next_level();
+  unsigned level() const noexcept { return level_; }
+  std::size_t lanes_here() const noexcept {
+    return circuit_.lanes_at(level_);
+  }
+  // The low or high half of a wire one level up; the high half of an odd
+  // lane count is zero-padded.
+  Wire halve(Wire w, bool high);
+  WireVec halve_vec(const WireVec& v, bool high);
+
+  // Build-time constant value of a wire, if known.
+  std::optional<bool> constant_value(Wire w) const;
+
   // --- outputs -------------------------------------------------------------
   void output(Wire w);
   void output_vec(const WireVec& v);
@@ -74,15 +102,15 @@ class CircuitBuilder {
 
  private:
   Wire append(GateOp op, Wire a, Wire b);
-  // Build-time constant value of a wire, if known.
-  std::optional<bool> const_of(Wire w) const;
+
+  Wire constant_wire(GateOp op);
 
   Circuit circuit_;
   std::vector<std::int8_t> const_val_;  // -1 unknown, 0/1 known
-  Wire zero_wire_ = 0;
-  Wire one_wire_ = 0;
-  bool has_zero_ = false;
-  bool has_one_ = false;
+  unsigned level_ = 0;
+  // Constant wires of each level, kNoWire until first use.
+  std::vector<Wire> zero_at_;
+  std::vector<Wire> one_at_;
 };
 
 // Helper: bits needed to hold values up to `max_value`.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -13,16 +15,23 @@ namespace eppi::mpc {
 
 namespace {
 
-constexpr char kMagic[8] = {'e', 'p', 'p', 'i', 'c', 'r', 'c', '1'};
+constexpr char kMagic[8] = {'e', 'p', 'p', 'i', 'c', 'r', 'c', '2'};
 
 }  // namespace
 
 void save_circuit(std::ostream& out, const Circuit& circuit) {
   eppi::BinaryWriter w;
+  w.write_varint(circuit.lanes());
   const auto& gates = circuit.gates();
   w.write_varint(gates.size());
-  for (const Gate& g : gates) {
+  for (Wire i = 0; i < gates.size(); ++i) {
+    const Gate& g = gates[i];
     w.write_u8(static_cast<std::uint8_t>(g.op));
+    w.write_u8(static_cast<std::uint8_t>(circuit.level(i)));
+    if (g.op == GateOp::kPublic) {
+      w.write_u64_vector(circuit.public_words(i));
+      continue;
+    }
     w.write_varint(g.a);
     w.write_varint(g.b);
   }
@@ -57,12 +66,24 @@ Circuit load_circuit(std::istream& in) {
   if (size > kMaxBytes) {
     throw eppi::SerializeError("load_circuit: implausible payload size");
   }
-  std::vector<std::uint8_t> buf(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(buf.data()),
-          static_cast<std::streamsize>(size));
-  if (!in) throw eppi::SerializeError("load_circuit: truncated payload");
+  // Grow the buffer as bytes arrive: a corrupt size field must not commit
+  // gigabytes before the stream turns out to be short.
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  std::vector<std::uint8_t> buf;
+  while (buf.size() < size) {
+    const std::size_t at = buf.size();
+    const auto n = static_cast<std::size_t>(std::min(kChunk, size - at));
+    buf.resize(at + n);
+    in.read(reinterpret_cast<char*>(buf.data() + at),
+            static_cast<std::streamsize>(n));
+    if (!in) throw eppi::SerializeError("load_circuit: truncated payload");
+  }
 
   eppi::BinaryReader r(buf);
+  const std::uint64_t lanes = r.read_varint();
+  if (lanes == 0 || lanes > std::numeric_limits<std::uint32_t>::max()) {
+    throw eppi::SerializeError("load_circuit: implausible lane count");
+  }
   const std::uint64_t n_gates = r.read_varint();
   // Every serialized gate occupies at least 3 bytes; reject headers that
   // promise more gates than the payload can hold before reserving memory.
@@ -70,45 +91,68 @@ Circuit load_circuit(std::istream& in) {
     throw eppi::SerializeError("load_circuit: implausible gate count");
   }
   // Rebuild through the builder so stats/layers are recomputed and every
-  // structural invariant is revalidated. Constant folding must not fire (a
-  // saved circuit is replayed verbatim), so we map wires 1:1 and reject any
-  // gate the builder would have folded differently — in practice circuits
-  // we save come from the builder, so ops replay exactly.
-  CircuitBuilder cb;
+  // structural invariant (lane levels, public word sizes) is revalidated;
+  // a violation the builder reports is a malformed file. Circuits we save
+  // come from the builder, so their ops replay exactly.
+  CircuitBuilder cb(static_cast<std::size_t>(lanes));
   std::vector<Wire> remap;
   remap.reserve(n_gates);
-  for (std::uint64_t i = 0; i < n_gates; ++i) {
-    const auto op = static_cast<GateOp>(r.read_u8());
-    const std::uint64_t a = r.read_varint();
-    const std::uint64_t b = r.read_varint();
-    switch (op) {
-      case GateOp::kInput:
-        remap.push_back(cb.input_bit(static_cast<std::uint32_t>(a)));
-        break;
-      case GateOp::kConstZero:
-        remap.push_back(cb.zero());
-        break;
-      case GateOp::kConstOne:
-        remap.push_back(cb.one());
-        break;
-      case GateOp::kXor:
-      case GateOp::kAnd:
-        if (a >= i || b >= i) {
-          throw eppi::SerializeError("load_circuit: forward wire reference");
+  try {
+    for (std::uint64_t i = 0; i < n_gates; ++i) {
+      const auto op = static_cast<GateOp>(r.read_u8());
+      const unsigned level = r.read_u8();
+      if (level < cb.level()) {
+        throw eppi::SerializeError("load_circuit: lane levels out of order");
+      }
+      while (cb.level() < level) cb.next_level();
+      if (op == GateOp::kPublic) {
+        std::vector<std::uint64_t> words = r.read_u64_vector();
+        if (!words.empty() &&
+            (words.back() & ~tail_mask(cb.lanes_here())) != 0) {
+          throw eppi::SerializeError("load_circuit: public word tail bits");
         }
-        remap.push_back(op == GateOp::kXor
-                            ? cb.Xor(remap[a], remap[b])
-                            : cb.And(remap[a], remap[b]));
-        break;
-      case GateOp::kNot:
-        if (a >= i) {
-          throw eppi::SerializeError("load_circuit: forward wire reference");
-        }
-        remap.push_back(cb.Not(remap[a]));
-        break;
-      default:
-        throw eppi::SerializeError("load_circuit: unknown gate op");
+        remap.push_back(cb.public_word(std::move(words)));
+        continue;
+      }
+      const std::uint64_t a = r.read_varint();
+      const std::uint64_t b = r.read_varint();
+      const bool unary = op == GateOp::kNot || op == GateOp::kHalve;
+      const bool binary = op == GateOp::kXor || op == GateOp::kAnd;
+      if (((unary || binary) && a >= i) || (binary && b >= i)) {
+        throw eppi::SerializeError("load_circuit: forward wire reference");
+      }
+      switch (op) {
+        case GateOp::kInput:
+          if (a > std::numeric_limits<std::uint32_t>::max()) {
+            throw eppi::SerializeError("load_circuit: bad input owner");
+          }
+          remap.push_back(cb.input_bit(static_cast<std::uint32_t>(a)));
+          break;
+        case GateOp::kConstZero:
+          remap.push_back(cb.zero());
+          break;
+        case GateOp::kConstOne:
+          remap.push_back(cb.one());
+          break;
+        case GateOp::kXor:
+        case GateOp::kAnd:
+          remap.push_back(op == GateOp::kXor
+                              ? cb.Xor(remap[a], remap[b])
+                              : cb.And(remap[a], remap[b]));
+          break;
+        case GateOp::kNot:
+          remap.push_back(cb.Not(remap[a]));
+          break;
+        case GateOp::kHalve:
+          if (b > 1) throw eppi::SerializeError("load_circuit: bad halve");
+          remap.push_back(cb.halve(remap[a], b == 1));
+          break;
+        default:
+          throw eppi::SerializeError("load_circuit: unknown gate op");
+      }
     }
+  } catch (const eppi::ConfigError& e) {
+    throw eppi::SerializeError(std::string("load_circuit: ") + e.what());
   }
   const std::uint64_t n_outputs = r.read_varint();
   for (std::uint64_t i = 0; i < n_outputs; ++i) {

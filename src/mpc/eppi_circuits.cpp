@@ -9,44 +9,39 @@
 
 namespace eppi::mpc {
 
-std::vector<bool> share_input_bits(std::span<const eppi::SecretU64> shares,
-                                   unsigned width) {
-  std::vector<bool> bits;
-  bits.reserve(shares.size() * width);
-  for (const eppi::SecretU64& s : shares) {
-    // The circuit engine XOR-shares these bits before anything leaves the
-    // party, so this unwrap feeds the MPC input path, not a log or branch.
-    const std::uint64_t v = s.unwrap_for_wire();
-    for (unsigned b = 0; b < width; ++b) bits.push_back(((v >> b) & 1) != 0);
+std::vector<eppi::SecretU64> bitslice_inputs(
+    std::span<const eppi::SecretU64> values, unsigned width) {
+  const std::size_t words = lane_words(values.size());
+  std::vector<eppi::SecretU64> out(width * words);
+  for (std::size_t j = 0; j < values.size(); ++j) {
+    const auto lane = static_cast<unsigned>(j % 64);
+    for (unsigned b = 0; b < width; ++b) {
+      eppi::SecretU64& word = out[b * words + j / 64];
+      word = word ^ (((values[j] >> b) & 1) << lane);
+    }
   }
-  return bits;
+  return out;
 }
 
 namespace {
 
-// Declares the share inputs for all parties (party-major) and returns
-// shares[i][j] = WireVec of s(i,j).
-std::vector<std::vector<WireVec>> declare_share_inputs(CircuitBuilder& cb,
-                                                       std::size_t c,
-                                                       std::size_t n,
-                                                       unsigned width) {
-  std::vector<std::vector<WireVec>> shares(c);
+// Declares the share inputs for all parties (party-major); shares[i] holds
+// the bit wires of s(i,·).
+std::vector<WireVec> declare_share_inputs(CircuitBuilder& cb, std::size_t c,
+                                          unsigned width) {
+  std::vector<WireVec> shares(c);
   for (std::size_t i = 0; i < c; ++i) {
-    shares[i].reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      shares[i].push_back(cb.input_bits(static_cast<std::uint32_t>(i), width));
-    }
+    shares[i] = cb.input_bits(static_cast<std::uint32_t>(i), width);
   }
   return shares;
 }
 
-// Reconstructs S_j = sum of c shares mod q inside the circuit.
-WireVec sum_shares(CircuitBuilder& cb,
-                   const std::vector<std::vector<WireVec>>& shares,
-                   std::size_t j, std::uint64_t q) {
-  WireVec sum = shares[0][j];
+// Reconstructs S = sum of c shares mod q inside the circuit.
+WireVec sum_shares(CircuitBuilder& cb, const std::vector<WireVec>& shares,
+                   std::uint64_t q) {
+  WireVec sum = shares[0];
   for (std::size_t i = 1; i < shares.size(); ++i) {
-    sum = cb.add_mod(sum, shares[i][j], q);
+    sum = cb.add_mod(sum, shares[i], q);
   }
   return sum;
 }
@@ -60,42 +55,41 @@ std::uint64_t lambda_threshold(double lambda, unsigned coin_bits) {
   return static_cast<std::uint64_t>(std::llround(scaled));
 }
 
-// Builds per-identity mix bit + masked value outputs from reconstructed
-// frequency S_j. Coin inputs are declared here (party-major order is
-// preserved because this is called after all share inputs are declared and
-// declares all coins before using them).
-void append_mix_reveal_outputs(CircuitBuilder& cb, std::size_t n_parties,
-                               const std::vector<WireVec>& sums,
-                               std::span<const std::uint64_t> thresholds,
-                               double lambda, unsigned coin_bits) {
-  const std::size_t n = sums.size();
-  // Coin inputs, party-major.
-  std::vector<std::vector<WireVec>> coins(n_parties);
-  for (std::size_t p = 0; p < n_parties; ++p) {
-    coins[p].reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      coins[p].push_back(
-          cb.input_bits(static_cast<std::uint32_t>(p), coin_bits));
-    }
-  }
-  const std::uint64_t coin_threshold = lambda_threshold(lambda, coin_bits);
-  for (std::size_t j = 0; j < n; ++j) {
-    const Wire common = cb.ge_const(sums[j], thresholds[j]);
-    WireVec joint = coins[0][j];
-    for (std::size_t p = 1; p < n_parties; ++p) {
-      joint = cb.xor_vec(joint, coins[p][j]);
-    }
-    const Wire coin = cb.lt_const(joint, coin_threshold);
-    const Wire mix = cb.Or(common, coin);
-    cb.output(mix);
-    const Wire keep = cb.Not(mix);
-    for (const Wire bit : sums[j]) cb.output(cb.And(bit, keep));
-  }
+std::uint64_t max_of(std::span<const std::uint64_t> values) {
+  std::uint64_t best = 0;
+  for (const std::uint64_t v : values) best = std::max(best, v);
+  return best;
 }
 
-}  // namespace
+// The common bit S >= t per lane; t folds to constants when uniform.
+Wire common_bit(CircuitBuilder& cb, const WireVec& sum,
+                std::span<const std::uint64_t> thresholds) {
+  const auto width = static_cast<unsigned>(
+      std::max<std::size_t>(sum.size(), bit_width_for(max_of(thresholds))));
+  return cb.Not(cb.lt(cb.zext(sum, width), cb.public_bits(thresholds, width)));
+}
 
-namespace {
+// Per-lane mix bit and masked value wires from the reconstructed frequency
+// S. Declares the coin inputs, party-major, so call it after every share
+// input is declared.
+WireVec mix_reveal_lanes(CircuitBuilder& cb, std::size_t n_parties,
+                         const WireVec& sum, Wire common, double lambda,
+                         unsigned coin_bits) {
+  std::vector<WireVec> coins(n_parties);
+  for (std::size_t p = 0; p < n_parties; ++p) {
+    coins[p] = cb.input_bits(static_cast<std::uint32_t>(p), coin_bits);
+  }
+  WireVec joint = coins[0];
+  for (std::size_t p = 1; p < n_parties; ++p) {
+    joint = cb.xor_vec(joint, coins[p]);
+  }
+  const Wire coin = cb.lt_const(joint, lambda_threshold(lambda, coin_bits));
+  const Wire mix = cb.Or(common, coin);
+  const Wire keep = cb.Not(mix);
+  WireVec outputs{mix};
+  for (const Wire bit : sum) outputs.push_back(cb.And(bit, keep));
+  return outputs;
+}
 
 // Pads or truncates to an exact width; truncation is only used where the
 // value provably fits (e.g. a count of n bits fits in bit_width_for(n)).
@@ -105,51 +99,48 @@ WireVec fit_width(CircuitBuilder& cb, WireVec v, unsigned width) {
   return v;
 }
 
-// Appends the count output and, when ranks are given, the secure max of
-// ranks[j] over identities whose common bit is set.
-void append_count_and_rank_outputs(CircuitBuilder& cb,
-                                   const std::vector<Wire>& common_bits,
-                                   std::span<const std::uint64_t> ranks) {
-  const unsigned count_width = bit_width_for(common_bits.size());
-  const WireVec count =
-      fit_width(cb, cb.popcount(common_bits), count_width);
-  cb.output_vec(count);
-  if (ranks.empty()) return;
-  require(ranks.size() == common_bits.size(),
-          "eppi_circuits: xi_ranks size mismatch");
-  std::uint64_t max_rank = 0;
-  for (const std::uint64_t r : ranks) max_rank = std::max(max_rank, r);
-  const unsigned rank_width = bit_width_for(max_rank);
-  // Selected value: rank_j if common else 0 — constant bits AND the common
-  // bit, which folds to at most one AND per set rank bit.
-  std::vector<WireVec> selected;
-  selected.reserve(ranks.size());
-  for (std::size_t j = 0; j < ranks.size(); ++j) {
-    const WireVec rank_bits = cb.constant_bits(ranks[j], rank_width);
-    WireVec sel(rank_width);
-    for (unsigned b = 0; b < rank_width; ++b) {
-      sel[b] = cb.And(rank_bits[b], common_bits[j]);
-    }
-    selected.push_back(std::move(sel));
-  }
-  // Max tree.
-  while (selected.size() > 1) {
-    std::vector<WireVec> next;
-    next.reserve((selected.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < selected.size(); i += 2) {
-      const Wire a_lt_b = cb.lt(selected[i], selected[i + 1]);
-      next.push_back(cb.mux_vec(a_lt_b, selected[i + 1], selected[i]));
-    }
-    if (selected.size() % 2 == 1) next.push_back(std::move(selected.back()));
-    selected = std::move(next);
-  }
-  cb.output_vec(selected[0]);
+unsigned rank_output_width(std::span<const std::uint64_t> ranks) {
+  return bit_width_for(max_of(ranks));
 }
 
-unsigned rank_output_width(std::span<const std::uint64_t> ranks) {
-  std::uint64_t max_rank = 0;
-  for (const std::uint64_t r : ranks) max_rank = std::max(max_rank, r);
-  return bit_width_for(max_rank);
+// Folds the lanes down to one: the count of common lanes (an adder tree)
+// and, when ranks are given, the max of ranks[j] over common lanes (a max
+// tree). Both halve the lanes together, so their rounds overlap. A common
+// bit known at build time reduces in the clear.
+void append_count_and_rank_outputs(CircuitBuilder& cb, Wire common,
+                                   std::span<const std::uint64_t> ranks) {
+  const unsigned count_width = bit_width_for(cb.lanes_here());
+  require(ranks.empty() || ranks.size() == cb.lanes_here(),
+          "eppi_circuits: xi_ranks size mismatch");
+  if (const auto known = cb.constant_value(common)) {
+    // Every lane public: reduce in the clear, then open constants.
+    const std::uint64_t count = *known ? cb.lanes_here() : 0;
+    const std::uint64_t best = *known ? max_of(ranks) : 0;
+    while (cb.lanes_here() > 1) cb.next_level();
+    cb.output_vec(cb.constant_bits(count, count_width));
+    if (!ranks.empty()) {
+      cb.output_vec(cb.constant_bits(best, rank_output_width(ranks)));
+    }
+    return;
+  }
+  WireVec count{common};
+  WireVec best;
+  if (!ranks.empty()) {
+    // rank_j if common else 0: a public word AND the common bit, local.
+    for (const Wire bit : cb.public_bits(ranks, rank_output_width(ranks))) {
+      best.push_back(cb.And(bit, common));
+    }
+  }
+  while (cb.lanes_here() > 1) {
+    cb.next_level();
+    count = cb.add_expand(cb.halve_vec(count, false), cb.halve_vec(count, true));
+    if (best.empty()) continue;
+    const WireVec lo = cb.halve_vec(best, false);
+    const WireVec hi = cb.halve_vec(best, true);
+    best = cb.mux_vec(cb.lt(lo, hi), hi, lo);
+  }
+  cb.output_vec(fit_width(cb, count, count_width));
+  cb.output_vec(best);
 }
 
 }  // namespace
@@ -161,15 +152,11 @@ Circuit build_count_below_circuit(const CountBelowSpec& spec) {
   require(n >= 1, "CountBelow: need at least one identity");
   const unsigned width = eppi::secret::ModRing(spec.q).bit_width();
 
-  CircuitBuilder cb;
-  const auto shares = declare_share_inputs(cb, spec.c, n, width);
-  std::vector<Wire> common_bits;
-  common_bits.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const WireVec sum = sum_shares(cb, shares, j, spec.q);
-    common_bits.push_back(cb.ge_const(sum, spec.thresholds[j]));
-  }
-  append_count_and_rank_outputs(cb, common_bits, spec.xi_ranks);
+  CircuitBuilder cb(n);
+  const auto shares = declare_share_inputs(cb, spec.c, width);
+  const Wire common =
+      common_bit(cb, sum_shares(cb, shares, spec.q), spec.thresholds);
+  append_count_and_rank_outputs(cb, common, spec.xi_ranks);
   return cb.take();
 }
 
@@ -222,17 +209,35 @@ Circuit build_mix_reveal_circuit(const MixRevealSpec& spec) {
   require(n >= 1, "MixReveal: need at least one identity");
   const unsigned width = eppi::secret::ModRing(spec.q).bit_width();
 
-  CircuitBuilder cb;
-  const auto shares = declare_share_inputs(cb, spec.c, n, width);
-  std::vector<WireVec> sums;
-  sums.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    sums.push_back(sum_shares(cb, shares, j, spec.q));
-  }
-  append_mix_reveal_outputs(cb, spec.c, sums, spec.thresholds, spec.lambda,
-                            spec.coin_bits);
+  CircuitBuilder cb(n);
+  const auto shares = declare_share_inputs(cb, spec.c, width);
+  const WireVec sum = sum_shares(cb, shares, spec.q);
+  const Wire common = common_bit(cb, sum, spec.thresholds);
+  cb.output_vec(mix_reveal_lanes(cb, spec.c, sum, common, spec.lambda,
+                                 spec.coin_bits));
   return cb.take();
 }
+
+namespace {
+
+// Per-identity [mix, value bits] from output lanes starting at `pos`: the
+// mix lanes, then one run of n lanes per value bit.
+std::vector<MixRevealResult> decode_lanes(const std::vector<bool>& bits,
+                                          std::size_t pos, std::size_t n,
+                                          unsigned width) {
+  std::vector<MixRevealResult> results(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    results[j].mixed = bits[pos + j];
+    for (unsigned b = 0; b < width; ++b) {
+      if (bits[pos + (1 + b) * n + j]) {
+        results[j].frequency |= std::uint64_t{1} << b;
+      }
+    }
+  }
+  return results;
+}
+
+}  // namespace
 
 std::vector<MixRevealResult> decode_mix_reveal(
     const MixRevealSpec& spec, const std::vector<bool>& output_bits) {
@@ -240,17 +245,7 @@ std::vector<MixRevealResult> decode_mix_reveal(
   const std::size_t n = spec.thresholds.size();
   require(output_bits.size() == n * (1 + width),
           "decode_mix_reveal: output size mismatch");
-  std::vector<MixRevealResult> results(n);
-  std::size_t pos = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    results[j].mixed = output_bits[pos++];
-    std::uint64_t value = 0;
-    for (unsigned b = 0; b < width; ++b) {
-      if (output_bits[pos++]) value |= std::uint64_t{1} << b;
-    }
-    results[j].frequency = value;
-  }
-  return results;
+  return decode_lanes(output_bits, 0, n, width);
 }
 
 std::vector<MixRevealResult> plain_mix_reveal(
@@ -285,32 +280,25 @@ Circuit build_pure_mpc_circuit(const PureMpcSpec& spec) {
   const std::size_t n = spec.thresholds.size();
   require(n >= 1, "PureMpc: need at least one identity");
 
-  CircuitBuilder cb;
-  // Membership bit inputs, party-major: bits[i][j].
-  std::vector<std::vector<Wire>> bits(spec.m);
+  CircuitBuilder cb(n);
+  // One membership wire per provider, party-major.
+  WireVec bits(spec.m);
   for (std::size_t i = 0; i < spec.m; ++i) {
-    bits[i].reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      bits[i].push_back(cb.input_bit(static_cast<std::uint32_t>(i)));
-    }
+    bits[i] = cb.input_bit(static_cast<std::uint32_t>(i));
   }
-  const unsigned width = bit_width_for(spec.m);
-  std::vector<WireVec> sums;
-  std::vector<Wire> common_bits;
-  sums.reserve(n);
-  common_bits.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    std::vector<Wire> column(spec.m);
-    for (std::size_t i = 0; i < spec.m; ++i) column[i] = bits[i][j];
-    const WireVec sum = fit_width(cb, cb.popcount(column), width);
-    sums.push_back(sum);
-    common_bits.push_back(cb.ge_const(sum, spec.thresholds[j]));
-  }
-  cb.output_vec(fit_width(cb, cb.popcount(common_bits), bit_width_for(n)));
-  if (spec.include_mixing) {
-    append_mix_reveal_outputs(cb, spec.m, sums, spec.thresholds, spec.lambda,
-                              spec.coin_bits);
-  }
+  const WireVec sum = fit_width(cb, cb.popcount(bits), bit_width_for(spec.m));
+  const Wire common = common_bit(cb, sum, spec.thresholds);
+  // The per-identity outputs are built before the count folds the lanes
+  // away, and opened after it. Like a separate MixAndReveal stage, they
+  // derive their own common bit.
+  const WireVec lane_outputs =
+      spec.include_mixing
+          ? mix_reveal_lanes(cb, spec.m, sum,
+                             common_bit(cb, sum, spec.thresholds),
+                             spec.lambda, spec.coin_bits)
+          : WireVec{};
+  append_count_and_rank_outputs(cb, common, {});
+  cb.output_vec(lane_outputs);
   return cb.take();
 }
 
@@ -324,19 +312,11 @@ PureMpcResult decode_pure_mpc(const PureMpcSpec& spec,
   require(output_bits.size() == expected,
           "decode_pure_mpc: output size mismatch");
   PureMpcResult result;
-  std::size_t pos = 0;
   for (unsigned b = 0; b < count_width; ++b) {
-    if (output_bits[pos++]) result.common_count |= std::uint64_t{1} << b;
+    if (output_bits[b]) result.common_count |= std::uint64_t{1} << b;
   }
-  if (!spec.include_mixing) return result;
-  result.identities.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    result.identities[j].mixed = output_bits[pos++];
-    std::uint64_t value = 0;
-    for (unsigned b = 0; b < width; ++b) {
-      if (output_bits[pos++]) value |= std::uint64_t{1} << b;
-    }
-    result.identities[j].frequency = value;
+  if (spec.include_mixing) {
+    result.identities = decode_lanes(output_bits, count_width, n, width);
   }
   return result;
 }

@@ -21,6 +21,14 @@
 //    bits inside one big circuit (frequency via popcount instead of a
 //    SecSumShare pre-stage), so circuit size and party count grow with m.
 //
+// Each generator writes one per-identity *template* (circuit.h): every wire
+// has one lane per identity, so the template's size does not depend on n
+// apart from the log n reduction levels that fold the common count and the
+// max ξ rank across lanes. Per-identity public values (t_j, ξ ranks) enter
+// as public words, or fold to constants when equal for every identity.
+// Circuit::stats() is the logical size (the circuit unrolled over all n
+// identities); template_stats() the template's own.
+//
 // All generators also have plain reference implementations used by tests.
 #pragma once
 
@@ -33,13 +41,13 @@
 
 namespace eppi::mpc {
 
-// Flattens a coordinator's SecSumShare share vector into MPC input bits
-// (identity-major, low bit first — must match declare_share_inputs in
-// eppi_circuits.cpp). This is the sanctioned share→circuit transition: the
-// returned bits are consumed by the MPC engine's input phase, which XOR-
-// shares them before anything leaves the party.
-std::vector<bool> share_input_bits(std::span<const eppi::SecretU64> shares,
-                                   unsigned width);
+// Bitslices one secret value per identity into MPC input lanes: `width`
+// input wires (bit b of every value), lane j = identity j, in the layout
+// run_gmw_party takes. This is the share→circuit transition for a
+// coordinator's SecSumShare shares and its λ-coin words; the engine's input
+// phase XOR-shares the result before anything leaves the party.
+std::vector<eppi::SecretU64> bitslice_inputs(
+    std::span<const eppi::SecretU64> values, unsigned width);
 
 struct CountBelowSpec {
   std::size_t c = 3;                     // MPC parties (coordinators)
@@ -58,10 +66,10 @@ struct CountBelowOutput {
   std::uint64_t max_xi_rank = 0;  // 0 when xi_ranks was empty or no commons
 };
 
-// Inputs: for party i in [0,c), for identity j in [0,n): bit_width(q) bits of
-// share s(i,j), declared party-major. Outputs: the common count as
-// bit_width(n) bits, then (iff xi_ranks non-empty) the selected max rank as
-// bit_width(max rank) bits.
+// Inputs: for party i in [0,c), bit_width(q) wires holding the bits of its
+// shares s(i,·), declared party-major. Outputs (one lane each): the common
+// count as bit_width(n) bits, then (iff xi_ranks non-empty) the selected max
+// rank as bit_width(max rank) bits.
 Circuit build_count_below_circuit(const CountBelowSpec& spec);
 
 CountBelowOutput decode_count_below(const CountBelowSpec& spec,
@@ -80,9 +88,9 @@ struct MixRevealSpec {
   unsigned coin_bits = 16;  // resolution of the secure λ-coin
 };
 
-// Inputs, party-major: party i contributes per identity j the share bits of
-// s(i,j) followed (after all shares) by coin_bits random bits per identity.
-// Outputs per identity j (identity-major): [mix_j, S_j & ~mix_j bits].
+// Inputs, party-major: party i contributes the bit_width(q) share wires of
+// s(i,·), then (after all shares) coin_bits coin wires. Outputs (one lane per
+// identity): mix, then the bits of S & ~mix.
 Circuit build_mix_reveal_circuit(const MixRevealSpec& spec);
 
 struct MixRevealResult {
@@ -90,7 +98,7 @@ struct MixRevealResult {
   std::uint64_t frequency = 0; // opened S_j; 0 (hidden) when mixed
 };
 
-// Parses GMW output bits of a MixAndReveal circuit.
+// Parses the output lanes of a MixAndReveal circuit (evaluate_plain order).
 std::vector<MixRevealResult> decode_mix_reveal(
     const MixRevealSpec& spec, const std::vector<bool>& output_bits);
 
@@ -111,9 +119,10 @@ struct PureMpcSpec {
   bool include_mixing = true;
 };
 
-// Inputs, party-major: party i contributes one membership bit per identity,
-// followed by coin_bits random bits per identity. Outputs: the common count
-// (bit_width(n) bits) followed by per-identity [mix_j, S_j & ~mix_j].
+// Inputs, party-major: party i contributes one membership wire, then (after
+// all memberships, iff include_mixing) coin_bits coin wires. Outputs: the
+// common count (bit_width(n) one-lane bits), then the lanes of mix and of
+// the bits of S & ~mix.
 Circuit build_pure_mpc_circuit(const PureMpcSpec& spec);
 
 struct PureMpcResult {

@@ -5,15 +5,15 @@
 #include "common/error.h"
 #include "common/serialize.h"
 #include "mpc/beaver.h"
-#include "secret/secret.h"
+#include "mpc/plain_eval.h"
+#include "obs/trace.h"
 #include "secret/xor_share.h"
 
 namespace eppi::mpc {
 
 namespace {
 
-using eppi::SecretBit;
-using eppi::SecretBytes;
+using eppi::SecretU64;
 using eppi::net::MessageTag;
 using eppi::net::PartyContext;
 using eppi::net::PartyId;
@@ -23,12 +23,121 @@ constexpr std::uint64_t kSeqTriples = 0;
 constexpr std::uint64_t kSeqInputs = 1;
 constexpr std::uint64_t kSeqLayerBase = 2;  // + layer index (1-based)
 
+using Shares = std::vector<SecretU64>;
+
 std::size_t session_index(const GmwSession& session, PartyId id) {
   const auto it =
       std::find(session.parties.begin(), session.parties.end(), id);
   require(it != session.parties.end(),
           "GMW: calling party is not a session member");
   return static_cast<std::size_t>(it - session.parties.begin());
+}
+
+// Frame packing: shares travel as fixed-width u64 words to the party meant
+// to hold them, or into a masked/output opening.
+void put_shares(eppi::BinaryWriter& out, const Shares& words) {
+  for (const SecretU64& w : words) out.write_u64(w.unwrap_for_wire());
+}
+
+Shares get_shares(eppi::BinaryReader& in, std::size_t count) {
+  Shares words;
+  words.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) words.emplace_back(in.read_u64());
+  return words;
+}
+
+// Receives one frame of exactly `words` u64s.
+std::vector<std::uint8_t> recv_words(PartyContext& ctx, PartyId from,
+                                     std::uint32_t tag, std::uint64_t seq,
+                                     std::size_t words) {
+  auto payload = ctx.recv(from, tag, seq);
+  if (payload.size() != 8 * words) {
+    throw eppi::ProtocolError("GMW: bad payload size");
+  }
+  return payload;
+}
+
+// Sends my shares to every other session party and returns the XOR of all
+// parties' shares (a full opening of the shared words).
+LaneWords open_words(PartyContext& ctx, const GmwSession& session,
+                     std::size_t me, std::uint32_t tag, std::uint64_t seq,
+                     eppi::BinaryWriter mine) {
+  const std::vector<std::uint8_t> payload = mine.take();
+  const std::size_t words = payload.size() / 8;
+  for (std::size_t p = 0; p < session.parties.size(); ++p) {
+    if (p != me) ctx.send(session.parties[p], tag, seq, payload);
+  }
+  LaneWords opened(words, 0);
+  for (std::size_t p = 0; p < session.parties.size(); ++p) {
+    const auto frame =
+        p == me ? payload
+                : recv_words(ctx, session.parties[p], tag, seq, words);
+    eppi::BinaryReader in(frame);
+    for (auto& word : opened) word ^= in.read_u64();
+  }
+  return opened;
+}
+
+// Per-party wire state: secret wires hold this party's XOR shares, public
+// wires their plain lanes (identical on every party).
+struct WireValues {
+  std::vector<Shares> share;
+  std::vector<LaneWords> pub;
+};
+
+LaneWords ones(std::size_t lanes) {
+  LaneWords words(lane_words(lanes), ~std::uint64_t{0});
+  if (!words.empty()) words.back() &= tail_mask(lanes);
+  return words;
+}
+
+// Evaluates one gate that needs no communication.
+void eval_local(const Circuit& circuit, Wire w, bool lead, WireValues& v) {
+  if (circuit.is_public(w)) {
+    v.pub[w] = evaluate_gate(circuit, w, v.pub);
+    return;
+  }
+  const Gate& g = circuit.gates()[w];
+  const std::size_t lanes = circuit.lanes_of(w);
+  // A public word enters a secret wire through party 0's share only.
+  const auto mix_public = [lead](const Shares& s, const LaneWords& p) {
+    Shares out(s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) out[i] = lead ? s[i] ^ p[i] : s[i];
+    return out;
+  };
+  switch (g.op) {
+    case GateOp::kNot:
+      v.share[w] = mix_public(v.share[g.a], ones(lanes));
+      return;
+    case GateOp::kHalve:
+      v.share[w] = take_lanes(v.share[g.a], g.b != 0 ? lanes : 0, lanes);
+      return;
+    case GateOp::kXor:
+    case GateOp::kAnd:
+      break;
+    default:
+      throw eppi::ProtocolError("GMW: unshared input wire");
+  }
+  const bool pub_a = circuit.is_public(g.a);
+  const bool pub_b = circuit.is_public(g.b);
+  if (!pub_a && !pub_b) {
+    require(g.op == GateOp::kXor, "GMW: secret AND evaluated locally");
+    Shares out(v.share[g.a].size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = v.share[g.a][i] ^ v.share[g.b][i];
+    }
+    v.share[w] = std::move(out);
+    return;
+  }
+  const Shares& s = pub_a ? v.share[g.b] : v.share[g.a];
+  const LaneWords& p = pub_a ? v.pub[g.a] : v.pub[g.b];
+  if (g.op == GateOp::kXor) {
+    v.share[w] = mix_public(s, p);
+    return;
+  }
+  Shares out(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) out[i] = s[i] & p[i];
+  v.share[w] = std::move(out);
 }
 
 }  // namespace
@@ -38,236 +147,209 @@ std::uint64_t gmw_round_count(const Circuit& circuit) noexcept {
   return 3 + circuit.stats().and_depth;
 }
 
-std::vector<bool> run_gmw_party(PartyContext& ctx, const GmwSession& session,
-                                const Circuit& circuit,
-                                const std::vector<bool>& my_inputs) {
+std::vector<LaneWords> run_gmw_party(PartyContext& ctx,
+                                     const GmwSession& session,
+                                     const Circuit& circuit,
+                                     std::span<const SecretU64> my_inputs) {
   const std::size_t n = session.parties.size();
   require(n >= 2, "GMW: need at least two parties");
   const std::size_t me = session_index(session, ctx.id());
   const bool is_lead = me == 0;
   const std::uint64_t base = session.seq_base;
+  const auto& gates = circuit.gates();
+  const std::size_t input_words = lane_words(circuit.lanes());
+
+  // Schedule: per AND layer, the secret ANDs it opens and the local gates
+  // that become computable once it is done (layer 0: before the first).
+  const auto depth = static_cast<std::uint32_t>(circuit.stats().and_depth);
+  std::vector<std::vector<Wire>> ands(depth + 1);
+  std::vector<std::vector<Wire>> locals(depth + 1);
+  std::uint64_t triple_words = 0;
+  for (Wire w = 0; w < gates.size(); ++w) {
+    const Gate& g = gates[w];
+    if (g.op == GateOp::kInput) continue;
+    if (g.op == GateOp::kAnd && !circuit.is_public(g.a) &&
+        !circuit.is_public(g.b)) {
+      ands[circuit.layer(w)].push_back(w);
+      triple_words += lane_words(circuit.lanes_of(w));
+    } else {
+      locals[circuit.layer(w)].push_back(w);
+    }
+  }
 
   // --- Preprocessing: Beaver triples from the dealer ------------------------
-  const std::uint64_t n_triples = circuit.stats().and_gates;
   TripleShares triples;
-  if (is_lead) {
-    auto dealt = deal_triples(n, n_triples, ctx.rng());
-    for (std::size_t p = 1; p < n; ++p) {
-      // Wire path: party p's triple shares, serialized toward party p.
-      eppi::BinaryWriter w;
-      w.write_varint(dealt[p].count);
-      w.write_bytes(dealt[p].a.unwrap_for_wire());
-      w.write_bytes(dealt[p].b.unwrap_for_wire());
-      w.write_bytes(dealt[p].c.unwrap_for_wire());
-      ctx.send(session.parties[p], MessageTag::kBeaverTriple, base + kSeqTriples,
-               w.take());
-    }
-    triples = std::move(dealt[0]);
-    ctx.mark_round();
-  } else {
-    const auto payload =
-        ctx.recv(session.parties[0], MessageTag::kBeaverTriple,
-                 base + kSeqTriples);
-    eppi::BinaryReader r(payload);
-    triples.count = r.read_varint();
-    triples.a = SecretBytes(r.read_bytes());
-    triples.b = SecretBytes(r.read_bytes());
-    triples.c = SecretBytes(r.read_bytes());
-    if (triples.count != n_triples) {
-      throw eppi::ProtocolError("GMW: triple batch size mismatch");
+  {
+    eppi::obs::Span span("mpc.triples");
+    span.attr("words", triple_words);
+    if (is_lead) {
+      auto dealt = deal_triples(n, triple_words * 64, ctx.rng());
+      for (std::size_t p = 1; p < n; ++p) {
+        eppi::BinaryWriter out;
+        put_shares(out, dealt[p].a);
+        put_shares(out, dealt[p].b);
+        put_shares(out, dealt[p].c);
+        ctx.send(session.parties[p], MessageTag::kBeaverTriple,
+                 base + kSeqTriples, out.take());
+      }
+      triples = std::move(dealt[0]);
+      ctx.mark_round();
+    } else {
+      const auto payload =
+          recv_words(ctx, session.parties[0], MessageTag::kBeaverTriple,
+                     base + kSeqTriples, 3 * triple_words);
+      eppi::BinaryReader in(payload);
+      triples.a = get_shares(in, triple_words);
+      triples.b = get_shares(in, triple_words);
+      triples.c = get_shares(in, triple_words);
+      triples.count = triple_words * 64;
     }
   }
 
   // --- Input sharing ---------------------------------------------------------
-  // share[w] = my XOR share of wire w once evaluated (tainted: wire shares
-  // leave this vector only through masked/output openings).
-  std::vector<SecretBit> share(circuit.n_wires());
-  std::vector<std::uint8_t> evaluated(circuit.n_wires(), 0);
+  WireValues v;
+  v.share.resize(gates.size());
+  v.pub.resize(gates.size());
 
-  // Input wires per session party, in declaration order.
   std::vector<WireVec> inputs_by_party(n);
   for (const Wire w : circuit.inputs()) {
     const std::uint32_t owner = circuit.input_owner(w);
     require(owner < n, "GMW: input owner outside session");
     inputs_by_party[owner].push_back(w);
   }
-  require(my_inputs.size() == inputs_by_party[me].size(),
-          "GMW: wrong number of input bits supplied");
-
+  const WireVec& mine = inputs_by_party[me];
+  require(my_inputs.size() == mine.size() * input_words,
+          "GMW: wrong number of input words supplied");
   {
-    // Split my input bits into n XOR shares via the first-class primitive;
-    // send one packed share buffer to the peer that is supposed to hold it.
-    const std::uint64_t mine = inputs_by_party[me].size();
-    std::vector<std::uint8_t> packed_inputs(packed_size(mine), 0);
-    for (std::uint64_t i = 0; i < mine; ++i) {
-      set_packed_bit(packed_inputs, i, my_inputs[i]);
-    }
-    const auto out_shares =
-        eppi::secret::split_xor_packed(packed_inputs, mine, n, ctx.rng());
-    for (std::size_t p = 0; p < n; ++p) {
-      if (p == me) {
-        for (std::uint64_t i = 0; i < mine; ++i) {
-          const Wire w = inputs_by_party[me][i];
-          share[w] = SecretBit(
-              get_packed_bit(out_shares[me].unwrap_for_wire(), i));
-          evaluated[w] = 1;
-        }
-        continue;
+    // XOR-share my inputs wire by wire: every peer gets its share, I keep
+    // mine.
+    std::vector<eppi::BinaryWriter> to(n);
+    for (std::size_t k = 0; k < mine.size(); ++k) {
+      auto shares = eppi::secret::split_xor_packed(
+          my_inputs.subspan(k * input_words, input_words), circuit.lanes(),
+          n, ctx.rng());
+      for (std::size_t p = 0; p < n; ++p) {
+        if (p != me) put_shares(to[p], shares[p]);
       }
-      if (mine == 0) continue;
-      ctx.send(session.parties[p], MessageTag::kMpcInputShare,
-               base + kSeqInputs, out_shares[p].unwrap_for_wire());
+      v.share[mine[k]] = std::move(shares[me]);
+    }
+    for (std::size_t p = 0; p < n && !mine.empty(); ++p) {
+      if (p != me) {
+        ctx.send(session.parties[p], MessageTag::kMpcInputShare,
+                 base + kSeqInputs, to[p].take());
+      }
     }
     for (std::size_t p = 0; p < n; ++p) {
-      if (p == me || inputs_by_party[p].empty()) continue;
-      const auto payload = ctx.recv(session.parties[p],
-                                    MessageTag::kMpcInputShare,
-                                    base + kSeqInputs);
-      if (payload.size() != packed_size(inputs_by_party[p].size())) {
-        throw eppi::ProtocolError("GMW: bad input-share payload size");
-      }
-      for (std::uint64_t i = 0; i < inputs_by_party[p].size(); ++i) {
-        const Wire w = inputs_by_party[p][i];
-        share[w] = SecretBit(get_packed_bit(payload, i));
-        evaluated[w] = 1;
-      }
+      const WireVec& theirs = inputs_by_party[p];
+      if (p == me || theirs.empty()) continue;
+      const auto payload =
+          recv_words(ctx, session.parties[p], MessageTag::kMpcInputShare,
+                     base + kSeqInputs, theirs.size() * input_words);
+      eppi::BinaryReader in(payload);
+      for (const Wire w : theirs) v.share[w] = get_shares(in, input_words);
     }
     if (is_lead) ctx.mark_round();
   }
-
-  // --- Local evaluation helpers ----------------------------------------------
-  const auto& gates = circuit.gates();
-  std::size_t eval_cursor = 0;  // wires before this are all evaluated
-  const auto eval_up_to = [&](std::uint32_t layer_limit) {
-    for (std::size_t w = eval_cursor; w < gates.size(); ++w) {
-      if (evaluated[w]) continue;
-      if (circuit.layer(static_cast<Wire>(w)) > layer_limit) continue;
-      const Gate& g = gates[w];
-      switch (g.op) {
-        case GateOp::kInput:
-          throw eppi::ProtocolError("GMW: unshared input wire");
-        case GateOp::kConstZero:
-          share[w] = SecretBit(false);
-          break;
-        case GateOp::kConstOne:
-          share[w] = SecretBit(me == 0);
-          break;
-        case GateOp::kXor:
-          share[w] = share[g.a] ^ share[g.b];
-          break;
-        case GateOp::kNot:
-          // Public constant enters through party 0's share only.
-          share[w] = me == 0 ? (share[g.a] ^ true) : share[g.a];
-          break;
-        case GateOp::kAnd:
-          // AND gates are evaluated by the round loop.
-          continue;
-      }
-      evaluated[w] = 1;
-    }
-    // Advance the cursor past the fully-evaluated prefix.
-    while (eval_cursor < gates.size() && evaluated[eval_cursor]) ++eval_cursor;
-  };
-
-  // Group AND gates by layer; triple indices follow wire order.
-  const auto depth = static_cast<std::uint32_t>(circuit.stats().and_depth);
-  std::vector<std::vector<Wire>> and_by_layer(depth + 1);
-  {
-    for (std::size_t w = 0; w < gates.size(); ++w) {
-      if (gates[w].op == GateOp::kAnd) {
-        and_by_layer[circuit.layer(static_cast<Wire>(w))].push_back(
-            static_cast<Wire>(w));
-      }
-    }
-  }
-  std::uint64_t triple_cursor = 0;
 
   // --- Round loop: one masked opening per AND layer ---------------------------
+  std::size_t triple_cursor = 0;
   for (std::uint32_t layer = 1; layer <= depth; ++layer) {
-    eval_up_to(layer - 1);
-    const auto& layer_gates = and_by_layer[layer];
-    const std::uint64_t k = layer_gates.size();
-    const std::uint64_t first_triple = triple_cursor;
+    for (const Wire w : locals[layer - 1]) eval_local(circuit, w, is_lead, v);
+    const auto& layer_ands = ands[layer];
 
-    // My masked shares: 2 bits per gate (d_i, e_i). The masked share
-    // d = x ⊕ a stays secret until every party's contribution is XORed in;
-    // broadcasting it is the wire path of the masked-opening round.
-    std::vector<std::uint8_t> masked(packed_size(2 * k), 0);
-    for (std::uint64_t i = 0; i < k; ++i) {
-      const Gate& g = gates[layer_gates[i]];
-      const std::uint64_t t = first_triple + i;
-      const SecretBit d_share = share[g.a] ^ triples.a_bit(t);
-      const SecretBit e_share = share[g.b] ^ triples.b_bit(t);
-      set_packed_bit(masked, 2 * i, d_share.unwrap_for_wire());
-      set_packed_bit(masked, 2 * i + 1, e_share.unwrap_for_wire());
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-      if (p == me) continue;
-      ctx.send(session.parties[p], MessageTag::kMpcOpen,
-               base + kSeqLayerBase + layer, masked);
-    }
-    // Opened (d, e) = XOR over all parties' masked shares.
-    std::vector<std::uint8_t> opened = masked;
-    for (std::size_t p = 0; p < n; ++p) {
-      if (p == me) continue;
-      const auto payload = ctx.recv(session.parties[p], MessageTag::kMpcOpen,
-                                    base + kSeqLayerBase + layer);
-      if (payload.size() != opened.size()) {
-        throw eppi::ProtocolError("GMW: bad opening payload size");
+    // Masked shares d = x ⊕ a and e = y ⊕ b per gate, word by word. They
+    // stay secret until every party's contribution is XORed in.
+    eppi::BinaryWriter masked;
+    std::size_t t = triple_cursor;
+    for (const Wire w : layer_ands) {
+      const Shares& x = v.share[gates[w].a];
+      const Shares& y = v.share[gates[w].b];
+      Shares d(x.size());
+      Shares e(y.size());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        d[i] = x[i] ^ triples.a[t + i];
+        e[i] = y[i] ^ triples.b[t + i];
       }
-      for (std::size_t byte = 0; byte < opened.size(); ++byte) {
-        opened[byte] ^= payload[byte];
+      put_shares(masked, d);
+      put_shares(masked, e);
+      t += x.size();
+    }
+    const LaneWords opened =
+        open_words(ctx, session, me, MessageTag::kMpcOpen,
+                   base + kSeqLayerBase + layer, std::move(masked));
+    std::size_t pos = 0;
+    for (const Wire w : layer_ands) {
+      const std::size_t words = v.share[gates[w].a].size();
+      Shares z(words);
+      for (std::size_t i = 0; i < words; ++i) {
+        // d, e are public (fully opened); z stays a tainted share.
+        const std::uint64_t d = opened[pos + i];
+        const std::uint64_t e = opened[pos + words + i];
+        const std::size_t k = triple_cursor + i;
+        z[i] = triples.c[k] ^ (triples.b[k] & d) ^ (triples.a[k] & e);
+        if (is_lead) z[i] = z[i] ^ (d & e);
       }
+      v.share[w] = std::move(z);
+      pos += 2 * words;
+      triple_cursor += words;
     }
-    for (std::uint64_t i = 0; i < k; ++i) {
-      const Wire w = layer_gates[i];
-      const std::uint64_t t = first_triple + i;
-      // d, e are public (fully opened); z stays a tainted share.
-      const bool d = get_packed_bit(opened, 2 * i);
-      const bool e = get_packed_bit(opened, 2 * i + 1);
-      SecretBit z = triples.c_bit(t) ^ (triples.b_bit(t) & d) ^
-                    (triples.a_bit(t) & e);
-      if (me == 0 && d && e) z = z ^ true;
-      share[w] = z;
-      evaluated[w] = 1;
-    }
-    triple_cursor += k;
     if (is_lead) ctx.mark_round();
   }
-  eval_up_to(depth);
+  for (const Wire w : locals[depth]) eval_local(circuit, w, is_lead, v);
 
   // --- Output opening ----------------------------------------------------------
+  // Public outputs are known already; every party broadcasts its shares of
+  // the secret ones.
   const auto& outs = circuit.outputs();
-  std::vector<std::uint8_t> out_shares(packed_size(outs.size()), 0);
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    require(evaluated[outs[i]] != 0, "GMW: output wire not evaluated");
-    // Output opening: every party broadcasts its output-wire shares.
-    set_packed_bit(out_shares, i, share[outs[i]].unwrap_for_wire());
+  eppi::BinaryWriter out_shares;
+  for (const Wire w : outs) {
+    if (!circuit.is_public(w)) put_shares(out_shares, v.share[w]);
   }
-  const std::uint64_t out_seq = base + kSeqLayerBase + depth + 1;
-  for (std::size_t p = 0; p < n; ++p) {
-    if (p == me) continue;
-    ctx.send(session.parties[p], MessageTag::kMpcOutputShare, out_seq,
-             out_shares);
-  }
-  std::vector<std::uint8_t> opened_out = out_shares;
-  for (std::size_t p = 0; p < n; ++p) {
-    if (p == me) continue;
-    const auto payload = ctx.recv(session.parties[p],
-                                  MessageTag::kMpcOutputShare, out_seq);
-    if (payload.size() != opened_out.size()) {
-      throw eppi::ProtocolError("GMW: bad output payload size");
-    }
-    for (std::size_t byte = 0; byte < opened_out.size(); ++byte) {
-      opened_out[byte] ^= payload[byte];
-    }
-  }
+  const LaneWords opened =
+      open_words(ctx, session, me, MessageTag::kMpcOutputShare,
+                 base + kSeqLayerBase + depth + 1, std::move(out_shares));
   if (is_lead) ctx.mark_round();
 
-  std::vector<bool> result(outs.size());
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    result[i] = get_packed_bit(opened_out, i);
+  std::vector<LaneWords> result;
+  result.reserve(outs.size());
+  std::size_t pos = 0;
+  for (const Wire w : outs) {
+    if (circuit.is_public(w)) {
+      result.push_back(v.pub[w]);
+      continue;
+    }
+    const std::size_t words = v.share[w].size();
+    result.emplace_back(opened.begin() + pos, opened.begin() + pos + words);
+    pos += words;
   }
+  return result;
+}
+
+std::vector<bool> opened_bits(const Circuit& circuit,
+                              const std::vector<LaneWords>& opened) {
+  require(opened.size() == circuit.outputs().size(),
+          "opened_bits: output count mismatch");
+  std::vector<bool> bits;
+  for (std::size_t i = 0; i < opened.size(); ++i) {
+    const std::size_t lanes = circuit.lanes_of(circuit.outputs()[i]);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      bits.push_back(((opened[i][l / 64] >> (l % 64)) & 1) != 0);
+    }
+  }
+  return bits;
+}
+
+std::vector<bool> run_gmw_party(PartyContext& ctx, const GmwSession& session,
+                                const Circuit& circuit,
+                                const std::vector<bool>& my_inputs) {
+  require(circuit.lanes() == 1, "GMW: bit inputs need a one-lane circuit");
+  Shares words;
+  words.reserve(my_inputs.size());
+  for (const bool bit : my_inputs) words.emplace_back(bit ? 1 : 0);
+  const auto opened = run_gmw_party(ctx, session, circuit, words);
+  std::vector<bool> result;
+  result.reserve(opened.size());
+  for (const LaneWords& lanes : opened) result.push_back((lanes[0] & 1) != 0);
   return result;
 }
 

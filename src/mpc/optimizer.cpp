@@ -32,6 +32,7 @@ OptimizeResult optimize_circuit(const Circuit& input) {
           stack.push_back(g.b);
           break;
         case GateOp::kNot:
+        case GateOp::kHalve:
           stack.push_back(g.a);
           break;
         default:
@@ -40,7 +41,7 @@ OptimizeResult optimize_circuit(const Circuit& input) {
     }
   }
 
-  CircuitBuilder cb;
+  CircuitBuilder cb(input.lanes());
   OptimizeStats stats;
   std::vector<Wire> remap(gates.size());
   // Structural value-numbering table: (op, a, b) -> new wire.
@@ -58,9 +59,13 @@ OptimizeResult optimize_circuit(const Circuit& input) {
       remap[w] = 0;  // never read
       continue;
     }
+    while (cb.level() < input.level(static_cast<Wire>(w))) cb.next_level();
     switch (g.op) {
       case GateOp::kInput:
         remap[w] = cb.input_bit(g.a);
+        break;
+      case GateOp::kPublic:
+        remap[w] = cb.public_word(input.public_words(static_cast<Wire>(w)));
         break;
       case GateOp::kConstZero:
         remap[w] = cb.zero();
@@ -86,6 +91,19 @@ OptimizeResult optimize_circuit(const Circuit& input) {
         const Wire out = cb.Not(a);
         seen.emplace(key, out);
         negation_of.emplace(out, a);
+        remap[w] = out;
+        break;
+      }
+      case GateOp::kHalve: {
+        const auto key = std::make_tuple(GateOp::kHalve, remap[g.a], g.b);
+        const auto it = seen.find(key);
+        if (it != seen.end()) {
+          remap[w] = it->second;
+          ++stats.cse_merged;
+          break;
+        }
+        const Wire out = cb.halve(remap[g.a], g.b != 0);
+        seen.emplace(key, out);
         remap[w] = out;
         break;
       }

@@ -4,39 +4,67 @@
 
 namespace eppi::mpc {
 
+std::vector<std::uint64_t> evaluate_gate(
+    const Circuit& circuit, Wire w,
+    const std::vector<std::vector<std::uint64_t>>& values) {
+  const Gate& g = circuit.gates()[w];
+  const std::size_t lanes = circuit.lanes_of(w);
+  std::vector<std::uint64_t> out(lane_words(lanes), 0);
+  switch (g.op) {
+    case GateOp::kInput:
+      throw ConfigError("evaluate_gate: input wires have no gate");
+    case GateOp::kConstZero:
+      break;
+    case GateOp::kConstOne:
+      for (auto& word : out) word = ~std::uint64_t{0};
+      break;
+    case GateOp::kPublic:
+      out = circuit.public_words(w);
+      break;
+    case GateOp::kXor:
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = values[g.a][i] ^ values[g.b][i];
+      }
+      break;
+    case GateOp::kAnd:
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = values[g.a][i] & values[g.b][i];
+      }
+      break;
+    case GateOp::kNot:
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] = ~values[g.a][i];
+      break;
+    case GateOp::kHalve:
+      out = take_lanes(values[g.a], g.b != 0 ? lanes : 0, lanes);
+      break;
+  }
+  if (!out.empty()) out.back() &= tail_mask(lanes);
+  return out;
+}
+
 std::vector<bool> evaluate_plain(const Circuit& circuit,
                                  const std::vector<bool>& inputs) {
-  require(inputs.size() == circuit.inputs().size(),
+  const std::size_t lanes = circuit.lanes();
+  require(inputs.size() == circuit.inputs().size() * lanes,
           "evaluate_plain: input count mismatch");
-  std::vector<bool> values(circuit.n_wires(), false);
+  std::vector<std::vector<std::uint64_t>> values(circuit.n_wires());
   std::size_t next_input = 0;
-  const auto& gates = circuit.gates();
-  for (std::size_t w = 0; w < gates.size(); ++w) {
-    const Gate& g = gates[w];
-    switch (g.op) {
-      case GateOp::kInput:
-        values[w] = inputs[next_input++];
-        break;
-      case GateOp::kConstZero:
-        values[w] = false;
-        break;
-      case GateOp::kConstOne:
-        values[w] = true;
-        break;
-      case GateOp::kXor:
-        values[w] = values[g.a] != values[g.b];
-        break;
-      case GateOp::kAnd:
-        values[w] = values[g.a] && values[g.b];
-        break;
-      case GateOp::kNot:
-        values[w] = !values[g.a];
-        break;
+  for (Wire w = 0; w < circuit.n_wires(); ++w) {
+    if (circuit.gates()[w].op != GateOp::kInput) {
+      values[w] = evaluate_gate(circuit, w, values);
+      continue;
+    }
+    values[w].assign(lane_words(lanes), 0);
+    for (std::size_t l = 0; l < lanes; ++l, ++next_input) {
+      if (inputs[next_input]) values[w][l / 64] |= std::uint64_t{1} << (l % 64);
     }
   }
   std::vector<bool> outputs;
-  outputs.reserve(circuit.outputs().size());
-  for (const Wire w : circuit.outputs()) outputs.push_back(values[w]);
+  for (const Wire w : circuit.outputs()) {
+    for (std::size_t l = 0; l < circuit.lanes_of(w); ++l) {
+      outputs.push_back(((values[w][l / 64] >> (l % 64)) & 1) != 0);
+    }
+  }
   return outputs;
 }
 

@@ -6,8 +6,10 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <new>
 #include <random>
 #include <sstream>
+#include <type_traits>
 
 #include "common/clock.h"
 #include "common/mutex.h"
@@ -108,7 +110,9 @@ std::uint64_t record_remote_event(
 
 TraceSink::TraceSink(std::size_t capacity) {
   const std::size_t cap = std::bit_ceil(std::max<std::size_t>(capacity, 64));
-  slots_ = std::make_unique<Slot[]>(cap);
+  static_assert(std::is_trivially_default_constructible_v<Slot>);
+  slots_.reset(static_cast<Slot*>(std::calloc(cap, sizeof(Slot))));
+  if (!slots_) throw std::bad_alloc();
   mask_ = cap - 1;
 }
 
@@ -125,12 +129,14 @@ void TraceSink::record(const SpanEvent& ev) noexcept {
   // publish with a release store. Every access is atomic, so a wrap
   // collision garbles at worst one event — detected by the generation
   // check — and is never a data race.
-  s.gen.store(2 * ticket + 1, std::memory_order_relaxed);
+  std::atomic_ref<std::uint64_t> gen(s.gen);
+  gen.store(2 * ticket + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
   for (std::size_t i = 0; i < kWords; ++i) {
-    s.words[i].store(buf[i], std::memory_order_relaxed);
+    std::atomic_ref<std::uint64_t>(s.words[i])
+        .store(buf[i], std::memory_order_relaxed);
   }
-  s.gen.store(2 * ticket + 2, std::memory_order_release);
+  gen.store(2 * ticket + 2, std::memory_order_release);
 }
 
 std::vector<SpanEvent> TraceSink::drain() {
@@ -148,14 +154,16 @@ std::vector<SpanEvent> TraceSink::drain() {
   out.reserve(static_cast<std::size_t>(head - lo));
   for (std::uint64_t t = lo; t < head; ++t) {
     Slot& s = slots_[t & mask_];
-    const std::uint64_t g1 = s.gen.load(std::memory_order_acquire);
+    std::atomic_ref<std::uint64_t> gen(s.gen);
+    const std::uint64_t g1 = gen.load(std::memory_order_acquire);
     if (g1 == 0 || (g1 & 1) != 0 || g1 / 2 - 1 != t) continue;
     std::uint64_t buf[kWords];
     for (std::size_t i = 0; i < kWords; ++i) {
-      buf[i] = s.words[i].load(std::memory_order_relaxed);
+      buf[i] = std::atomic_ref<std::uint64_t>(s.words[i])
+                   .load(std::memory_order_relaxed);
     }
     std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.gen.load(std::memory_order_relaxed) != g1) continue;
+    if (gen.load(std::memory_order_relaxed) != g1) continue;
     SpanEvent ev;
     std::memcpy(&ev, buf, sizeof ev);
     out.push_back(ev);

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <memory>
@@ -113,14 +114,20 @@ class TraceSink {
   static constexpr std::size_t kWords =
       (sizeof(SpanEvent) + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t);
 
+  // Plain words accessed through std::atomic_ref, so the ring can come from
+  // calloc: the kernel's zero pages back it until a slot is first written,
+  // and a large ring costs nothing up front.
   struct Slot {
     // Even = published generation for ticket (gen/2 - 1); odd = write in
     // progress; 0 = never written.
-    std::atomic<std::uint64_t> gen{0};
-    std::atomic<std::uint64_t> words[kWords];
+    std::uint64_t gen;
+    std::uint64_t words[kWords];
+  };
+  struct FreeSlots {
+    void operator()(Slot* slots) const noexcept { std::free(slots); }
   };
 
-  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<Slot[], FreeSlots> slots_;
   std::size_t mask_;
   std::atomic<std::uint64_t> head_{0};
   std::atomic<std::uint64_t> tail_{0};  // first ticket not yet drained

@@ -118,12 +118,20 @@ class [[nodiscard]] Secret {
   }
 
   // --- boolean (XOR) sharing ops, for GMW wires ----------------------------
+  // The SecretU64 ops below (^, & with a public word, shifts) are lane-wise
+  // and linear, hence share-local, only on a word of 64 XOR-shared lanes
+  // (bitsliced GMW, mpc/). On an additive mod-q share (SecSumShare) XOR and
+  // shifts mean nothing: code holding additive shares must not use them.
 
   Secret operator^(const Secret& other) const
-    requires std::same_as<T, bool>
+    requires std::same_as<T, bool> || std::same_as<T, std::uint64_t>
   {
-    return Secret(static_cast<bool>(value_ ^ other.value_));
+    return Secret(static_cast<T>(value_ ^ other.value_));
   }
+
+  // AND of two secrets is deliberately absent: it needs a Beaver triple
+  // (see mpc/gmw.cpp).
+  friend Secret operator&(const Secret&, const Secret&) = delete;
 
   // XOR with a public bit (apply on one party only for XOR shares).
   Secret operator^(bool plain) const
@@ -145,6 +153,33 @@ class [[nodiscard]] Secret {
   {
     value_ = static_cast<bool>(value_ ^ other.value_);
     return *this;
+  }
+
+  // XOR with a public word (apply on one party only for XOR shares).
+  Secret operator^(std::uint64_t plain) const
+    requires std::same_as<T, std::uint64_t>
+  {
+    return Secret(value_ ^ plain);
+  }
+
+  // AND with a *public* word is linear, hence share-local.
+  Secret operator&(std::uint64_t plain) const
+    requires std::same_as<T, std::uint64_t>
+  {
+    return Secret(value_ & plain);
+  }
+
+  // Lane moves by a public distance: a fixed permutation of shared lanes.
+  Secret operator>>(unsigned k) const
+    requires std::same_as<T, std::uint64_t>
+  {
+    return Secret(value_ >> k);
+  }
+
+  Secret operator<<(unsigned k) const
+    requires std::same_as<T, std::uint64_t>
+  {
+    return Secret(value_ << k);
   }
 
  private:

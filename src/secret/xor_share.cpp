@@ -4,12 +4,6 @@
 
 namespace eppi::secret {
 
-namespace {
-std::size_t packed_size(std::uint64_t bits) noexcept {
-  return static_cast<std::size_t>((bits + 7) / 8);
-}
-}  // namespace
-
 std::vector<SecretBit> split_xor_bit(bool value, std::size_t n,
                                      eppi::Rng& rng) {
   require(n >= 1, "split_xor_bit: need at least one share");
@@ -34,55 +28,44 @@ bool reconstruct_xor_bit(std::span<const SecretBit> shares) {
   return value.reveal();
 }
 
-std::vector<SecretBytes> split_xor_packed(std::span<const std::uint8_t> bits,
-                                          std::uint64_t bit_count,
-                                          std::size_t n, eppi::Rng& rng) {
+std::vector<std::vector<SecretU64>> split_xor_packed(
+    std::span<const SecretU64> words, std::uint64_t bit_count, std::size_t n,
+    eppi::Rng& rng) {
   require(n >= 1, "split_xor_packed: need at least one share");
-  require(bits.size() >= packed_size(bit_count),
+  const std::size_t count = static_cast<std::size_t>((bit_count + 63) / 64);
+  require(words.size() >= count,
           "split_xor_packed: buffer smaller than bit_count");
-  const std::size_t bytes = packed_size(bit_count);
-  std::vector<std::vector<std::uint8_t>> raw(
-      n, std::vector<std::uint8_t>(bytes, 0));
-  for (std::size_t byte = 0; byte < bytes; ++byte) {
-    std::uint8_t acc = 0;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      std::uint8_t r;
-      rng.fill_bytes(&r, 1);
-      raw[i][byte] = r;
-      acc ^= r;
+  // Valid bits of the last word: tail bits carry no stray information.
+  const unsigned rest = static_cast<unsigned>(bit_count % 64);
+  const std::uint64_t tail =
+      rest == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << rest) - 1;
+  std::vector<std::vector<SecretU64>> shares(n);
+  shares[n - 1].assign(words.begin(), words.begin() + count);
+  if (count > 0) shares[n - 1][count - 1] = shares[n - 1][count - 1] & tail;
+  for (std::size_t p = 0; p + 1 < n; ++p) {
+    shares[p].reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t r = rng.next() & (i + 1 == count ? tail : ~0ull);
+      shares[p].emplace_back(r);
+      shares[n - 1][i] = shares[n - 1][i] ^ r;
     }
-    raw[n - 1][byte] = acc ^ bits[byte];
   }
-  // Mask tail bits beyond bit_count so shares carry no stray information.
-  const unsigned tail = bit_count % 8;
-  if (bytes > 0 && tail != 0) {
-    const auto mask = static_cast<std::uint8_t>((1u << tail) - 1);
-    for (auto& share : raw) share[bytes - 1] &= mask;
-    // Re-fix the last share so the XOR still matches the masked input.
-    std::uint8_t acc = 0;
-    for (std::size_t i = 0; i + 1 < n; ++i) acc ^= raw[i][bytes - 1];
-    raw[n - 1][bytes - 1] =
-        static_cast<std::uint8_t>((acc ^ bits[bytes - 1]) & mask);
-  }
-  std::vector<SecretBytes> shares;
-  shares.reserve(n);
-  for (auto& buf : raw) shares.emplace_back(std::move(buf));
   return shares;
 }
 
-std::vector<std::uint8_t> reconstruct_xor_packed(
-    std::span<const SecretBytes> shares) {
+std::vector<std::uint64_t> reconstruct_xor_packed(
+    std::span<const std::vector<SecretU64>> shares) {
   require(!shares.empty(), "reconstruct_xor_packed: no shares");
-  // All n shares combined: the opening the scheme is built for.
-  std::vector<std::uint8_t> value = shares[0].reveal();
+  std::vector<SecretU64> acc = shares[0];
   for (std::size_t i = 1; i < shares.size(); ++i) {
-    const std::vector<std::uint8_t>& s = shares[i].unwrap_for_wire();
-    require(s.size() == value.size(),
+    require(shares[i].size() == acc.size(),
             "reconstruct_xor_packed: share size mismatch");
-    for (std::size_t byte = 0; byte < value.size(); ++byte) {
-      value[byte] ^= s[byte];
-    }
+    for (std::size_t w = 0; w < acc.size(); ++w) acc[w] = acc[w] ^ shares[i][w];
   }
+  // All n shares combined: the opening the scheme is built for.
+  std::vector<std::uint64_t> value;
+  value.reserve(acc.size());
+  for (const SecretU64& w : acc) value.push_back(w.reveal());
   return value;
 }
 

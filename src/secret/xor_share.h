@@ -8,7 +8,7 @@
 // protocols) can use the same scheme.
 //
 // Shares carry the Secret taint (secret/secret.h): SecretBit for single
-// bits, SecretBytes for packed buffers.
+// bits, SecretU64 for packed words.
 #pragma once
 
 #include <cstdint>
@@ -27,13 +27,16 @@ std::vector<SecretBit> split_xor_bit(bool value, std::size_t n,
 // Reconstructs a bit from all its shares (a deliberate opening).
 bool reconstruct_xor_bit(std::span<const SecretBit> shares);
 
-// Packed-vector variants: `bits` is a packed bit buffer (bit_count valid
-// bits); returns one packed share buffer per party.
-std::vector<SecretBytes> split_xor_packed(std::span<const std::uint8_t> bits,
-                                          std::uint64_t bit_count,
-                                          std::size_t n, eppi::Rng& rng);
+// Packed-vector variants over 64-bit words: bit i of the vector is bit
+// i % 64 of word i / 64, and `words` holds bit_count valid bits. Returns
+// one share vector per party; bits past bit_count are zero in every share
+// (and dropped from the value). The GMW engine shares its input lanes this
+// way.
+std::vector<std::vector<SecretU64>> split_xor_packed(
+    std::span<const SecretU64> words, std::uint64_t bit_count, std::size_t n,
+    eppi::Rng& rng);
 
-std::vector<std::uint8_t> reconstruct_xor_packed(
-    std::span<const SecretBytes> shares);
+std::vector<std::uint64_t> reconstruct_xor_packed(
+    std::span<const std::vector<SecretU64>> shares);
 
 }  // namespace eppi::secret

@@ -12,6 +12,11 @@ int main() {
   const eppi::SecretU64 share(41);
   const eppi::secret::ModRing ring(1 << 10);
   const eppi::SecretU64 sum = share.add(eppi::SecretU64(1), ring);
+  // XOR with a secret or a public word and AND with a public word are
+  // share-local and compile; an AND of two secrets does not (and_shares.cpp).
+  const eppi::SecretU64 word =
+      (share ^ sum ^ std::uint64_t{5}) & std::uint64_t{0xff};
+  (void)word;
   // Logging the *public* opening is fine; logging the share is not (see
   // log_share.cpp).
   EPPI_DEBUG("opened value " << sum.reveal());

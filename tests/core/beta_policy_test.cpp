@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -204,6 +205,48 @@ TEST(BetaBasicTest, SuccessRatioIsAboutHalf) {
   }
   const double ratio = static_cast<double>(successes) / kRuns;
   EXPECT_NEAR(ratio, 0.5, 0.1);
+}
+
+TEST(EpsilonOrderTest, SortsAscendingWithTiesInIndexOrder) {
+  const std::vector<double> eps{0.5, 0.1, 1.0, 0.5, 0.0, -0.0, 0.25};
+  const auto order = epsilon_order(eps);
+  const std::vector<std::uint32_t> expected{4, 5, 1, 6, 0, 3, 2};
+  EXPECT_EQ(order, expected);
+  EXPECT_THROW((void)epsilon_order(std::vector<double>{0.5, 1.5}),
+               eppi::ConfigError);
+  EXPECT_TRUE(epsilon_order({}).empty());
+}
+
+// The vector form fills runs along ascending ε instead of evaluating every
+// identity; it must agree with the per-identity evaluation exactly.
+TEST(CommonThresholdsTest, MatchesPerIdentityEvaluationForEveryPolicy) {
+  eppi::Rng rng(91);
+  const BetaPolicy policies[] = {BetaPolicy::basic(), BetaPolicy::inc_exp(0.1),
+                                 BetaPolicy::chernoff(0.9),
+                                 BetaPolicy::chernoff(0.6),
+                                 BetaPolicy::exact(0.9)};
+  for (const BetaPolicy& policy : policies) {
+    for (const std::size_t m : {1u, 4u, 37u, 1000u}) {
+      const std::size_t n = policy.kind == PolicyKind::kExact ? 40 : 3000;
+      std::vector<double> eps(n);
+      for (auto& e : eps) {
+        // Endpoints, repeats and a continuum.
+        const auto pick = rng.next_below(10);
+        e = pick == 0 ? 0.0 : pick == 1 ? 1.0 : pick == 2 ? 0.5
+                                                          : rng.next_double();
+      }
+      std::vector<std::uint64_t> expected;
+      for (const double e : eps) {
+        expected.push_back(common_threshold(policy, e, m));
+      }
+      EXPECT_EQ(common_thresholds(policy, eps, m), expected)
+          << "policy " << static_cast<int>(policy.kind) << " m=" << m;
+    }
+  }
+  // An ε out of range is rejected even inside a run the fill skips.
+  EXPECT_THROW((void)common_thresholds(BetaPolicy::basic(),
+                                       std::vector<double>{0.2, 1.5, 0.8}, 4),
+               eppi::ConfigError);
 }
 
 }  // namespace

@@ -207,46 +207,5 @@ TEST(DistributedConstructorTest, MixingDisabledRevealsAllNonCommons) {
 }
 
 
-TEST(DistributedConstructorTest, GarbledBackendMatchesGmwSemantics) {
-  eppi::Rng rng(23);
-  const auto net = eppi::dataset::make_network_with_frequencies(
-      6, std::vector<std::uint64_t>{5, 1, 3}, rng);
-  const std::vector<double> eps{0.5, 0.6, 0.4};
-  DistributedOptions gmw_opt;
-  gmw_opt.policy = BetaPolicy::basic();
-  gmw_opt.c = 2;
-  gmw_opt.backend = MpcBackend::kGmw;
-  DistributedOptions yao_opt = gmw_opt;
-  yao_opt.backend = MpcBackend::kGarbled;
-
-  const auto gmw = construct_distributed(net.membership, eps, gmw_opt);
-  const auto yao = construct_distributed(net.membership, eps, yao_opt);
-
-  // The secure functionality is identical: the opened aggregates must
-  // agree; mixing coins and publication noise legitimately differ.
-  EXPECT_EQ(gmw.report.common_count, yao.report.common_count);
-  EXPECT_DOUBLE_EQ(gmw.report.xi, yao.report.xi);
-  EXPECT_NEAR(gmw.report.lambda, yao.report.lambda, 1e-12);
-  for (std::size_t j = 0; j < 3; ++j) {
-    if (!gmw.report.mixed[j] && !yao.report.mixed[j]) {
-      EXPECT_EQ(gmw.report.revealed_frequencies[j],
-                yao.report.revealed_frequencies[j]);
-    }
-  }
-  EXPECT_TRUE(full_recall(net.membership, yao.index.matrix()));
-}
-
-TEST(DistributedConstructorTest, GarbledBackendRequiresTwoCoordinators) {
-  eppi::Rng rng(24);
-  const auto net = eppi::dataset::make_network_with_frequencies(
-      5, std::vector<std::uint64_t>{2}, rng);
-  const std::vector<double> eps{0.5};
-  DistributedOptions options;
-  options.c = 3;
-  options.backend = MpcBackend::kGarbled;
-  EXPECT_THROW(construct_distributed(net.membership, eps, options),
-               eppi::ConfigError);
-}
-
 }  // namespace
 }  // namespace eppi::core

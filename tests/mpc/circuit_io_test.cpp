@@ -84,8 +84,12 @@ TEST(CircuitIoTest, RoundTripEppiCircuit) {
   save_circuit(ss, original);
   const Circuit loaded = load_circuit(ss);
   EXPECT_EQ(loaded.stats().total_gates(), original.stats().total_gates());
+  EXPECT_EQ(loaded.stats().and_depth, original.stats().and_depth);
+  EXPECT_EQ(loaded.template_stats().total_gates(),
+            original.template_stats().total_gates());
+  EXPECT_EQ(loaded.lanes(), original.lanes());
   eppi::Rng rng(4);
-  std::vector<bool> inputs(original.inputs().size());
+  std::vector<bool> inputs(original.inputs().size() * original.lanes());
   for (auto&& b : inputs) b = rng.bernoulli(0.5);
   EXPECT_EQ(evaluate_plain(loaded, inputs), evaluate_plain(original, inputs));
 }

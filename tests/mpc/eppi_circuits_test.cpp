@@ -30,14 +30,15 @@ std::vector<std::vector<std::uint64_t>> share_out(
   return per_party;
 }
 
-// Flattens shares into plain-eval input bits (party-major, as declared).
+// Flattens per-identity values into plain-eval input bits: per vector (a
+// party, as declared), `width` wires of one lane per identity.
 std::vector<bool> flatten_share_inputs(
     const std::vector<std::vector<std::uint64_t>>& per_party,
     unsigned width) {
   std::vector<bool> bits;
   for (const auto& vec : per_party) {
-    for (const std::uint64_t s : vec) {
-      for (unsigned b = 0; b < width; ++b) bits.push_back((s >> b) & 1);
+    for (unsigned b = 0; b < width; ++b) {
+      for (const std::uint64_t s : vec) bits.push_back((s >> b) & 1);
     }
   }
   return bits;
@@ -143,13 +144,8 @@ TEST(MixRevealCircuitTest, MatchesPlainReference) {
   const Circuit circuit = build_mix_reveal_circuit(spec);
   std::vector<bool> bits = flatten_share_inputs(per_party, 5);
   // Coin inputs are declared party-major after the shares.
-  for (const auto& vec : coins) {
-    for (const std::uint64_t w : vec) {
-      for (unsigned b = 0; b < spec.coin_bits; ++b) {
-        bits.push_back((w >> b) & 1);
-      }
-    }
-  }
+  const auto coin_bits = flatten_share_inputs(coins, spec.coin_bits);
+  bits.insert(bits.end(), coin_bits.begin(), coin_bits.end());
   const auto got = decode_mix_reveal(spec, evaluate_plain(circuit, bits));
   const auto expected = plain_mix_reveal(spec, per_party, coins);
   ASSERT_EQ(got.size(), expected.size());

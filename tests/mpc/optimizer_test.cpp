@@ -122,7 +122,7 @@ TEST(OptimizerTest, ShrinksEppiCircuits) {
             circuit.stats().total_gates());
   // Equivalence on a random share assignment.
   eppi::Rng rng(5);
-  std::vector<bool> inputs(circuit.inputs().size());
+  std::vector<bool> inputs(circuit.inputs().size() * circuit.lanes());
   for (auto&& bit : inputs) bit = rng.bernoulli(0.5);
   EXPECT_EQ(evaluate_plain(optimized.circuit, inputs),
             evaluate_plain(circuit, inputs));

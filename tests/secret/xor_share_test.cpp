@@ -45,38 +45,40 @@ TEST(XorShareTest, PartialSharesAreBalanced) {
   EXPECT_NEAR(static_cast<double>(ones) / kTrials, 0.5, 0.02);
 }
 
+std::vector<SecretU64> seal(const std::vector<std::uint64_t>& words) {
+  return std::vector<SecretU64>(words.begin(), words.end());
+}
+
 TEST(XorSharePackedTest, RoundTrip) {
   eppi::Rng rng(5);
-  const std::vector<std::uint8_t> bits{0xDE, 0xAD, 0xBE, 0xEF};
+  const std::vector<std::uint64_t> words{0xDEADBEEFCAFEF00Dull, 0x0123456789ull};
   for (const std::size_t n : {1u, 2u, 5u}) {
-    const auto shares = split_xor_packed(bits, 32, n, rng);
+    const auto shares = split_xor_packed(seal(words), 128, n, rng);
     ASSERT_EQ(shares.size(), n);
-    EXPECT_EQ(reconstruct_xor_packed(shares), bits);
+    EXPECT_EQ(reconstruct_xor_packed(shares), words);
   }
 }
 
 TEST(XorSharePackedTest, TailBitsMasked) {
   eppi::Rng rng(6);
-  const std::vector<std::uint8_t> bits{0xFF, 0x07};  // 11 valid bits
-  const auto shares = split_xor_packed(bits, 11, 3, rng);
+  const std::vector<std::uint64_t> words{~0ull, ~0ull};  // 75 valid bits
+  const auto shares = split_xor_packed(seal(words), 75, 3, rng);
   const auto back = reconstruct_xor_packed(shares);
-  EXPECT_EQ(back[0], 0xFF);
-  EXPECT_EQ(back[1] & 0x07, 0x07);
-  EXPECT_EQ(back[1] & 0xF8, 0x00);  // tail stays zero
+  EXPECT_EQ(back[0], ~0ull);
+  EXPECT_EQ(back[1], 0x7FFull);  // tail stays zero
   for (const auto& share : shares) {
     // shares carry no stray tail bits
-    EXPECT_EQ(share.reveal()[1] & 0xF8, 0x00);
+    EXPECT_EQ(share[1].reveal() & ~0x7FFull, 0u);
   }
 }
 
 TEST(XorSharePackedTest, Validates) {
   eppi::Rng rng(7);
-  const std::vector<std::uint8_t> bits{0x01};
-  EXPECT_THROW(split_xor_packed(bits, 16, 2, rng), eppi::ConfigError);
+  const std::vector<std::uint64_t> words{0x01};
+  EXPECT_THROW(split_xor_packed(seal(words), 65, 2, rng), eppi::ConfigError);
+  EXPECT_THROW(split_xor_packed(seal(words), 8, 0, rng), eppi::ConfigError);
   EXPECT_THROW(reconstruct_xor_packed({}), eppi::ConfigError);
-  std::vector<SecretBytes> ragged;
-  ragged.emplace_back(std::vector<std::uint8_t>{1, 2});
-  ragged.emplace_back(std::vector<std::uint8_t>{3});
+  std::vector<std::vector<SecretU64>> ragged{seal({1, 2}), seal({3})};
   EXPECT_THROW(reconstruct_xor_packed(ragged), eppi::ConfigError);
 }
 
