@@ -12,7 +12,6 @@
 
 #include "bench_util.h"
 #include "mpc/eppi_circuits.h"
-#include "mpc/optimizer.h"
 #include "secret/mod_ring.h"
 
 namespace {
@@ -106,44 +105,6 @@ int main() {
     std::cout << "coin_bits bounds the mixing-probability quantization "
                  "error at 2^-bits;\n8-16 bits is ample for any practical "
                  "lambda.\n";
-  }
-  // 5. Circuit-optimizer effect on the generated circuits.
-  {
-    eppi::bench::ResultTable table(
-        {"circuit", "gates", "optimized", "and", "and-opt"});
-    const auto report = [&table](const char* name,
-                                 const eppi::mpc::Circuit& circuit) {
-      const auto optimized = eppi::mpc::optimize_circuit(circuit);
-      table.add_row({name, std::to_string(circuit.stats().total_gates()),
-                     std::to_string(optimized.circuit.stats().total_gates()),
-                     std::to_string(circuit.stats().and_gates),
-                     std::to_string(optimized.circuit.stats().and_gates)});
-    };
-    {
-      eppi::mpc::CountBelowSpec spec;
-      spec.c = 3;
-      spec.q = 1024;
-      spec.thresholds = std::vector<std::uint64_t>(16, 100);
-      spec.xi_ranks = std::vector<std::uint64_t>(16, 3);
-      report("count-below", eppi::mpc::build_count_below_circuit(spec));
-    }
-    {
-      eppi::mpc::MixRevealSpec spec;
-      spec.c = 3;
-      spec.q = 1024;
-      spec.thresholds = std::vector<std::uint64_t>(16, 100);
-      spec.lambda = 0.25;
-      spec.coin_bits = 8;
-      report("mix-reveal", eppi::mpc::build_mix_reveal_circuit(spec));
-    }
-    {
-      eppi::mpc::PureMpcSpec spec;
-      spec.m = 64;
-      spec.thresholds = std::vector<std::uint64_t>(16, 32);
-      spec.coin_bits = 8;
-      report("pure-mpc", eppi::mpc::build_pure_mpc_circuit(spec));
-    }
-    table.print("Ablation 5: circuit optimizer (DCE + CSE + NOT-collapse)");
   }
 
   return 0;

@@ -16,7 +16,6 @@
 #include "mpc/plain_eval.h"
 #include "net/cluster.h"
 #include "secret/additive_share.h"
-#include "secret/reshare.h"
 #include "secret/sec_sum_share.h"
 
 namespace {
@@ -118,28 +117,6 @@ void BM_GmwTwoPartyAnd64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GmwTwoPartyAnd64);
-
-
-void BM_Reshare(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const eppi::secret::ModRing ring(1 << 14);
-  eppi::Rng rng(9);
-  std::vector<std::vector<eppi::SecretU64>> shares(3);
-  for (auto& vec : shares) {
-    std::vector<std::uint64_t> raw(n);
-    for (auto& v : raw) v = rng.next_below(ring.q());
-    vec = eppi::secret::wrap_shares(raw);
-  }
-  for (auto _ : state) {
-    eppi::net::Cluster cluster(3);
-    cluster.run([&](eppi::net::PartyContext& ctx) {
-      const std::vector<eppi::net::PartyId> parties{0, 1, 2};
-      benchmark::DoNotOptimize(eppi::secret::run_reshare_party(
-          ctx, parties, shares[ctx.id()], ring));
-    });
-  }
-}
-BENCHMARK(BM_Reshare)->Arg(256)->Arg(4096);
 
 void BM_SecSumShare(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

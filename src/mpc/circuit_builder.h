@@ -37,8 +37,6 @@ class CircuitBuilder {
   // `width` bits of one public value per lane; a bit that is equal in every
   // lane folds to a constant.
   WireVec public_bits(std::span<const std::uint64_t> values, unsigned width);
-  // A public wire from its lane words (tail bits zero).
-  Wire public_word(std::vector<std::uint64_t> words);
   Wire zero();
   Wire one();
   Wire constant(bool value) { return value ? one() : zero(); }
@@ -102,6 +100,8 @@ class CircuitBuilder {
 
  private:
   Wire append(GateOp op, Wire a, Wire b);
+  // A public wire from its lane words (tail bits zero).
+  Wire public_word(std::vector<std::uint64_t> words);
 
   Wire constant_wire(GateOp op);
 

@@ -82,7 +82,7 @@ class [[nodiscard]] Secret {
 
   // --- ring arithmetic (additive shares over Z_q) --------------------------
   // Linear operations commute with sharing, so applying them share-wise is
-  // exactly how SecSumShare/reshare/ArithSession compute on secrets.
+  // exactly how SecSumShare computes on secrets.
 
   Secret add(const Secret& other, const secret::ModRing& ring) const
     requires std::same_as<T, std::uint64_t>
@@ -94,27 +94,6 @@ class [[nodiscard]] Secret {
     requires std::same_as<T, std::uint64_t>
   {
     return Secret(ring.sub(value_, other.value_));
-  }
-
-  Secret neg(const secret::ModRing& ring) const
-    requires std::same_as<T, std::uint64_t>
-  {
-    return Secret(ring.neg(value_));
-  }
-
-  // Multiply by a public scalar.
-  Secret scale(std::uint64_t k, const secret::ModRing& ring) const
-    requires std::same_as<T, std::uint64_t>
-  {
-    return Secret(ring.mul(value_, k));
-  }
-
-  // Add a public constant (protocol code must apply this on exactly one
-  // party for additive shares — that is protocol logic, not type logic).
-  Secret add_public(std::uint64_t k, const secret::ModRing& ring) const
-    requires std::same_as<T, std::uint64_t>
-  {
-    return Secret(ring.add(value_, ring.reduce(k)));
   }
 
   // --- boolean (XOR) sharing ops, for GMW wires ----------------------------

@@ -11,9 +11,6 @@
 #include "common/serialize.h"
 #include "core/index_io.h"
 #include "fixtures/legacy_formats.h"
-#include "mpc/circuit_builder.h"
-#include "mpc/circuit_io.h"
-#include "mpc/eppi_circuits.h"
 
 namespace eppi {
 namespace {
@@ -177,47 +174,6 @@ TEST(SerializeFuzzTest, IndexCrossVersionLoads) {
   std::vector<std::uint8_t> downlabeled = v3_bytes;
   std::memcpy(downlabeled.data(), "eppiidx2", 8);
   EXPECT_THROW((void)core::load_index_bytes(downlabeled), SerializeError);
-}
-
-TEST(SerializeFuzzTest, CircuitLoaderSurvivesCorruption) {
-  mpc::CircuitBuilder cb;
-  const auto a = cb.input_bits(0, 6);
-  const auto b = cb.input_bits(1, 6);
-  cb.output_vec(cb.add_trunc(a, b));
-  cb.output(cb.lt(a, b));
-  std::stringstream ss;
-  mpc::save_circuit(ss, cb.take());
-  const std::string str = ss.str();
-  std::vector<std::uint8_t> valid(str.begin(), str.end());
-  fuzz_decoder(valid,
-               [](const std::vector<std::uint8_t>& bytes) {
-                 std::stringstream in(
-                     std::string(bytes.begin(), bytes.end()));
-                 (void)mpc::load_circuit(in);
-               },
-               103);
-}
-
-TEST(SerializeFuzzTest, TemplateCircuitLoaderSurvivesCorruption) {
-  // A 70-lane template: public threshold words and a halving reduction.
-  mpc::CountBelowSpec spec;
-  spec.c = 2;
-  spec.q = 8;
-  for (std::uint64_t j = 0; j < 70; ++j) {
-    spec.thresholds.push_back(j % 3);
-    spec.xi_ranks.push_back(j % 5);
-  }
-  std::stringstream ss;
-  mpc::save_circuit(ss, mpc::build_count_below_circuit(spec));
-  const std::string str = ss.str();
-  std::vector<std::uint8_t> valid(str.begin(), str.end());
-  fuzz_decoder(valid,
-               [](const std::vector<std::uint8_t>& bytes) {
-                 std::stringstream in(
-                     std::string(bytes.begin(), bytes.end()));
-                 (void)mpc::load_circuit(in);
-               },
-               107);
 }
 
 }  // namespace

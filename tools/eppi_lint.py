@@ -53,6 +53,12 @@ suppression in the tree documents why it is safe:
                      src/secret and src/mpc. Only tests/ may do this, to pin
                      the rule itself.
 
+  layering           a file under src/<dir>/ includes a header from a src/
+                     dir that <dir> may not depend on (LAYERS below). The
+                     table is the library link graph: it keeps the static
+                     libraries acyclic, so a lower layer (say secret/) can
+                     never reach up into a higher one (mpc/).
+
   build-artifact     build directories, object files, or binaries committed
                      to the repository.
 
@@ -321,6 +327,48 @@ def check_secret_trace_attr(path: str, text: str, out: list):
 
 
 # --------------------------------------------------------------------------
+# Rule: layering
+
+# For each src/ dir, the other src/ dirs its files may include from. Widening
+# an edge is a design change: check it keeps the graph acyclic first.
+LAYERS = {
+    "common": frozenset(),
+    "obs": frozenset({"common"}),
+    "storage": frozenset(),
+    "dataset": frozenset({"common"}),
+    "net": frozenset({"common", "obs"}),
+    "secret": frozenset({"common", "net", "obs"}),
+    "mpc": frozenset({"common", "net", "obs", "secret"}),
+    "core": frozenset({"common", "mpc", "net", "obs", "secret", "storage"}),
+    "baseline": frozenset({"common", "core", "mpc", "net"}),
+    "attack": frozenset({"common", "core"}),
+}
+
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([a-z_]+)/')
+
+
+def check_layering(path: str, text: str, out: list):
+    parts = path.split("/")
+    if len(parts) < 3 or parts[0] != "src":
+        return
+    layer = parts[1]
+    allowed_dirs = LAYERS.get(layer, frozenset())
+    for lineno, raw, code in iter_code_lines(text):
+        m = INCLUDE_RE.match(raw)
+        if not m or not code.lstrip().startswith("#"):
+            continue
+        target = m.group(1)
+        if target == layer or target not in LAYERS \
+                or target in allowed_dirs or allowed(raw, "layering"):
+            continue
+        out.append(Violation(
+            "layering", path, lineno,
+            f"src/{layer}/ may not include from {target}/ (allowed: "
+            f"{', '.join(sorted(allowed_dirs)) or 'none'}); the library "
+            f"graph must stay acyclic"))
+
+
+# --------------------------------------------------------------------------
 # Rule: allow-without-reason
 
 def check_allow_reason(path: str, text: str, out: list):
@@ -362,10 +410,10 @@ def check_build_artifacts(root: str, out: list):
 
 SOURCE_CHECKS = (check_rng, check_secret_logging, check_unbounded_recv,
                  check_escape_hatch, check_raw_file_write,
-                 check_secret_trace_attr, check_allow_reason)
+                 check_secret_trace_attr, check_layering, check_allow_reason)
 
 RULES = ("rng-construction", "secret-logging", "unbounded-recv",
-         "escape-hatch", "raw-file-write", "secret-trace-attr",
+         "escape-hatch", "raw-file-write", "secret-trace-attr", "layering",
          "build-artifact", "allow-without-reason")
 
 
@@ -514,6 +562,12 @@ SELF_TEST_CASES = [
      'span.attr("n", t.reveal());  '
      "// eppi-lint: allow(secret-trace-attr): value is a public count\n",
      False),
+    ("layering", "src/secret/x.cpp",  # a lower layer reaching up
+     '#include "mpc/gmw.h"\n', True),
+    ("layering", "src/mpc/x.cpp",
+     '#include "secret/secret.h"\n', False),
+    ("layering", "src/secret/x.cpp",  # commented out: not an include
+     '// #include "mpc/gmw.h"\n', False),
 ]
 
 
