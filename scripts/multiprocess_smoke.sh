@@ -16,7 +16,10 @@
 #      ground truth — with the compute/wait decomposition and critical path
 #      present in the replay table,
 #   4. stands up `eppi_cli serve --listen` on the same collection and runs a
-#      batched /query POST against it, checking the true positives,
+#      batched /query POST against it, checking the true positives; then
+#      two /query requests over one `Connection: keep-alive` connection
+#      (both answered, the socket kept) and an oversize POST, which must be
+#      refused with 413,
 #   5. rehearses membership churn: a locator daemon is SIGKILLed mid-churn
 #      (a provider retirement posted but the epoch not yet rebuilt), a fresh
 #      daemon takes over, the same churn replays against it plus a brand-new
@@ -210,6 +213,29 @@ done
 http_get "$serve_port" /metrics | grep -q '^eppi_' \
   || fail "serve daemon exposes no eppi_ metrics"
 echo "multiprocess_smoke: batched query answered with true positives"
+
+python3 - "$serve_port" <<'PY' || fail "keep-alive queries or the 413 bound misbehaved"
+import http.client, sys
+conn = http.client.HTTPConnection("127.0.0.1", int(sys.argv[1]), timeout=5)
+socks = []
+for owner in ("alice", "carol"):
+    conn.request("GET", "/query?owner=" + owner,
+                 headers={"Connection": "keep-alive"})
+    resp = conn.getresponse()
+    body = resp.read().decode()
+    assert resp.status == 200, (resp.status, body)
+    assert resp.getheader("Connection") == "keep-alive", resp.getheaders()
+    assert body.startswith(owner + ","), body
+    socks.append(conn.sock)
+assert socks[0] is socks[1] and socks[0] is not None, "connection not kept"
+conn.close()
+big = http.client.HTTPConnection("127.0.0.1", int(sys.argv[1]), timeout=5)
+big.request("POST", "/delegate", body=b"x" * (2 << 20))
+resp = big.getresponse()
+assert resp.status == 413, resp.status
+big.close()
+PY
+echo "multiprocess_smoke: two queries over one kept connection; oversize POST refused 413"
 
 kill -TERM "$serve_pid"
 wait "$serve_pid" || fail "serve daemon exited nonzero after SIGTERM"

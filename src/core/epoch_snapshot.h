@@ -49,7 +49,9 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -57,6 +59,39 @@
 #include "core/posting_index.h"
 
 namespace eppi::core {
+
+// Provider names laid end to end in one arena, indexed by ProviderId: an
+// answer encoder appends a provider's name bytes straight from here, with
+// no per-provider std::string on the read path.
+class ProviderNameTable {
+ public:
+  // Every name is followed by at least this many readable bytes, so an
+  // encoder may copy a fixed kReadSlack bytes from any name's start.
+  static constexpr std::size_t kReadSlack = 16;
+
+  explicit ProviderNameTable(std::span<const std::string> names) {
+    std::size_t total = 0;
+    for (const auto& name : names) total += name.size();
+    bytes_.reserve(total + kReadSlack);
+    starts_.reserve(names.size() + 1);
+    for (const auto& name : names) {
+      starts_.push_back(bytes_.size());
+      bytes_ += name;
+    }
+    starts_.push_back(bytes_.size());
+    bytes_.append(kReadSlack, '\0');
+  }
+
+  std::size_t size() const noexcept { return starts_.size() - 1; }
+  std::string_view operator[](ProviderId p) const noexcept {
+    return std::string_view(bytes_.data() + starts_[p],
+                            starts_[p + 1] - starts_[p]);
+  }
+
+ private:
+  std::string bytes_;
+  std::vector<std::size_t> starts_;  // size() + 1 offsets into bytes_
+};
 
 struct EpochSnapshot {
   // The served index, in the O(answer) posting-list form. Shared (not
@@ -72,7 +107,7 @@ struct EpochSnapshot {
   // hash map — at millions of owners the map's per-node overhead would
   // dwarf the compressed index it sits next to.
   std::shared_ptr<const Lexicon> owners;
-  std::shared_ptr<const std::vector<std::string>> provider_names;
+  std::shared_ptr<const ProviderNameTable> provider_names;
 
   // Staleness labels, frozen with the data they describe (mirrors
   // EpochManager::ServingStatus at publication time).

@@ -38,6 +38,15 @@ double elapsed_us(std::chrono::steady_clock::time_point start) noexcept {
       .count();
 }
 
+// Provider ids as the by-name query entry points return them.
+std::vector<std::string> names_of(const EpochSnapshot& snap,
+                                  std::span<const ProviderId> ids) {
+  std::vector<std::string> names;
+  names.reserve(ids.size());
+  for (const ProviderId p : ids) names.emplace_back((*snap.provider_names)[p]);
+  return names;
+}
+
 obs::Labels next_instance_labels() {
   static std::atomic<std::uint64_t> next{0};
   return obs::Labels{}.add(
@@ -378,7 +387,7 @@ void LocatorService::publish_with(
   snap->postings = std::move(postings);
   snap->owners = serving_lexicon();
   snap->provider_names =
-      std::make_shared<const std::vector<std::string>>(provider_names_);
+      std::make_shared<const ProviderNameTable>(provider_names_);
   // Surface the compression story per publish: encoded payload by codec,
   // what the process actually holds, and the shard topology.
   {
@@ -436,17 +445,30 @@ std::shared_ptr<const EpochSnapshot> LocatorService::acquire_serving() const {
   return snap;
 }
 
-std::vector<std::string> LocatorService::resolve(const EpochSnapshot& snap,
-                                                 const std::string& owner) {
-  const std::optional<IdentityId> id = snap.owners->find(owner);
-  require(id.has_value(), "LocatorService: unknown owner");
-  const auto& list = snap.postings->query(*id);
-  std::vector<std::string> result;
-  result.reserve(list.size());
-  for (const ProviderId p : list) {
-    result.push_back((*snap.provider_names)[p]);
+void LocatorService::resolve_ids(const EpochSnapshot& snap,
+                                 std::span<const std::string> owners,
+                                 BatchIds& out) const {
+  out.ids.clear();
+  out.ends.clear();
+  out.ends.reserve(owners.size());
+  std::vector<ProviderId> list;  // query_into's reused decode buffer
+  for (const auto& owner : owners) {
+    const std::optional<IdentityId> id = snap.owners->find(owner);
+    if (!id.has_value()) {
+      unknown_owners_.add();
+      throw UnknownOwnerError("LocatorService: unknown owner");
+    }
+    snap.postings->query_into(*id, list);
+    out.ids.insert(out.ids.end(), list.begin(), list.end());
+    out.ends.push_back(out.ids.size());
   }
-  return result;
+}
+
+std::vector<std::string> LocatorService::resolve(
+    const EpochSnapshot& snap, const std::string& owner) const {
+  BatchIds answer;
+  resolve_ids(snap, std::span<const std::string>(&owner, 1), answer);
+  return names_of(snap, answer.ids);
 }
 
 EpochManager::ServingStatus LocatorService::serving_status() const {
@@ -465,13 +487,7 @@ std::vector<std::string> LocatorService::query_ppi(
     const std::string& owner) const {
   const auto start = std::chrono::steady_clock::now();
   const auto snap = acquire_serving();
-  std::vector<std::string> result;
-  try {
-    result = resolve(*snap, owner);
-  } catch (const eppi::ConfigError&) {
-    unknown_owners_.add();
-    throw;
-  }
+  std::vector<std::string> result = resolve(*snap, owner);
   if (snap->degraded) degraded_serves_.add();
   queries_.add();
   owners_resolved_.add();
@@ -484,12 +500,7 @@ LocatorService::QueryResult LocatorService::query_ppi_with_status(
   const auto start = std::chrono::steady_clock::now();
   const auto snap = acquire_serving();
   QueryResult result;
-  try {
-    result.providers = resolve(*snap, owner);
-  } catch (const eppi::ConfigError&) {
-    unknown_owners_.add();
-    throw;
-  }
+  result.providers = resolve(*snap, owner);
   result.epoch = snap->epoch;
   result.degraded = snap->degraded;
   result.rebuilds_behind = snap->rebuilds_behind;
@@ -501,35 +512,25 @@ LocatorService::QueryResult LocatorService::query_ppi_with_status(
   return result;
 }
 
-LocatorService::BatchQueryResult LocatorService::query_ppi_many(
-    std::span<const std::string> owners) const {
+void LocatorService::query_ppi_ids(std::span<const std::string> owners,
+                                   BatchIds& out) const {
   obs::Span span("query.ppi_many");
   span.attr("batch", static_cast<std::uint64_t>(owners.size()));
   const auto start = std::chrono::steady_clock::now();
-  const auto snap = acquire_serving();
-  BatchQueryResult result;
-  result.providers.reserve(owners.size());
+  out.snapshot = acquire_serving();
+  const EpochSnapshot& snap = *out.snapshot;
+  resolve_ids(snap, owners, out);
   std::size_t resolved = 0;
-  try {
-    for (const auto& owner : owners) {
-      result.providers.push_back(resolve(*snap, owner));
-      if (!result.providers.back().empty()) ++resolved;
-    }
-  } catch (const eppi::ConfigError&) {
-    unknown_owners_.add();
-    throw;
+  for (std::size_t k = 0; k < owners.size(); ++k) {
+    if (!out.providers(k).empty()) ++resolved;
   }
-  result.epoch = snap->epoch;
-  result.degraded = snap->degraded;
-  result.rebuilds_behind = snap->rebuilds_behind;
-  result.age_seconds = snap->age_seconds();
-  if (snap->degraded) degraded_serves_.add();
+  if (snap.degraded) degraded_serves_.add();
   const std::uint64_t us = elapsed_us(start);
   batches_.add();
   owners_resolved_.add(owners.size());
   latency_us_.record(us);
   span.attr("resolved", static_cast<std::uint64_t>(resolved));
-  span.attr("epoch", snap->epoch);
+  span.attr("epoch", snap.epoch);
   // Sizes, timings, and trace ids only — never owner names (the slow log is
   // exported over /slowlog, and query contents are exactly what the paper's
   // privacy model hides).
@@ -541,8 +542,24 @@ LocatorService::BatchQueryResult LocatorService::query_ppi_many(
   entry.duration_us = us;
   entry.batch = owners.size();
   entry.resolved = resolved;
-  entry.epoch = snap->epoch;
+  entry.epoch = snap.epoch;
   obs::SlowQueryLog::global().offer(entry);
+}
+
+LocatorService::BatchQueryResult LocatorService::query_ppi_many(
+    std::span<const std::string> owners) const {
+  BatchIds answer;
+  query_ppi_ids(owners, answer);
+  const EpochSnapshot& snap = *answer.snapshot;
+  BatchQueryResult result;
+  result.providers.reserve(owners.size());
+  for (std::size_t k = 0; k < owners.size(); ++k) {
+    result.providers.push_back(names_of(snap, answer.providers(k)));
+  }
+  result.epoch = snap.epoch;
+  result.degraded = snap.degraded;
+  result.rebuilds_behind = snap.rebuilds_behind;
+  result.age_seconds = snap.age_seconds();
   return result;
 }
 

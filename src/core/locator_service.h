@@ -60,6 +60,14 @@ namespace eppi::core {
 
 class EpochStore;
 
+// Every QueryPPI entry point throws this for an owner the served epoch does
+// not know. A ConfigError, so callers that treat bad input alike still can;
+// the daemon answers it 404, not 500.
+class UnknownOwnerError : public eppi::ConfigError {
+ public:
+  using eppi::ConfigError::ConfigError;
+};
+
 class LocatorService {
  public:
   struct Options {
@@ -179,8 +187,9 @@ class LocatorService {
 
   // --- QueryPPI(t) ---------------------------------------------------------
   // Provider names that may hold the owner's records. Throws ConfigError if
-  // nothing has been published yet or the owner is unknown to the served
-  // epoch. Wait-free with respect to concurrent rebuilds.
+  // nothing has been published yet, UnknownOwnerError if the owner is
+  // unknown to the served epoch. Wait-free with respect to concurrent
+  // rebuilds.
   std::vector<std::string> query_ppi(const std::string& owner) const;
 
   // query_ppi plus the staleness of the answer: which epoch served it,
@@ -195,12 +204,37 @@ class LocatorService {
   };
   QueryResult query_ppi_with_status(const std::string& owner) const;
 
-  // Batched QueryPPI: resolves every owner against ONE snapshot
-  // acquisition, amortizing the atomic load and guaranteeing the whole
-  // batch is answered from a single consistent epoch even while a rebuild
-  // swaps snapshots mid-flight. providers[k] answers owners[k]. Throws
-  // ConfigError (before returning any answers) if any owner is unknown to
-  // the served epoch.
+  // Batched QueryPPI in provider ids — the one resolve path every query
+  // entry point wraps. Pins ONE snapshot, so the whole batch is answered
+  // from a single consistent epoch even while a rebuild swaps snapshots
+  // mid-flight; resolves each owner with Lexicon::find and decodes its
+  // posting list with PostingIndex::query_into into a reused buffer. No
+  // per-provider string is made: a caller that wants names reads them from
+  // snapshot->provider_names. Throws UnknownOwnerError if any owner is
+  // unknown to the served epoch (`out` is then unspecified). Records the
+  // batch in the serving counters, the latency histogram, a
+  // `query.ppi_many` span and the slow-query log.
+  struct BatchIds {
+    // The epoch that answered, with its name table and staleness labels.
+    std::shared_ptr<const EpochSnapshot> snapshot;
+    // Every answer in request order, each ascending; owners[k]'s providers
+    // are ids[ends[k-1] .. ends[k]) (from 0 for k = 0).
+    std::vector<ProviderId> ids;
+    std::vector<std::size_t> ends;
+
+    std::span<const ProviderId> providers(std::size_t k) const {
+      const std::size_t begin = k == 0 ? 0 : ends[k - 1];
+      return std::span<const ProviderId>(ids).subspan(begin,
+                                                      ends[k] - begin);
+    }
+  };
+  void query_ppi_ids(std::span<const std::string> owners,
+                     BatchIds& out) const;
+
+  // Batched QueryPPI by name: query_ppi_ids with every id turned into its
+  // provider name. providers[k] answers owners[k]. Throws UnknownOwnerError
+  // (before returning any answers) if any owner is unknown to the served
+  // epoch.
   struct BatchQueryResult {
     std::vector<std::vector<std::string>> providers;
     std::uint64_t epoch = 0;
@@ -274,8 +308,14 @@ class LocatorService {
   std::shared_ptr<const Lexicon> serving_lexicon();
   // Reader side: the served snapshot, or ConfigError if none is published.
   std::shared_ptr<const EpochSnapshot> acquire_serving() const;
-  static std::vector<std::string> resolve(const EpochSnapshot& snap,
-                                          const std::string& owner);
+  // The resolve loop under every query entry point: appends each owner's
+  // posting list to out.ids/out.ends. Counts and throws UnknownOwnerError
+  // for an owner the snapshot does not know.
+  void resolve_ids(const EpochSnapshot& snap,
+                   std::span<const std::string> owners, BatchIds& out) const;
+  // One owner's answer as names (the single-owner entry points).
+  std::vector<std::string> resolve(const EpochSnapshot& snap,
+                                   const std::string& owner) const;
 
   Options options_;
   EpochManager manager_;

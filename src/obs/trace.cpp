@@ -275,6 +275,57 @@ void Span::event(std::string_view name) noexcept {
   sink_->record(ev);
 }
 
+// ---------------------------------------------------------- cross-thread
+
+SpanContextScope::SpanContextScope(const SpanContext& ctx) noexcept
+    : prev_current_(t_current_span), prev_trace_(t_current_trace) {
+  t_current_span = ctx.span_id;
+  t_current_trace = ctx.trace_id;
+}
+
+SpanContextScope::~SpanContextScope() {
+  t_current_span = prev_current_;
+  t_current_trace = prev_trace_;
+}
+
+DetachedSpan::DetachedSpan(std::string_view name, const SpanContext& parent,
+                           TraceSink* sink) noexcept
+    : sink_(sink ? sink : &default_sink()) {
+  ev_.span_id = next_span_id();
+  ev_.parent_id = parent.span_id;
+  ev_.trace_id = parent.trace_id != 0 ? parent.trace_id : ev_.span_id;
+  ev_.thread = thread_index();
+  ev_.start_ns = monotonic_ns();
+  copy_truncated(ev_.name, SpanEvent::kNameCap, name);
+}
+
+DetachedSpan::DetachedSpan(DetachedSpan&& other) noexcept
+    : ev_(other.ev_), sink_(std::exchange(other.sink_, nullptr)) {}
+
+DetachedSpan& DetachedSpan::operator=(DetachedSpan&& other) noexcept {
+  if (this != &other) {
+    end();
+    ev_ = other.ev_;
+    sink_ = std::exchange(other.sink_, nullptr);
+  }
+  return *this;
+}
+
+void DetachedSpan::attr(std::string_view key, std::uint64_t v) noexcept {
+  if (sink_ == nullptr || ev_.n_attrs >= SpanEvent::kMaxAttrs) return;
+  SpanAttr& a = ev_.attrs[ev_.n_attrs++];
+  copy_truncated(a.key, SpanAttr::kKeyCap, key);
+  a.value.type = AttrValue::Type::kU64;
+  a.value.u64 = v;
+}
+
+void DetachedSpan::end() noexcept {
+  if (sink_ == nullptr) return;
+  ev_.end_ns = monotonic_ns();
+  sink_->record(ev_);
+  sink_ = nullptr;
+}
+
 // -------------------------------------------------------------------- JSONL
 
 std::string to_jsonl(const std::vector<SpanEvent>& events) {

@@ -218,6 +218,47 @@ class Span {
   std::uint64_t prev_trace_;
 };
 
+// Makes `ctx` the calling thread's current span for the scope, so Spans
+// opened inside parent to a span that lives on another thread. This is how
+// a worker pool hangs its work under a request span the event loop owns.
+class SpanContextScope {
+ public:
+  explicit SpanContextScope(const SpanContext& ctx) noexcept;
+  ~SpanContextScope();
+  SpanContextScope(const SpanContextScope&) = delete;
+  SpanContextScope& operator=(const SpanContextScope&) = delete;
+
+ private:
+  std::uint64_t prev_current_;
+  std::uint64_t prev_trace_;
+};
+
+// A span that belongs to no scope and no thread: it parents to an explicit
+// context (a root when that is empty), never becomes a thread's current
+// span, and commits on end() or destruction. Movable, so a connection can
+// carry it across event-loop callbacks. Attributes are u64 sizes/counts.
+class DetachedSpan {
+ public:
+  DetachedSpan() = default;  // inactive: end() and attr() do nothing
+  explicit DetachedSpan(std::string_view name, const SpanContext& parent = {},
+                        TraceSink* sink = nullptr) noexcept;
+  ~DetachedSpan() { end(); }
+  DetachedSpan(DetachedSpan&& other) noexcept;
+  DetachedSpan& operator=(DetachedSpan&& other) noexcept;
+
+  void attr(std::string_view key, std::uint64_t v) noexcept;
+  // Stamps the end and commits; later calls (and the destructor) do nothing.
+  void end() noexcept;
+  bool active() const noexcept { return sink_ != nullptr; }
+  SpanContext context() const noexcept {
+    return SpanContext{ev_.trace_id, ev_.span_id};
+  }
+
+ private:
+  SpanEvent ev_;
+  TraceSink* sink_ = nullptr;  // null once ended
+};
+
 // Serializes events as JSON Lines, one object per event:
 //   {"span":3,"parent":1,"trace":3,"thread":2,"name":"phase:secsum",
 //    "start_ns":10,"end_ns":90,"attrs":{"party":0,"bytes":4096}}

@@ -101,6 +101,16 @@ void run_threads(const std::vector<std::function<void()>>& bodies) {
   }
 }
 
+// The writers below start swapping only once each reader has answered
+// once, so reads overlap the swaps even when a loaded host would run the
+// writer to completion before any reader is scheduled.
+void wait_for_readers(const std::atomic<std::size_t>& reading,
+                      std::size_t readers) {
+  while (reading.load(std::memory_order_acquire) < readers) {
+    std::this_thread::yield();
+  }
+}
+
 // N readers hammer single queries while the writer swaps >= 100 epochs;
 // every answer must match one of the two reachable epochs, epochs may never
 // run backwards for any single reader, and no reader may ever be
@@ -117,9 +127,11 @@ TEST(ServingConcurrencyTest, ReadersUninterruptedAcrossEpochSwaps) {
   constexpr std::size_t kReaders = 3;
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::size_t> reading{0};
 
   std::vector<std::function<void()>> bodies;
   bodies.push_back([&] {  // writer
+    wait_for_readers(reading, kReaders);
     for (std::size_t k = 0; k < kSwaps; ++k) {
       const double eps = (k % 2 == 0) ? kHighEps : kLowEps;
       service.delegate(owner_name(0), eps, provider_name(0));
@@ -131,7 +143,8 @@ TEST(ServingConcurrencyTest, ReadersUninterruptedAcrossEpochSwaps) {
     bodies.push_back([&, r] {
       std::uint64_t last_epoch = 0;
       std::size_t j = r;
-      while (!done.load(std::memory_order_acquire)) {
+      bool first = true;
+      do {
         j = (j + 1) % kOwners;
         const auto result = service.query_ppi_with_status(owner_name(j));
         require(result.providers == expect.low[j] ||
@@ -141,7 +154,9 @@ TEST(ServingConcurrencyTest, ReadersUninterruptedAcrossEpochSwaps) {
         require(!result.degraded, "centralized rebuilds never degrade");
         last_epoch = result.epoch;
         answered.fetch_add(1, std::memory_order_relaxed);
-      }
+        if (first) reading.fetch_add(1, std::memory_order_release);
+        first = false;
+      } while (!done.load(std::memory_order_acquire));
     });
   }
   run_threads(bodies);
@@ -168,9 +183,11 @@ TEST(ServingConcurrencyTest, ReadersUninterruptedAcrossDeltaSplices) {
   constexpr std::size_t kReaders = 3;
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::size_t> reading{0};
 
   std::vector<std::function<void()>> bodies;
   bodies.push_back([&] {  // writer
+    wait_for_readers(reading, kReaders);
     for (std::size_t k = 0; k < kSplices; ++k) {
       const double eps = (k % 2 == 0) ? kHighEps : kLowEps;
       service.delegate(owner_name(0), eps, provider_name(0));
@@ -183,14 +200,17 @@ TEST(ServingConcurrencyTest, ReadersUninterruptedAcrossDeltaSplices) {
   for (std::size_t r = 0; r < kReaders; ++r) {
     bodies.push_back([&, r] {
       std::size_t j = r;
-      while (!done.load(std::memory_order_acquire)) {
+      bool first = true;
+      do {
         j = (j + 1) % kOwners;
         const auto result = service.query_ppi_with_status(owner_name(j));
         require(result.providers == expect.low[j] ||
                     result.providers == expect.high[j],
                 "answer matches neither reachable epoch");
         answered.fetch_add(1, std::memory_order_relaxed);
-      }
+        if (first) reading.fetch_add(1, std::memory_order_release);
+        first = false;
+      } while (!done.load(std::memory_order_acquire));
     });
   }
   run_threads(bodies);
@@ -209,10 +229,13 @@ TEST(ServingConcurrencyTest, BatchNeverMixesEpochs) {
 
   const auto owners = all_owner_names();
   constexpr std::size_t kSwaps = 100;
+  constexpr std::size_t kReaders = 2;
   std::atomic<bool> done{false};
+  std::atomic<std::size_t> reading{0};
 
   std::vector<std::function<void()>> bodies;
   bodies.push_back([&] {  // writer
+    wait_for_readers(reading, kReaders);
     for (std::size_t k = 0; k < kSwaps; ++k) {
       const double eps = (k % 2 == 0) ? kHighEps : kLowEps;
       service.delegate(owner_name(0), eps, provider_name(0));
@@ -220,9 +243,10 @@ TEST(ServingConcurrencyTest, BatchNeverMixesEpochs) {
     }
     done.store(true, std::memory_order_release);
   });
-  for (std::size_t r = 0; r < 2; ++r) {
+  for (std::size_t r = 0; r < kReaders; ++r) {
     bodies.push_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
+      bool first = true;
+      do {
         const auto batch = service.query_ppi_many(owners);
         const bool is_low = batch.providers == expect.low;
         const bool is_high = batch.providers == expect.high;
@@ -235,7 +259,9 @@ TEST(ServingConcurrencyTest, BatchNeverMixesEpochs) {
         // Batched and single answers from one snapshot acquisition agree.
         require(batch.providers.size() == owners.size(),
                 "batch answer count mismatch");
-      }
+        if (first) reading.fetch_add(1, std::memory_order_release);
+        first = false;
+      } while (!done.load(std::memory_order_acquire));
     });
   }
   run_threads(bodies);

@@ -104,7 +104,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <mutex>
 #include <span>
 #include <sstream>
 #include <string>
@@ -119,13 +118,13 @@
 #include "core/construction_party.h"
 #include "core/epoch_store.h"
 #include "core/index_io.h"
+#include "core/locator_http.h"
 #include "core/locator_service.h"
 #include "core/posting_index.h"
 #include "dataset/collection_table.h"
 #include "net/mini_http.h"
 #include "net/socket_transport.h"
 #include "obs/registry.h"
-#include "obs/slow_log.h"
 #include "obs/trace.h"
 #include "obs/trace_json.h"
 #include "obs/trace_merge.h"
@@ -428,22 +427,6 @@ void write_trace_file(const std::string& path) {
             << '\n';
 }
 
-// GET /trace: the trace ring as newline-delimited JSON.
-eppi::net::HttpResponse trace_endpoint() {
-  eppi::net::HttpResponse resp;
-  resp.content_type = "application/x-ndjson";
-  resp.body = eppi::obs::to_jsonl(eppi::obs::default_sink().drain());
-  return resp;
-}
-
-// GET /slowlog: the K slowest query_ppi_many batches, slowest first.
-eppi::net::HttpResponse slowlog_endpoint() {
-  eppi::net::HttpResponse resp;
-  resp.content_type = "application/x-ndjson";
-  resp.body = eppi::obs::to_jsonl(eppi::obs::SlowQueryLog::global().snapshot());
-  return resp;
-}
-
 // SIGTERM/SIGINT request a clean drain: finish the work in flight, tear the
 // runtime down in order, exit 0. Handlers only set the flag; drain points
 // poll it.
@@ -586,7 +569,7 @@ int cmd_party(const std::vector<std::string>& args) {
             resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
             resp.body = eppi::obs::Registry::global().render_prometheus();
           } else if (req.path == "/trace") {
-            resp = trace_endpoint();
+            resp = eppi::core::trace_response();
           } else {
             resp.status = 404;
             resp.body = "not found\n";
@@ -764,128 +747,14 @@ int cmd_serve(const std::vector<std::string>& args) {
     // supervisors can reserve it; operational chatter goes to stderr.
     //
     // Besides the read path (/query), the daemon accepts membership churn:
-    // POST /delegate (owner,eps,provider per line), POST /retire (provider
-    // per line), POST /rebuild (publishes the next epoch — incrementally
-    // when only a few owners moved, unless --no-delta). Queries stay
-    // lock-free on the snapshot; the admin mutex only serializes writers.
+    // POST /delegate, /retire and /rebuild (the next epoch is published
+    // incrementally when only a few owners moved, unless --no-delta). The
+    // routes live in core/locator_http.h.
     install_terminate_handler();
-    std::mutex admin_mu;
+    eppi::core::LocatorHttp routes(service);
     eppi::net::MiniHttpServer http(
-        listen_port, [&](const eppi::net::HttpRequest& req) {
-          eppi::net::HttpResponse resp;
-          if (req.path == "/healthz") {
-            resp.body = "ok\n";
-            return resp;
-          }
-          if (req.path == "/metrics") {
-            resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-            resp.body = eppi::obs::Registry::global().render_prometheus();
-            return resp;
-          }
-          if (req.path == "/trace") return trace_endpoint();
-          if (req.path == "/slowlog") return slowlog_endpoint();
-          if (req.path.rfind("/query", 0) == 0) {
-            std::vector<std::string> owners;
-            if (req.method == "POST") {
-              std::istringstream body(req.body);
-              std::string owner;
-              while (std::getline(body, owner)) {
-                if (!owner.empty() && owner.back() == '\r') owner.pop_back();
-                if (!owner.empty()) owners.push_back(owner);
-              }
-            } else {
-              const auto pos = req.path.find("?owner=");
-              if (pos != std::string::npos) {
-                owners.push_back(req.path.substr(pos + 7));
-              }
-            }
-            if (owners.empty()) {
-              resp.status = 400;
-              resp.body = "no owners given\n";
-              return resp;
-            }
-            const auto result = service.query_ppi_many(owners);
-            std::ostringstream lines;
-            for (std::size_t i = 0; i < owners.size(); ++i) {
-              for (const auto& prov : result.providers[i]) {
-                lines << owners[i] << ',' << prov << '\n';
-              }
-            }
-            resp.content_type = "text/csv; charset=utf-8";
-            resp.body = lines.str();
-            return resp;
-          }
-          if (req.path == "/delegate" && req.method == "POST") {
-            std::scoped_lock lock(admin_mu);
-            std::istringstream body(req.body);
-            std::string line;
-            std::size_t applied = 0;
-            try {
-              while (std::getline(body, line)) {
-                if (!line.empty() && line.back() == '\r') line.pop_back();
-                if (line.empty()) continue;
-                const auto c1 = line.find(',');
-                const auto c2 =
-                    c1 == std::string::npos ? c1 : line.find(',', c1 + 1);
-                if (c2 == std::string::npos) {
-                  throw eppi::ConfigError("expected owner,eps,provider: " +
-                                          line);
-                }
-                service.delegate(line.substr(0, c1),
-                                 std::stod(line.substr(c1 + 1, c2 - c1 - 1)),
-                                 line.substr(c2 + 1));
-                ++applied;
-              }
-            } catch (const std::exception& err) {
-              resp.status = 400;
-              resp.body = std::string(err.what()) + "\n";
-              return resp;
-            }
-            resp.body = "delegated " + std::to_string(applied) + "\n";
-            return resp;
-          }
-          if (req.path == "/retire" && req.method == "POST") {
-            std::scoped_lock lock(admin_mu);
-            std::istringstream body(req.body);
-            std::string line;
-            std::size_t applied = 0;
-            try {
-              while (std::getline(body, line)) {
-                if (!line.empty() && line.back() == '\r') line.pop_back();
-                if (line.empty()) continue;
-                service.retire_provider(line);
-                ++applied;
-              }
-            } catch (const std::exception& err) {
-              resp.status = 400;
-              resp.body = std::string(err.what()) + "\n";
-              return resp;
-            }
-            resp.body = "retired " + std::to_string(applied) + "\n";
-            return resp;
-          }
-          if (req.path == "/rebuild" && req.method == "POST") {
-            std::scoped_lock lock(admin_mu);
-            try {
-              service.construct_ppi();
-            } catch (const std::exception& err) {
-              resp.status = 500;
-              resp.body = std::string(err.what()) + "\n";
-              return resp;
-            }
-            const auto& info = service.last_rebuild();
-            std::ostringstream out;
-            out << "epoch=" << info.epoch << " delta=" << (info.delta ? 1 : 0)
-                << " degraded=" << (info.degraded ? 1 : 0)
-                << " dirty=" << info.dirty << " joined=" << info.joined
-                << " left=" << info.left << " churn=" << info.churn << '\n';
-            resp.body = out.str();
-            return resp;
-          }
-          resp.status = 404;
-          resp.body = "not found\n";
-          return resp;
-        });
+        listen_port,
+        [&](const eppi::net::HttpRequest& req) { return routes(req); });
     http.start();
     std::cerr << "eppi_serve: " << net.identities() << " owners across "
               << net.providers() << " providers; HTTP on port " << http.port()
