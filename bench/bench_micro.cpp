@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "core/beta_policy.h"
 #include "core/constructor.h"
+#include "core/epoch_manager.h"
 #include "core/posting_index.h"
 #include "core/ppi_index.h"
 #include "core/publisher.h"
@@ -153,6 +154,27 @@ void BM_CentralizedConstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CentralizedConstruct)->Arg(200)->Arg(1000);
+
+// One full sticky epoch as the daemon builds it: the β prologue over the
+// per-owner truth, the identity-major emitter and the PostingIndex encode.
+void BM_PublishEpoch(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kOwners = 50000;
+  eppi::Rng rng(9);
+  eppi::dataset::SyntheticConfig config;
+  config.providers = m;
+  config.identities = kOwners;
+  const auto truth = eppi::core::owner_truth(
+      eppi::dataset::make_zipf_network(config, rng).membership);
+  const std::vector<double> eps(kOwners, 0.6);
+  eppi::core::EpochManager manager;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(manager.rebuild(truth, eps));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(m * kOwners));
+}
+BENCHMARK(BM_PublishEpoch)->Arg(200)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_PostingIndexQuery(benchmark::State& state) {
   eppi::Rng rng(8);

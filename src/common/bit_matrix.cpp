@@ -72,4 +72,14 @@ void BitMatrix::or_with(const BitMatrix& other) {
   for (std::size_t k = 0; k < words_.size(); ++k) words_[k] |= other.words_[k];
 }
 
+std::size_t BitMatrix::hamming_distance(const BitMatrix& other) const {
+  require(rows_ == other.rows_ && cols_ == other.cols_,
+          "BitMatrix: shape mismatch in hamming_distance");
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < words_.size(); ++k) {
+    count += static_cast<std::size_t>(std::popcount(words_[k] ^ other.words_[k]));
+  }
+  return count;
+}
+
 }  // namespace eppi

@@ -42,6 +42,11 @@ class BitMatrix {
   // OR another matrix of identical shape into this one.
   void or_with(const BitMatrix& other);
 
+  // Cells where this matrix and another of identical shape differ: XOR and
+  // popcount over the packed words (the padding bits past cols() are zero
+  // in every row, so they never count).
+  std::size_t hamming_distance(const BitMatrix& other) const;
+
   bool operator==(const BitMatrix& other) const noexcept = default;
 
  private:

@@ -25,24 +25,33 @@ std::uint64_t EpochManager::provider_key(std::size_t provider) const noexcept {
   return mix64(options_.master_key ^ (0xA5A5A5A5A5A5A5A5ULL + provider));
 }
 
-bool EpochManager::sticky_mix_coin(std::size_t identity,
-                                   double lambda) const noexcept {
-  if (lambda <= 0.0) return false;
-  if (lambda >= 1.0) return true;
-  const std::uint64_t draw =
-      mix64(mix64(options_.master_key ^ 0x5bd1e995ULL) + identity);
-  const long double scaled =
-      static_cast<long double>(lambda) * 18446744073709551616.0L;
-  const std::uint64_t threshold =
-      scaled >= 18446744073709551615.0L ? ~std::uint64_t{0}
-                                        : static_cast<std::uint64_t>(scaled);
-  return draw < threshold;
+std::vector<std::uint64_t> EpochManager::provider_keys(std::size_t m) const {
+  std::vector<std::uint64_t> keys(m);
+  for (std::size_t i = 0; i < m; ++i) keys[i] = provider_key(i);
+  return keys;
+}
+
+std::span<const std::uint8_t> EpochManager::retired_prefix(
+    std::size_t m) const noexcept {
+  return std::span<const std::uint8_t>(retired_).first(
+      std::min(retired_.size(), m));
+}
+
+bool EpochManager::MixingCoins::operator()(
+    std::size_t identity) const noexcept {
+  return sticky_bit(mix64(stream + identity), threshold);
+}
+
+EpochManager::MixingCoins EpochManager::mixing_coins(
+    double lambda) const noexcept {
+  return MixingCoins{mix64(options_.master_key ^ 0x5bd1e995ULL),
+                     sticky_threshold(lambda)};
 }
 
 EpochManager::EpochResult EpochManager::rebuild(
-    const eppi::BitMatrix& truth, std::span<const double> epsilons) {
-  const std::size_t m = truth.rows();
-  const std::size_t n = truth.cols();
+    const OwnerTruth& truth, std::span<const double> epsilons) {
+  const std::size_t m = truth.providers;
+  const std::size_t n = truth.identities();
   require(epsilons.size() == n, "EpochManager: epsilon count mismatch");
   require(m >= 1, "EpochManager: need at least one provider");
 
@@ -51,48 +60,72 @@ EpochManager::EpochResult EpochManager::rebuild(
   span.attr("identities", n);
   span.attr("distributed", false);
 
-  // β calculation with deterministic, monotone mixing.
+  // β calculation with deterministic, monotone mixing. Frequencies are the
+  // truth lists' lengths.
   ConstructionInfo info;
-  info.betas.resize(n);
-  info.is_common.assign(n, false);
-  info.is_apparent_common.assign(n, false);
-  info.thresholds.resize(n);
   std::vector<double> raw(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    require(epsilons[j] >= 0.0 && epsilons[j] <= 1.0,
-            "EpochManager: epsilon out of [0,1]");
-    const double sigma =
-        static_cast<double>(truth.col_count(j)) / static_cast<double>(m);
-    raw[j] = beta_raw(options_.policy, sigma, epsilons[j], m);
-    info.is_common[j] = raw[j] >= 1.0;
-    info.thresholds[j] = common_threshold(options_.policy, epsilons[j], m);
-  }
-  std::size_t n_common = 0;
-  for (std::size_t j = 0; j < n; ++j) n_common += info.is_common[j] ? 1 : 0;
-  info.xi = xi_for(info.is_common, epsilons);
-  info.lambda =
-      options_.enable_mixing ? lambda_for(info.xi, n_common, n) : 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (info.is_common[j] ||
-        (options_.enable_mixing && sticky_mix_coin(j, info.lambda))) {
-      info.betas[j] = 1.0;
-      info.is_apparent_common[j] = true;
-    } else {
-      info.betas[j] = raw[j] < 0.0 ? 0.0 : raw[j];
+  {
+    obs::Span beta_span("serve.rebuild.beta");
+    info.betas.resize(n);
+    info.is_common.assign(n, false);
+    info.is_apparent_common.assign(n, false);
+    info.thresholds.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      require(epsilons[j] >= 0.0 && epsilons[j] <= 1.0,
+              "EpochManager: epsilon out of [0,1]");
+      const double sigma = static_cast<double>(truth.owners[j].size()) /
+                           static_cast<double>(m);
+      raw[j] = beta_raw(options_.policy, sigma, epsilons[j], m);
+      info.is_common[j] = raw[j] >= 1.0;
+      info.thresholds[j] = common_threshold(options_.policy, epsilons[j], m);
     }
+    std::size_t n_common = 0;
+    for (std::size_t j = 0; j < n; ++j) n_common += info.is_common[j] ? 1 : 0;
+    info.xi = xi_for(info.is_common, epsilons);
+    info.lambda =
+        options_.enable_mixing ? lambda_for(info.xi, n_common, n) : 0.0;
+    const MixingCoins mixed = mixing_coins(info.lambda);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (info.is_common[j] || (options_.enable_mixing && mixed(j))) {
+        info.betas[j] = 1.0;
+        info.is_apparent_common[j] = true;
+      } else {
+        info.betas[j] = raw[j] < 0.0 ? 0.0 : raw[j];
+      }
+    }
+    beta_span.attr("common", n_common);
   }
 
-  // Sticky publication.
-  std::vector<std::uint64_t> keys(m);
-  for (std::size_t i = 0; i < m; ++i) keys[i] = provider_key(i);
-  eppi::BitMatrix published =
-      sticky_publish_matrix(truth, info.betas, keys);
-  zero_retired_rows(published);
+  // Sticky publication, identity by identity, straight into posting lists.
+  PostingLists lists;
+  {
+    obs::Span emit_span("serve.rebuild.emit");
+    const StickyEmitter emitter(provider_keys(m), info.betas,
+                                retired_prefix(m));
+    lists = emitter.publish(truth);
+    emit_span.attr("identities", n);
+    emit_span.attr("cells_hashed", emitter.cells_hashed());
+    emit_span.attr("full_columns", emitter.full_columns());
+  }
+
+  // One encoding serves the snapshot and the store; the dense matrix is
+  // scattered from the same lists as the delta path's splice base.
+  std::shared_ptr<const PostingIndex> postings;
+  eppi::BitMatrix published(m, n);
+  {
+    obs::Span encode_span("serve.rebuild.encode");
+    postings = std::make_shared<const PostingIndex>(m, lists);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (const ProviderId p : lists.row(j)) published.set(p, j, true);
+    }
+    encode_span.attr("entries", lists.entries.size());
+  }
+  lists = PostingLists{};
 
   const std::size_t churn = churn_against_previous(published);
   // Commit first (durable), then mutate: if the store throws, the manager
   // keeps serving the old epoch unchanged and a retry is safe.
-  adopt_epoch(published, info.lambda);
+  adopt_epoch(published, info.lambda, nullptr, postings.get());
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
 
@@ -107,15 +140,16 @@ EpochManager::EpochResult EpochManager::rebuild(
   result.info = std::move(info);
   result.epoch = epoch_;
   result.churn = churn;
+  result.postings = std::move(postings);
   result.index = PpiIndex(std::move(published));
   return result;
 }
 
 EpochManager::EpochResult EpochManager::rebuild_delta(
-    const eppi::BitMatrix& truth, std::span<const double> epsilons,
+    const OwnerTruth& truth, std::span<const double> epsilons,
     const DeltaRequest& request) {
-  const std::size_t m = truth.rows();
-  const std::size_t n = truth.cols();
+  const std::size_t m = truth.providers;
+  const std::size_t n = truth.identities();
   require(epsilons.size() == n, "EpochManager: epsilon count mismatch");
   require(m >= 1, "EpochManager: need at least one provider");
   apply_membership(request, m);
@@ -156,8 +190,8 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
     if (!dirty[j]) continue;
     require(epsilons[j] >= 0.0 && epsilons[j] <= 1.0,
             "EpochManager: epsilon out of [0,1]");
-    const double sigma =
-        static_cast<double>(truth.col_count(j)) / static_cast<double>(m);
+    const double sigma = static_cast<double>(truth.owners[j].size()) /
+                         static_cast<double>(m);
     last_raw_[j] = beta_raw(options_.policy, sigma, epsilons[j], m);
     last_info_.is_common[j] = last_raw_[j] >= 1.0;
     last_info_.thresholds[j] = common_threshold(options_.policy, epsilons[j], m);
@@ -178,10 +212,10 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   // λ moving can flip any identity's sticky mixing decision, so the dirty
   // set widens to every identity whose β or apparent-common bit changed.
   std::vector<std::uint8_t> affected = dirty;
+  const MixingCoins mixed = mixing_coins(lambda);
   for (std::size_t j = 0; j < n; ++j) {
     const bool apparent =
-        last_info_.is_common[j] ||
-        (options_.enable_mixing && sticky_mix_coin(j, lambda));
+        last_info_.is_common[j] || (options_.enable_mixing && mixed(j));
     const double beta =
         apparent ? 1.0 : (last_raw_[j] < 0.0 ? 0.0 : last_raw_[j]);
     if (apparent != last_info_.is_apparent_common[j] ||
@@ -204,16 +238,9 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
     }
   }
 
-  std::vector<StickyPublisher> publishers;
-  publishers.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    publishers.emplace_back(provider_key(i));
-  }
-  const auto publish_cell = [&](std::size_t i, std::size_t j) {
-    if (i < retired_.size() && retired_[i]) return false;
-    return truth.get(i, j) ||
-           publishers[i].noise_bit(j, last_info_.betas[j]);
-  };
+  // The same emitter, thresholds and PRF draws as the full path.
+  const StickyEmitter emitter(provider_keys(m), last_info_.betas,
+                              retired_prefix(m));
   // Every write below stores the cell's FINAL value, so overlaps (a joined
   // row crossing an affected column) are written twice with the same bit
   // and the flip count stays exact.
@@ -232,14 +259,25 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   }
   std::size_t recomputed = 0;
   std::vector<IdentityId> affected_ids;
+  std::vector<ProviderId> column;
   for (std::size_t j = 0; j < n; ++j) {
     if (!affected[j]) continue;
     ++recomputed;
     affected_ids.push_back(static_cast<IdentityId>(j));
-    for (std::size_t i = 0; i < m; ++i) write_cell(i, j, publish_cell(i, j));
+    column.clear();
+    emitter.emit(static_cast<IdentityId>(j), truth.owners[j], column);
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const bool bit = k < column.size() && column[k] == i;
+      k += bit ? 1 : 0;
+      write_cell(i, j, bit);
+    }
   }
   for (const ProviderId p : request.joined) {
-    for (std::size_t j = 0; j < n; ++j) write_cell(p, j, publish_cell(p, j));
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto id = static_cast<IdentityId>(j);
+      write_cell(p, j, emitter.publishes(p, id, truth.holds(p, id)));
+    }
   }
 
   const std::size_t churn = shape_changed ? m * n : flips;
@@ -298,18 +336,13 @@ std::size_t EpochManager::churn_against_previous(
       previous_.cols() != published.cols()) {
     return published.rows() * published.cols();
   }
-  std::size_t churn = 0;
-  for (std::size_t i = 0; i < published.rows(); ++i) {
-    for (std::size_t j = 0; j < published.cols(); ++j) {
-      if (previous_.get(i, j) != published.get(i, j)) ++churn;
-    }
-  }
-  return churn;
+  return previous_.hamming_distance(published);
 }
 
 void EpochManager::adopt_epoch(const eppi::BitMatrix& published,
                                double lambda,
-                               const EpochStore::EpochDelta* delta_rec) {
+                               const EpochStore::EpochDelta* delta_rec,
+                               const PostingIndex* encoded) {
   if (store_ != nullptr) {
     bool as_delta = false;
     if (delta_rec != nullptr && options_.delta_base_interval > 0 &&
@@ -327,6 +360,9 @@ void EpochManager::adopt_epoch(const eppi::BitMatrix& published,
     }
     if (as_delta) {
       store_->commit_delta(*delta_rec);
+    } else if (encoded != nullptr) {
+      store_->commit_epoch(epoch_ + 1, *encoded, lambda,
+                           commit_lexicon_.get());
     } else {
       store_->commit_epoch(epoch_ + 1, PostingIndex(published), lambda,
                            commit_lexicon_.get());

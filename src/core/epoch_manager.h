@@ -36,6 +36,8 @@
 #include "core/constructor.h"
 #include "core/distributed_constructor.h"
 #include "core/epoch_store.h"
+#include "core/owner_truth.h"
+#include "core/posting_index.h"
 #include "core/ppi_index.h"
 
 namespace eppi::core {
@@ -72,6 +74,10 @@ class EpochManager {
 
   struct EpochResult {
     PpiIndex index;
+    // The epoch encoded once, straight from the emitted posting lists: what
+    // the store committed and what a serving snapshot can share. Set by
+    // full rebuilds; null when the epoch was spliced by the delta path.
+    std::shared_ptr<const PostingIndex> postings;
     ConstructionInfo info;
     std::uint64_t epoch = 0;
     // Cells that differ from the previous epoch's published matrix
@@ -81,9 +87,17 @@ class EpochManager {
     DeltaStats delta;
   };
 
-  // Builds the next epoch's index for the current network state.
-  EpochResult rebuild(const eppi::BitMatrix& truth,
+  // Builds the next epoch's index for the current network state: the β
+  // prologue over list lengths, one identity-major StickyEmitter pass, and
+  // one PostingIndex encoded from its lists (spans serve.rebuild.beta,
+  // .emit and .encode).
+  EpochResult rebuild(const OwnerTruth& truth,
                       std::span<const double> epsilons);
+  // The same over a dense truth, converted once with owner_truth().
+  EpochResult rebuild(const eppi::BitMatrix& truth,
+                      std::span<const double> epsilons) {
+    return rebuild(owner_truth(truth), epsilons);
+  }
 
   // Input to an incremental rebuild. Contract: `dirty` must name every
   // identity whose global frequency or ε could have changed since the
@@ -107,9 +121,14 @@ class EpochManager {
   // epoch is journaled as a delta record unless the record would overflow
   // or the replay chain hit delta_base_interval, in which case a full index
   // file is committed (the published matrix is identical either way).
-  EpochResult rebuild_delta(const eppi::BitMatrix& truth,
+  EpochResult rebuild_delta(const OwnerTruth& truth,
                             std::span<const double> epsilons,
                             const DeltaRequest& request);
+  EpochResult rebuild_delta(const eppi::BitMatrix& truth,
+                            std::span<const double> epsilons,
+                            const DeltaRequest& request) {
+    return rebuild_delta(owner_truth(truth), epsilons, request);
+  }
 
   struct DistributedEpochResult {
     PpiIndex index;             // fresh on success; the previous epoch's
@@ -192,22 +211,39 @@ class EpochManager {
   bool serving() const noexcept { return has_previous_; }
   PpiIndex current_index() const;  // requires serving(); copies
   // The served epoch's published matrix without the PpiIndex copy — the
-  // serving tier inverts it straight into a PostingIndex snapshot. The
-  // reference is invalidated by the next successful rebuild/attach_store
-  // (writer-side use only; readers go through LocatorService's snapshots).
+  // delta splice's base and the builder-side index. The reference is
+  // invalidated by the next successful rebuild/attach_store (writer-side
+  // use only; readers go through LocatorService's snapshots).
   const eppi::BitMatrix& current_matrix() const;  // requires serving()
 
- private:
+  // Provider `provider`'s sticky publication key under the master key
+  // (public so tests can replay the publication rule cell by cell).
   std::uint64_t provider_key(std::size_t provider) const noexcept;
-  bool sticky_mix_coin(std::size_t identity, double lambda) const noexcept;
+
+ private:
+  // The sticky λ-mixing coins under one λ: identity j is mixed iff its
+  // fixed PRF draw falls below λ's threshold, both derived once.
+  struct MixingCoins {
+    std::uint64_t stream = 0;
+    std::uint64_t threshold = 0;
+    bool operator()(std::size_t identity) const noexcept;
+  };
+  MixingCoins mixing_coins(double lambda) const noexcept;
+  std::vector<std::uint64_t> provider_keys(std::size_t m) const;
+  // retired_ clipped to the first m providers (the emitter's view).
+  std::span<const std::uint8_t> retired_prefix(std::size_t m) const noexcept;
   std::size_t churn_against_previous(const eppi::BitMatrix& published) const;
   // Commits (store attached) and starts serving `published`. When
   // `delta_rec` is non-null and the store's lineage head can base a delta
   // of that shape, the epoch is journaled as a delta record instead of a
-  // full index file.
+  // full index file; a full commit stores `encoded` when given (the same
+  // epoch already encoded) instead of inverting `published` again.
   void adopt_epoch(const eppi::BitMatrix& published, double lambda,
-                   const EpochStore::EpochDelta* delta_rec = nullptr);
+                   const EpochStore::EpochDelta* delta_rec = nullptr,
+                   const PostingIndex* encoded = nullptr);
   void apply_membership(const DeltaRequest& request, std::size_t m);
+  // The distributed paths' retirement rule (the centralized emitter skips
+  // retired providers itself).
   void zero_retired_rows(eppi::BitMatrix& published) const;
   // Cells the served index is behind by relative to `truth`: true postings
   // not yet published plus bits still shown in retired rows.

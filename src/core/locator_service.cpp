@@ -103,10 +103,10 @@ ProviderId LocatorService::register_provider(const std::string& name) {
   if (inserted) {
     provider_names_.push_back(name);
     retired_providers_.push_back(0);
+    truth_.providers = provider_names_.size();
     // A provider appearing after an epoch is already served enters through
     // the join protocol at the next construction round.
     if (manager_.serving()) pending_joined_.push_back(it->second);
-    matrix_dirty_ = true;
   } else if (it->second < retired_providers_.size() &&
              retired_providers_[it->second] != 0) {
     // A retired name registering again is a rejoin: the id (and with it the
@@ -114,7 +114,6 @@ ProviderId LocatorService::register_provider(const std::string& name) {
     retired_providers_[it->second] = 0;
     std::erase(pending_left_, it->second);
     pending_joined_.push_back(it->second);
-    matrix_dirty_ = true;
   }
   return it->second;
 }
@@ -126,7 +125,7 @@ IdentityId LocatorService::register_owner(const std::string& name) {
     owner_names_.push_back(name);
     epsilons_.push_back(options_.default_epsilon);
     dirty_owners_.push_back(1);  // a new column is dirty by definition
-    matrix_dirty_ = true;
+    truth_.owners.emplace_back();
     lexicon_dirty_ = true;
   }
   return it->second;
@@ -149,11 +148,19 @@ void LocatorService::delegate(const std::string& owner, double epsilon,
   const IdentityId t = register_owner(owner);
   const ProviderId p = register_provider(provider);
   epsilons_[t] = epsilon;
-  facts_.emplace_back(p, t);
+  // Keep the owner's list ascending: loaders delegate provider by provider,
+  // so the common case is an append; a repeated fact is a no-op.
+  std::vector<ProviderId>& holders = truth_.owners[t];
+  if (holders.empty() || holders.back() < p) {
+    holders.push_back(p);
+  } else {
+    const auto at = std::lower_bound(holders.begin(), holders.end(), p);
+    if (*at != p) holders.insert(at, p);
+  }
   mark_owner_dirty(t);
-  matrix_dirty_ = true;
   // The builder's index no longer reflects the data; the *published*
   // snapshot stays up for readers until the next construct_ppi() swap.
+  built_ = false;
   index_.reset();
   report_.reset();
 }
@@ -174,12 +181,14 @@ void LocatorService::retire_provider(const std::string& name) {
   pending_left_.push_back(p);
   // Withdraw its delegated facts; every identity it held changes global
   // frequency, so those columns must be recomputed.
-  std::erase_if(facts_, [&](const std::pair<ProviderId, IdentityId>& f) {
-    if (f.first != p) return false;
-    mark_owner_dirty(f.second);
-    return true;
-  });
-  matrix_dirty_ = true;
+  for (std::size_t t = 0; t < truth_.owners.size(); ++t) {
+    std::vector<ProviderId>& holders = truth_.owners[t];
+    const auto at = std::lower_bound(holders.begin(), holders.end(), p);
+    if (at == holders.end() || *at != p) continue;
+    holders.erase(at);
+    mark_owner_dirty(static_cast<IdentityId>(t));
+  }
+  built_ = false;
   index_.reset();
   report_.reset();
 }
@@ -188,23 +197,14 @@ bool LocatorService::provider_retired(ProviderId p) const {
   return p < retired_providers_.size() && retired_providers_[p] != 0;
 }
 
-const eppi::BitMatrix& LocatorService::rebuild_matrix() const {
-  if (matrix_dirty_) {
-    cached_matrix_ =
-        eppi::BitMatrix(provider_names_.size(), owner_names_.size());
-    for (const auto& [p, t] : facts_) cached_matrix_.set(p, t, true);
-    matrix_dirty_ = false;
-  }
-  return cached_matrix_;
-}
-
 void LocatorService::construct_ppi() {
-  require(!facts_.empty(), "LocatorService: nothing delegated yet");
+  require(std::any_of(truth_.owners.begin(), truth_.owners.end(),
+                      [](const auto& holders) { return !holders.empty(); }),
+          "LocatorService: nothing delegated yet");
   obs::Span span("serve.build");
   span.attr("providers", provider_names_.size());
   span.attr("owners", owner_names_.size());
   span.attr("distributed", options_.distributed);
-  const eppi::BitMatrix& truth = rebuild_matrix();
   const std::size_t n = owner_names_.size();
   dirty_owners_.resize(n, 0);
   // Freeze the owner catalog the epoch is built against; a store-attached
@@ -258,6 +258,7 @@ void LocatorService::construct_ppi() {
   std::vector<ProviderId> touched = req.joined;
   touched.insert(touched.end(), req.left.begin(), req.left.end());
   bool spliced = false;
+  std::shared_ptr<const PostingIndex> encoded;
 
   if (options_.distributed) {
     DistributedOptions dopt;
@@ -266,10 +267,14 @@ void LocatorService::construct_ppi() {
     dopt.c = options_.c;
     dopt.seed = options_.seed;
     dopt.fault_tolerance = options_.fault_tolerance;
+    // The MPC inputs are provider rows: the one place the service needs
+    // the dense truth.
+    const eppi::BitMatrix truth = dense_truth(truth_);
     auto result =
         use_delta ? manager_.rebuild_delta_distributed(truth, epsilons_, req, dopt)
                   : manager_.rebuild_distributed(truth, epsilons_, dopt);
-    index_ = std::move(result.index);
+    built_ = true;
+    index_.reset();
     last_rebuild_.epoch = result.epoch;
     last_rebuild_.churn = result.churn;
     last_rebuild_.delta = result.delta.delta;
@@ -288,15 +293,17 @@ void LocatorService::construct_ppi() {
     spliced = result.delta.delta;
     affected = std::move(result.delta.affected_ids);
   } else {
-    auto result = use_delta ? manager_.rebuild_delta(truth, epsilons_, req)
-                            : manager_.rebuild(truth, epsilons_);
-    index_ = std::move(result.index);
+    auto result = use_delta ? manager_.rebuild_delta(truth_, epsilons_, req)
+                            : manager_.rebuild(truth_, epsilons_);
+    built_ = true;
+    index_.reset();
     last_rebuild_.epoch = result.epoch;
     last_rebuild_.churn = result.churn;
     last_rebuild_.delta = result.delta.delta;
     last_rebuild_.recomputed = result.delta.recomputed;
     spliced = result.delta.delta;
     affected = std::move(result.delta.affected_ids);
+    encoded = std::move(result.postings);
     report_.reset();
   }
 
@@ -306,6 +313,8 @@ void LocatorService::construct_ppi() {
   pending_left_.clear();
   if (spliced) {
     publish_snapshot_spliced(affected, touched);
+  } else if (encoded != nullptr) {
+    publish_with(std::move(encoded));  // the epoch the manager encoded
   } else {
     publish_snapshot();
   }
@@ -317,7 +326,8 @@ void LocatorService::attach_store(EpochStore& store) {
   // Resume answering from the recovered epoch right away (the manager has
   // adopted the store's lineage); a later construct_ppi() replaces it with
   // a fresh one.
-  index_ = PpiIndex(manager_.current_matrix());
+  built_ = true;
+  index_.reset();
   const auto latest = store.latest_epoch();
   if (latest.has_value() && owner_names_.empty()) {
     // A fresh process attaching a populated store has no in-memory owner
@@ -337,7 +347,7 @@ void LocatorService::attach_store(EpochStore& store) {
       }
       epsilons_.assign(owner_names_.size(), options_.default_epsilon);
       dirty_owners_.assign(owner_names_.size(), 1);
-      matrix_dirty_ = true;
+      truth_.owners.resize(owner_names_.size());
       lexicon_cache_ = std::move(loaded.lexicon);
       lexicon_dirty_ = false;
     }
@@ -349,14 +359,15 @@ void LocatorService::attach_store(EpochStore& store) {
 }
 
 void LocatorService::publish_snapshot() {
-  publish_with(std::make_shared<const PostingIndex>(index_->matrix()));
+  publish_with(
+      std::make_shared<const PostingIndex>(manager_.current_matrix()));
 }
 
 void LocatorService::publish_snapshot_spliced(
     std::span<const IdentityId> affected,
     std::span<const ProviderId> touched) {
   const auto prev = snapshot_.acquire();
-  const eppi::BitMatrix& published = index_->matrix();
+  const eppi::BitMatrix& published = manager_.current_matrix();
   if (prev == nullptr || prev->postings == nullptr ||
       prev->postings->identities() > published.cols() ||
       prev->postings->providers() > published.rows()) {
@@ -564,8 +575,8 @@ LocatorService::BatchQueryResult LocatorService::query_ppi_many(
 }
 
 const PpiIndex& LocatorService::index() const {
-  require(index_.has_value(),
-          "LocatorService: ConstructPPI has not been run");
+  require(built_, "LocatorService: ConstructPPI has not been run");
+  if (!index_.has_value()) index_.emplace(manager_.current_matrix());
   return *index_;
 }
 
@@ -574,7 +585,6 @@ LocatorService::SearchResult LocatorService::search(
     const Authorizer& authorize) const {
   const auto it = owner_ids_.find(owner);
   require(it != owner_ids_.end(), "LocatorService: unknown owner");
-  const eppi::BitMatrix& truth = rebuild_matrix();
 
   SearchResult result;
   for (const ProviderId p : index().query(it->second)) {
@@ -584,7 +594,7 @@ LocatorService::SearchResult LocatorService::search(
       result.denied.push_back(name);
       continue;
     }
-    if (truth.get(p, it->second)) result.matched.push_back(name);
+    if (truth_.holds(p, it->second)) result.matched.push_back(name);
   }
   return result;
 }

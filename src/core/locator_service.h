@@ -53,6 +53,7 @@
 #include "core/distributed_constructor.h"
 #include "core/epoch_manager.h"
 #include "core/epoch_snapshot.h"
+#include "core/owner_truth.h"
 #include "core/ppi_index.h"
 #include "obs/registry.h"
 
@@ -142,7 +143,10 @@ class LocatorService {
   // of going dark.
   void construct_ppi();
 
-  bool constructed() const noexcept { return index_.has_value(); }
+  bool constructed() const noexcept { return built_; }
+  // The builder's view of the served epoch as a dense index, materialized
+  // on first use after each construction (the serving path never needs
+  // it).
   const PpiIndex& index() const;
 
   // How the most recent construct_ppi() ran — whether the incremental path
@@ -275,10 +279,11 @@ class LocatorService {
   SearchResult search(const std::string& searcher, const std::string& owner,
                       const Authorizer& authorize = {}) const;
 
-  // Ground-truth membership (the union of providers' private repositories);
-  // exposed for experiments and tests, not part of the public protocol.
-  const eppi::BitMatrix& membership_for_testing() const {
-    return rebuild_matrix();
+  // Ground-truth membership (the union of providers' private repositories)
+  // as a dense matrix built from the per-owner truth; exposed for
+  // experiments and tests, not part of the public protocol.
+  eppi::BitMatrix membership_for_testing() const {
+    return dense_truth(truth_);
   }
 
  private:
@@ -286,7 +291,6 @@ class LocatorService {
   // so services in one process (common in tests) never share counters.
   LocatorService(Options options, const obs::Labels& instance);
 
-  const eppi::BitMatrix& rebuild_matrix() const;
   void mark_owner_dirty(IdentityId t);
   // Writer side: freeze the current builder state + manager staleness into
   // a new immutable snapshot and swap it in.
@@ -324,7 +328,10 @@ class LocatorService {
   std::unordered_map<std::string, ProviderId> provider_ids_;
   std::unordered_map<std::string, IdentityId> owner_ids_;
   std::vector<double> epsilons_;                 // per owner
-  std::vector<std::pair<ProviderId, IdentityId>> facts_;
+  // Delegated facts, per owner: the truth the epochs are built from.
+  // delegate() inserts into one list, retire_provider() erases a provider
+  // from every list.
+  OwnerTruth truth_;
   // Churn bookkeeping between constructions: which owner columns changed
   // (delegations, ε updates, withdrawn facts) and which provider rows are
   // entering/leaving at the next round. Cleared only on a successful
@@ -334,9 +341,10 @@ class LocatorService {
   std::vector<ProviderId> pending_joined_;
   std::vector<ProviderId> pending_left_;
   RebuildInfo last_rebuild_;
-  mutable eppi::BitMatrix cached_matrix_;
-  mutable bool matrix_dirty_ = true;
-  std::optional<PpiIndex> index_;
+  // The builder's index is current: an epoch was built (or recovered) and
+  // nothing was delegated or retired since.
+  bool built_ = false;
+  mutable std::optional<PpiIndex> index_;  // index()'s lazily built copy
   std::optional<DistributedReport> report_;
   // Cached frozen owner catalog; rebuilt lazily when registrations dirtied
   // it (front-coding a million names on every republish would make the

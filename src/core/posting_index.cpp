@@ -10,18 +10,12 @@ namespace eppi::core {
 
 namespace {
 
-// Inverts columns [first, first + n_rows) of `matrix` into one flat entries
-// buffer plus per-row start offsets — exact-size, two word-walk passes, no
-// per-row allocations. This is the only place the serving tier touches the
-// dense matrix.
-struct FlatLists {
-  std::vector<std::size_t> start;     // n_rows + 1 prefix offsets
-  std::vector<ProviderId> entries;    // all rows' providers, concatenated
-};
-
-FlatLists invert_range(const eppi::BitMatrix& matrix, std::size_t first,
-                       std::size_t n_rows) {
-  FlatLists flat;
+// Inverts columns [first, first + n_rows) of `matrix` into lists laid end
+// to end — exact-size, two word-walk passes, no per-row allocations. This
+// is the only place the serving tier touches the dense matrix.
+PostingLists invert_range(const eppi::BitMatrix& matrix, std::size_t first,
+                          std::size_t n_rows) {
+  PostingLists flat;
   flat.start.assign(n_rows + 1, 0);
   const std::size_t end = first + n_rows;
   const std::size_t w_lo = first / 64;
@@ -65,15 +59,20 @@ FlatLists invert_range(const eppi::BitMatrix& matrix, std::size_t first,
   return flat;
 }
 
+// Encodes rows [from, from + n_rows) of `lists` as the shard of identities
+// [first, first + n_rows).
+PostingShard encode_shard(IdentityId first, std::size_t universe,
+                          const PostingLists& lists, std::size_t from,
+                          std::size_t n_rows) {
+  std::vector<std::span<const ProviderId>> rows(n_rows);
+  for (std::size_t r = 0; r < n_rows; ++r) rows[r] = lists.row(from + r);
+  return PostingShard(first, universe, rows);
+}
+
 PostingShard shard_from_matrix(const eppi::BitMatrix& matrix,
                                std::size_t first, std::size_t n_rows) {
-  const FlatLists flat = invert_range(matrix, first, n_rows);
-  std::vector<std::span<const ProviderId>> lists(n_rows);
-  for (std::size_t j = 0; j < n_rows; ++j) {
-    lists[j] = std::span<const ProviderId>(
-        flat.entries.data() + flat.start[j], flat.start[j + 1] - flat.start[j]);
-  }
-  return PostingShard(static_cast<IdentityId>(first), matrix.rows(), lists);
+  return encode_shard(static_cast<IdentityId>(first), matrix.rows(),
+                      invert_range(matrix, first, n_rows), 0, n_rows);
 }
 
 // Does provider row `p` have any published bit in columns [first, end)?
@@ -237,6 +236,21 @@ PostingIndex::PostingIndex(std::size_t providers,
     slice.assign(lists.begin() + first, lists.begin() + first + n);
     shards_.push_back(std::make_shared<const PostingShard>(
         PostingShard(static_cast<IdentityId>(first), providers, slice)));
+  }
+}
+
+PostingIndex::PostingIndex(std::size_t providers, const PostingLists& lists,
+                           std::size_t shard_span)
+    : providers_(providers), identities_(lists.rows()),
+      shard_span_(shard_span) {
+  require(shard_span_ > 0 && shard_span_ % 64 == 0,
+          "PostingIndex: shard span must be a positive multiple of 64");
+  shards_.reserve((identities_ + shard_span_ - 1) / shard_span_);
+  for (std::size_t first = 0; first < identities_; first += shard_span_) {
+    const std::size_t n = std::min(shard_span_, identities_ - first);
+    shards_.push_back(std::make_shared<const PostingShard>(
+        encode_shard(static_cast<IdentityId>(first), providers, lists, first,
+                     n)));
   }
 }
 

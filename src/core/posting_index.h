@@ -49,6 +49,22 @@ namespace eppi::core {
 // shard ranges are word-aligned in the BitMatrix walk.
 inline constexpr std::size_t kDefaultShardSpan = std::size_t{1} << 16;
 
+// Posting lists laid end to end: row j is entries[start[j], start[j+1]).
+// The form the publication emitter writes and the shards encode — one
+// allocation for every row instead of one vector per identity.
+struct PostingLists {
+  std::vector<std::size_t> start{0};  // rows() + 1 prefix offsets
+  std::vector<ProviderId> entries;    // every row's providers, concatenated
+
+  std::size_t rows() const noexcept { return start.size() - 1; }
+  std::span<const ProviderId> row(std::size_t j) const noexcept {
+    return std::span<const ProviderId>(entries).subspan(
+        start[j], start[j + 1] - start[j]);
+  }
+  // Closes the row whose providers were just appended to `entries`.
+  void end_row() { start.push_back(entries.size()); }
+};
+
 // One immutable range of compressed posting rows. Built by PostingIndex
 // (from a matrix walk, explicit lists, or deserialized v3 sections); query
 // decode is bounds-checked so even a CRC-passing-but-hostile arena cannot
@@ -126,6 +142,11 @@ class PostingIndex {
   // storage-replay path builds epochs this way — no dense matrix involved.
   PostingIndex(std::size_t providers,
                std::span<const std::vector<ProviderId>> lists,
+               std::size_t shard_span = kDefaultShardSpan);
+
+  // From lists laid end to end (the publication emitter's output): the
+  // epoch is encoded straight from them, with no matrix in between.
+  PostingIndex(std::size_t providers, const PostingLists& lists,
                std::size_t shard_span = kDefaultShardSpan);
 
   // From deserialized shards (the v3 load path). The shards must tile

@@ -1,6 +1,7 @@
 #include "core/sticky_publisher.h"
 
-#include <cmath>
+#include <algorithm>
+#include <bit>
 
 #include "common/error.h"
 
@@ -17,78 +18,134 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+// The key's half of draw(key, j) = mix(stream(key) + j).
+std::uint64_t stream_of(std::uint64_t key) noexcept {
+  return mix(key ^ 0x9e3779b97f4a7c15ULL);
+}
+
 }  // namespace
 
+std::uint64_t sticky_threshold(double beta) noexcept {
+  if (!(beta > 0.0)) return 0;
+  if (beta >= 1.0) return kEveryDraw;
+  // β < 1 is at most 1 − 2⁻⁵³, so the product is below 2⁶⁴ − 2¹¹: the
+  // truncating cast is in range and exact to the floor.
+  return static_cast<std::uint64_t>(static_cast<long double>(beta) *
+                                    18446744073709551616.0L);  // β · 2^64
+}
+
+StickyPublisher::StickyPublisher(std::uint64_t key) noexcept
+    : stream_(stream_of(key)) {}
+
 std::uint64_t StickyPublisher::draw(std::uint64_t identity) const noexcept {
-  return mix(mix(key_ ^ 0x9e3779b97f4a7c15ULL) + identity);
+  return mix(stream_ + identity);
 }
 
 bool StickyPublisher::noise_bit(std::uint64_t identity,
                                 double beta) const noexcept {
-  if (beta <= 0.0) return false;
-  if (beta >= 1.0) return true;
-  const long double scaled =
-      static_cast<long double>(beta) * 18446744073709551616.0L;  // beta * 2^64
-  const std::uint64_t threshold =
-      scaled >= 18446744073709551615.0L
-          ? ~std::uint64_t{0}
-          : static_cast<std::uint64_t>(scaled);
-  return draw(identity) < threshold;
+  return sticky_bit(draw(identity), sticky_threshold(beta));
 }
 
-std::vector<std::uint8_t> StickyPublisher::publish_row(
-    std::span<const std::uint8_t> local,
-    std::span<const double> betas) const {
-  require(local.size() == betas.size(),
-          "StickyPublisher: row/beta size mismatch");
-  std::vector<std::uint8_t> published(local.size());
-  for (std::size_t j = 0; j < local.size(); ++j) {
-    require(local[j] <= 1, "StickyPublisher: membership bits must be Boolean");
-    published[j] =
-        (local[j] != 0 || noise_bit(j, betas[j])) ? 1 : 0;
+StickyEmitter::StickyEmitter(std::span<const std::uint64_t> keys,
+                             std::span<const double> betas,
+                             std::span<const std::uint8_t> retired) {
+  require(retired.size() <= keys.size(),
+          "StickyEmitter: more retired flags than providers");
+  streams_.reserve(keys.size());
+  for (const std::uint64_t key : keys) streams_.push_back(stream_of(key));
+  thresholds_.reserve(betas.size());
+  for (const double beta : betas) thresholds_.push_back(sticky_threshold(beta));
+  active_.assign((keys.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i < retired.size() && retired[i] != 0) continue;
+    active_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    active_ids_.push_back(static_cast<ProviderId>(i));
   }
-  return published;
 }
 
-eppi::BitMatrix sticky_publish_matrix(const eppi::BitMatrix& truth,
-                                      std::span<const double> betas,
-                                      std::span<const std::uint64_t> keys) {
-  require(betas.size() == truth.cols(),
-          "sticky_publish_matrix: beta count mismatch");
-  require(keys.size() == truth.rows(),
-          "sticky_publish_matrix: one key per provider required");
-  eppi::BitMatrix published(truth.rows(), truth.cols());
-  for (std::size_t i = 0; i < truth.rows(); ++i) {
-    const StickyPublisher publisher(keys[i]);
-    for (std::size_t j = 0; j < truth.cols(); ++j) {
-      if (truth.get(i, j) || publisher.noise_bit(j, betas[j])) {
-        published.set(i, j, true);
-      }
+void StickyEmitter::emit(IdentityId j, std::span<const ProviderId> truth,
+                         std::vector<ProviderId>& out) const {
+  require(j < thresholds_.size(), "StickyEmitter: identity out of range");
+  const std::size_t m = streams_.size();
+  require(truth.empty() || truth.back() < m,
+          "StickyEmitter: truth names a provider out of range");
+  const std::uint64_t threshold = thresholds_[j];
+  if (threshold == kEveryDraw) {
+    out.insert(out.end(), active_ids_.begin(), active_ids_.end());
+    return;
+  }
+  if (threshold == 0) {
+    for (const ProviderId p : truth) {
+      if (active(p)) out.push_back(p);
+    }
+    return;
+  }
+  // 64 providers at a time: the draws become a mask, the truth bits are
+  // ORed in, retired providers masked out, and the set bits emitted in
+  // ascending order.
+  std::size_t k = 0;
+  for (std::size_t base = 0; base < m; base += 64) {
+    const std::size_t width = std::min<std::size_t>(64, m - base);
+    const std::uint64_t* streams = streams_.data() + base;
+    std::uint64_t bits = 0;
+    for (std::size_t b = 0; b < width; ++b) {
+      bits |= static_cast<std::uint64_t>(mix(streams[b] + j) < threshold) << b;
+    }
+    for (; k < truth.size() && truth[k] < base + 64; ++k) {
+      bits |= std::uint64_t{1} << (truth[k] - base);
+    }
+    bits &= active_[base >> 6];
+    for (; bits != 0; bits &= bits - 1) {
+      out.push_back(static_cast<ProviderId>(
+          base + static_cast<std::size_t>(std::countr_zero(bits))));
     }
   }
-  return published;
 }
 
-std::vector<std::vector<std::uint32_t>> sticky_publish_postings(
-    const eppi::BitMatrix& truth, std::span<const double> betas,
-    std::span<const std::uint64_t> keys) {
-  require(betas.size() == truth.cols(),
-          "sticky_publish_postings: beta count mismatch");
-  require(keys.size() == truth.rows(),
-          "sticky_publish_postings: one key per provider required");
-  std::vector<std::vector<std::uint32_t>> lists(truth.cols());
-  // Provider-major walk appends ascending provider ids, so every list
-  // comes out sorted — exactly what the PostingIndex list constructor
-  // requires.
-  for (std::size_t i = 0; i < truth.rows(); ++i) {
-    const StickyPublisher publisher(keys[i]);
-    for (std::size_t j = 0; j < truth.cols(); ++j) {
-      if (truth.get(i, j) || publisher.noise_bit(j, betas[j])) {
-        lists[j].push_back(static_cast<std::uint32_t>(i));
-      }
-    }
+bool StickyEmitter::publishes(ProviderId i, IdentityId j, bool truth) const {
+  require(i < streams_.size() && j < thresholds_.size(),
+          "StickyEmitter: cell out of range");
+  return active(i) &&
+         (truth || sticky_bit(mix(streams_[i] + j), thresholds_[j]));
+}
+
+PostingLists StickyEmitter::publish(const OwnerTruth& truth) const {
+  require(truth.providers == providers(),
+          "StickyEmitter: one key per provider required");
+  require(truth.identities() == identities(),
+          "StickyEmitter: beta count mismatch");
+  // Reserve the expected size (true cells plus β of the rest, with 1%
+  // headroom) so the entries buffer is allocated once, not doubled.
+  double expected = 0.0;
+  for (std::size_t j = 0; j < identities(); ++j) {
+    const double known = static_cast<double>(truth.owners[j].size());
+    const double rate = thresholds_[j] == kEveryDraw
+                            ? 1.0
+                            : static_cast<double>(thresholds_[j]) * 0x1p-64;
+    expected += known + rate * (static_cast<double>(providers()) - known);
+  }
+  PostingLists lists;
+  lists.start.reserve(identities() + 1);
+  lists.entries.reserve(static_cast<std::size_t>(expected * 1.01) +
+                        providers());
+  for (std::size_t j = 0; j < identities(); ++j) {
+    emit(static_cast<IdentityId>(j), truth.owners[j], lists.entries);
+    lists.end_row();
   }
   return lists;
+}
+
+std::size_t StickyEmitter::cells_hashed() const noexcept {
+  std::size_t hashed = 0;
+  for (const std::uint64_t t : thresholds_) {
+    hashed += t != 0 && t != kEveryDraw ? streams_.size() : 0;
+  }
+  return hashed;
+}
+
+std::size_t StickyEmitter::full_columns() const noexcept {
+  return static_cast<std::size_t>(
+      std::count(thresholds_.begin(), thresholds_.end(), kEveryDraw));
 }
 
 }  // namespace eppi::core

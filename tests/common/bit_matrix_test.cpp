@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 
@@ -74,6 +77,38 @@ TEST(BitMatrixTest, OrWithShapeMismatchThrows) {
   BitMatrix a(2, 10);
   BitMatrix b(2, 11);
   EXPECT_THROW(a.or_with(b), ConfigError);
+}
+
+// The churn count of every full rebuild: XOR + popcount over row words must
+// equal a per-bit comparison, including shapes whose rows end mid-word.
+TEST(BitMatrixTest, HammingDistanceMatchesPerBitReference) {
+  eppi::Rng rng(31);
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 1}, {3, 63}, {5, 65}, {7, 130}, {64, 64}, {13, 200}}) {
+    for (const double density : {0.0, 0.1, 0.5, 0.9}) {
+      BitMatrix a(rows, cols);
+      BitMatrix b(rows, cols);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          if (rng.bernoulli(density)) a.set(i, j, true);
+          if (rng.bernoulli(density)) b.set(i, j, true);
+        }
+      }
+      std::size_t reference = 0;
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          reference += a.get(i, j) != b.get(i, j) ? 1 : 0;
+        }
+      }
+      EXPECT_EQ(a.hamming_distance(b), reference)
+          << rows << "x" << cols << " density " << density;
+      EXPECT_EQ(b.hamming_distance(a), reference);
+      EXPECT_EQ(a.hamming_distance(a), 0u);
+    }
+  }
+  EXPECT_THROW(BitMatrix(2, 3).hamming_distance(BitMatrix(2, 4)),
+               eppi::ConfigError);
 }
 
 TEST(BitMatrixTest, EqualityComparesContent) {

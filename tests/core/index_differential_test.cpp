@@ -369,10 +369,10 @@ TEST(IndexDifferentialTest, ManagerDeltaLifecycleRecoversIdentically) {
 }
 
 // Sticky publication in posting space is the same publication: the lists
-// sticky_publish_postings emits must invert sticky_publish_matrix exactly,
-// bit for bit, for the same (truth, betas, keys) — the matrix-free
-// construction path is not allowed to publish even one different noise
-// bit.
+// the emitter publishes must invert the matrix of per-cell noise_bit
+// decisions exactly, bit for bit, for the same (truth, betas, keys) — the
+// matrix-free construction path is not allowed to publish even one
+// different noise bit.
 TEST(IndexDifferentialTest, StickyPostingPublicationMatchesMatrix) {
   const std::size_t m = 37;
   const std::size_t n = 130;
@@ -383,14 +383,25 @@ TEST(IndexDifferentialTest, StickyPostingPublicationMatchesMatrix) {
   std::vector<std::uint64_t> keys(m);
   for (auto& k : keys) k = rng.next();
 
-  const eppi::BitMatrix published =
-      sticky_publish_matrix(truth, betas, keys);
-  const auto lists = sticky_publish_postings(truth, betas, keys);
-  ASSERT_EQ(lists.size(), n);
-  for (std::size_t j = 0; j < n; ++j) {
-    EXPECT_EQ(lists[j], dense_query(published, j)) << "identity " << j;
+  eppi::BitMatrix published(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    const StickyPublisher publisher(keys[i]);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (truth.get(i, j) || publisher.noise_bit(j, betas[j])) {
+        published.set(i, j, true);
+      }
+    }
   }
-  // And the compressed index built from those lists answers like the
+  const PostingLists lists =
+      StickyEmitter(keys, betas).publish(owner_truth(truth));
+  ASSERT_EQ(lists.rows(), n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto row = lists.row(j);
+    EXPECT_EQ(std::vector<ProviderId>(row.begin(), row.end()),
+              dense_query(published, j))
+        << "identity " << j;
+  }
+  // And the compressed index encoded from those lists answers like the
   // matrix built the classic way.
   const PostingIndex postings(m, lists, 64);
   expect_identical(published, postings, "sticky postings");

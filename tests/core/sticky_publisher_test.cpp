@@ -6,16 +6,37 @@
 #include "common/rng.h"
 #include "core/publisher.h"
 #include "dataset/synthetic.h"
+#include "fixtures/publication.h"
 
 namespace eppi::core {
 namespace {
 
+// One provider's published row: a one-provider epoch through the emitter.
+std::vector<std::uint8_t> publish_row(std::uint64_t key,
+                                      const std::vector<std::uint8_t>& local,
+                                      const std::vector<double>& betas) {
+  OwnerTruth truth;
+  truth.providers = 1;
+  truth.owners.resize(local.size());
+  for (std::size_t j = 0; j < local.size(); ++j) {
+    if (local[j] != 0) truth.owners[j] = {0};
+  }
+  const std::vector<std::uint64_t> keys{key};
+  const PostingLists lists = StickyEmitter(keys, betas).publish(truth);
+  std::vector<std::uint8_t> row(local.size());
+  for (std::size_t j = 0; j < local.size(); ++j) {
+    row[j] = lists.row(j).empty() ? 0 : 1;
+  }
+  return row;
+}
+
+using fixtures::sticky_matrix;
+
 TEST(StickyPublisherTest, DeterministicAcrossCalls) {
-  const StickyPublisher publisher(42);
   const std::vector<std::uint8_t> local{0, 1, 0, 0, 1};
   const std::vector<double> betas{0.3, 0.3, 0.7, 0.0, 1.0};
-  const auto a = publisher.publish_row(local, betas);
-  const auto b = publisher.publish_row(local, betas);
+  const auto a = publish_row(42, local, betas);
+  const auto b = publish_row(42, local, betas);
   EXPECT_EQ(a, b);
 }
 
@@ -23,8 +44,8 @@ TEST(StickyPublisherTest, DifferentKeysDecorrelate) {
   constexpr std::size_t kN = 4096;
   const std::vector<std::uint8_t> local(kN, 0);
   const std::vector<double> betas(kN, 0.5);
-  const auto a = StickyPublisher(1).publish_row(local, betas);
-  const auto b = StickyPublisher(2).publish_row(local, betas);
+  const auto a = publish_row(1, local, betas);
+  const auto b = publish_row(2, local, betas);
   std::size_t same = 0;
   for (std::size_t j = 0; j < kN; ++j) same += a[j] == b[j] ? 1 : 0;
   // Independent coins agree ~half the time.
@@ -32,23 +53,21 @@ TEST(StickyPublisherTest, DifferentKeysDecorrelate) {
 }
 
 TEST(StickyPublisherTest, TruthfulBitsAlwaysPublished) {
-  const StickyPublisher publisher(7);
   const std::vector<std::uint8_t> local{1, 1, 1};
   const std::vector<double> betas{0.0, 0.0, 0.0};
-  const auto row = publisher.publish_row(local, betas);
+  const auto row = publish_row(7, local, betas);
   for (const auto bit : row) EXPECT_EQ(bit, 1);
 }
 
 TEST(StickyPublisherTest, MonotoneInBeta) {
   // Raising beta can only add noise, never remove it — the property that
   // makes successive reconstructions intersection-safe.
-  const StickyPublisher publisher(99);
   constexpr std::size_t kN = 2048;
   const std::vector<std::uint8_t> local(kN, 0);
   std::vector<std::uint8_t> previous(kN, 0);
   for (const double beta : {0.1, 0.3, 0.5, 0.8, 1.0}) {
     const std::vector<double> betas(kN, beta);
-    const auto row = publisher.publish_row(local, betas);
+    const auto row = publish_row(99, local, betas);
     for (std::size_t j = 0; j < kN; ++j) {
       EXPECT_GE(row[j], previous[j]) << "beta=" << beta << " j=" << j;
     }
@@ -59,12 +78,11 @@ TEST(StickyPublisherTest, MonotoneInBeta) {
 TEST(StickyPublisherTest, MarginalRateMatchesBeta) {
   // Across identities, the noise bits are Bernoulli(beta).
   constexpr std::size_t kN = 20000;
-  const StickyPublisher publisher(123);
+  const std::vector<std::uint8_t> local(kN, 0);
   for (const double beta : {0.2, 0.5, 0.8}) {
+    const auto row = publish_row(123, local, std::vector<double>(kN, beta));
     std::size_t ones = 0;
-    for (std::size_t j = 0; j < kN; ++j) {
-      ones += publisher.noise_bit(j, beta) ? 1 : 0;
-    }
+    for (const auto bit : row) ones += bit;
     EXPECT_NEAR(static_cast<double>(ones) / kN, beta, 0.02) << beta;
   }
 }
@@ -75,16 +93,23 @@ TEST(StickyPublisherTest, BetaEdgeCases) {
   EXPECT_TRUE(publisher.noise_bit(0, 1.0));
   EXPECT_FALSE(publisher.noise_bit(0, -1.0));
   EXPECT_TRUE(publisher.noise_bit(0, 2.0));
+  EXPECT_EQ(sticky_threshold(0.0), 0u);
+  EXPECT_EQ(sticky_threshold(0.5), std::uint64_t{1} << 63);
+  EXPECT_EQ(sticky_threshold(1.0), kEveryDraw);
+  EXPECT_LT(sticky_threshold(1.0 - 0x1p-53), kEveryDraw);
 }
 
 TEST(StickyPublisherTest, ValidatesInput) {
-  const StickyPublisher publisher(5);
-  const std::vector<std::uint8_t> bad{2};
+  const std::vector<std::uint64_t> keys{5};
   const std::vector<double> betas{0.5};
-  EXPECT_THROW(publisher.publish_row(bad, betas), eppi::ConfigError);
-  const std::vector<std::uint8_t> ok{1};
-  const std::vector<double> wrong{0.5, 0.5};
-  EXPECT_THROW(publisher.publish_row(ok, wrong), eppi::ConfigError);
+  const StickyEmitter emitter(keys, betas);
+  std::vector<ProviderId> out;
+  const std::vector<ProviderId> beyond{1};  // only provider 0 exists
+  EXPECT_THROW(emitter.emit(0, beyond, out), eppi::ConfigError);
+  EXPECT_THROW(emitter.emit(1, {}, out), eppi::ConfigError);
+  EXPECT_THROW(emitter.publishes(1, 0, false), eppi::ConfigError);
+  const std::vector<std::uint8_t> too_many{0, 0};
+  EXPECT_THROW(StickyEmitter(keys, betas, too_many), eppi::ConfigError);
 }
 
 TEST(StickyPublishMatrixTest, ReconstructionOfUnchangedDataIsIdentical) {
@@ -94,8 +119,8 @@ TEST(StickyPublishMatrixTest, ReconstructionOfUnchangedDataIsIdentical) {
   const std::vector<double> betas{0.4, 0.2, 0.7};
   std::vector<std::uint64_t> keys(30);
   for (auto& k : keys) k = rng.next();
-  const auto first = sticky_publish_matrix(net.membership, betas, keys);
-  const auto second = sticky_publish_matrix(net.membership, betas, keys);
+  const auto first = sticky_matrix(net.membership, betas, keys);
+  const auto second = sticky_matrix(net.membership, betas, keys);
   EXPECT_EQ(first, second);
   EXPECT_TRUE(full_recall(net.membership, first));
 }
@@ -111,8 +136,8 @@ TEST(StickyPublishMatrixTest, IntersectionAcrossEpochsRevealsNothingNew) {
   std::vector<std::uint64_t> keys(kM);
   for (auto& k : keys) k = rng.next();
 
-  const auto epoch1 = sticky_publish_matrix(truth, betas, keys);
-  const auto epoch2 = sticky_publish_matrix(truth, betas, keys);
+  const auto epoch1 = sticky_matrix(truth, betas, keys);
+  const auto epoch2 = sticky_matrix(truth, betas, keys);
   std::size_t sticky_intersection = 0;
   for (std::size_t i = 0; i < kM; ++i) {
     if (epoch1.get(i, 0) && epoch2.get(i, 0)) ++sticky_intersection;
@@ -134,10 +159,10 @@ TEST(StickyPublishMatrixTest, ValidatesShapes) {
   eppi::BitMatrix truth(3, 2);
   const std::vector<double> betas{0.5};  // wrong length
   const std::vector<std::uint64_t> keys{1, 2, 3};
-  EXPECT_THROW(sticky_publish_matrix(truth, betas, keys), eppi::ConfigError);
+  EXPECT_THROW(sticky_matrix(truth, betas, keys), eppi::ConfigError);
   const std::vector<double> ok_betas{0.5, 0.5};
   const std::vector<std::uint64_t> bad_keys{1};
-  EXPECT_THROW(sticky_publish_matrix(truth, ok_betas, bad_keys),
+  EXPECT_THROW(sticky_matrix(truth, ok_betas, bad_keys),
                eppi::ConfigError);
 }
 

@@ -10,8 +10,8 @@
 #include "core/beta_policy.h"
 #include "core/constructor.h"
 #include "core/guarantee.h"
-#include "core/sticky_publisher.h"
 #include "dataset/synthetic.h"
+#include "fixtures/publication.h"
 
 namespace eppi::core {
 namespace {
@@ -101,7 +101,7 @@ TEST(MetamorphicTest, StickyPublicationCommutesWithProviderPermutation) {
   std::vector<std::uint64_t> keys(m);
   for (auto& k : keys) k = rng.next();
 
-  const auto base = sticky_publish_matrix(inst.truth, betas, keys);
+  const auto base = fixtures::sticky_matrix(inst.truth, betas, keys);
 
   const auto perm = random_permutation(m, 11);
   eppi::BitMatrix permuted_truth(m, n);
@@ -113,7 +113,7 @@ TEST(MetamorphicTest, StickyPublicationCommutesWithProviderPermutation) {
     }
   }
   const auto permuted =
-      sticky_publish_matrix(permuted_truth, betas, permuted_keys);
+      fixtures::sticky_matrix(permuted_truth, betas, permuted_keys);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_EQ(permuted.get(i, j), base.get(perm[i], j));
@@ -143,12 +143,12 @@ TEST(MetamorphicTest, PublishedNoiseIndependentAcrossIdentities) {
   eppi::Rng rng(6);
   std::vector<std::uint64_t> keys(m);
   for (auto& k : keys) k = rng.next();
-  const auto full = sticky_publish_matrix(inst.truth, betas, keys);
+  const auto full = fixtures::sticky_matrix(inst.truth, betas, keys);
 
   // Rebuild with identity 0's memberships cleared.
   eppi::BitMatrix truncated = inst.truth;
   for (std::size_t i = 0; i < m; ++i) truncated.set(i, 0, false);
-  const auto rebuilt = sticky_publish_matrix(truncated, betas, keys);
+  const auto rebuilt = fixtures::sticky_matrix(truncated, betas, keys);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 1; j < inst.truth.cols(); ++j) {
       EXPECT_EQ(rebuilt.get(i, j), full.get(i, j));

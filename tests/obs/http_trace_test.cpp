@@ -1,10 +1,12 @@
 // Lookup-path spans over a real server: a /query through MiniHttpServer and
 // LocatorHttp leaves one `http.request` span whose children are
 // `http.parse` (loop thread), `query.ppi_many` and `http.encode` (pool
-// thread) and `http.write` (loop thread). And the privacy rule for exported
-// telemetry: no owner name a client asked about appears in /trace or
-// /slowlog — span attributes and slow-log entries carry sizes, timings and
-// status only.
+// thread) and `http.write` (loop thread). A full rebuild leaves
+// `serve.rebuild` with children `serve.rebuild.beta`, `.emit` and
+// `.encode`. And the privacy rule for exported telemetry: no owner name a
+// client asked about or delegated appears in /trace or /slowlog — span
+// attributes and slow-log entries carry sizes, counts, timings and status
+// only.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -86,6 +88,11 @@ TEST(HttpTraceTest, QuerySpansFormOneTreeAndCarryNoOwnerNames) {
   ASSERT_NE(answer.find("zq-owner-gamma,prov2\n"), std::string::npos);
   ASSERT_FALSE(exchange(server.port(), get("/query?owner=zq-owner-beta"))
                    .empty());
+  // A new ε for one of three owners dirties a third of them: past the delta
+  // threshold, so the next epoch is a full rebuild.
+  service.delegate(owners[1], 0.7, "prov0");
+  service.construct_ppi();
+  ASSERT_FALSE(service.last_rebuild().delta);
   const std::string trace = exchange(server.port(), get("/trace"));
   const std::string slowlog = exchange(server.port(), get("/slowlog"));
   server.stop();
@@ -116,6 +123,31 @@ TEST(HttpTraceTest, QuerySpansFormOneTreeAndCarryNoOwnerNames) {
   for (const auto& ev : events) {
     if (ev.parent != 0) children[ev.parent].push_back(ev.name);
   }
+  // The full rebuild: three child spans whose attributes are counts only.
+  const obs::TraceEvent* rebuild = nullptr;
+  for (const auto& ev : events) {
+    if (ev.name == "serve.rebuild") rebuild = &ev;
+  }
+  ASSERT_NE(rebuild, nullptr);
+  std::vector<std::string> phases = children[rebuild->span];
+  std::sort(phases.begin(), phases.end());
+  EXPECT_EQ(phases, (std::vector<std::string>{"serve.rebuild.beta",
+                                              "serve.rebuild.emit",
+                                              "serve.rebuild.encode"}));
+  for (const auto& ev : events) {
+    if (ev.name.rfind("serve.rebuild.", 0) != 0) continue;
+    EXPECT_EQ(ev.parent, rebuild->span) << ev.name;
+    for (const auto& attr : ev.attrs) {
+      EXPECT_EQ(attr.kind, obs::TraceEvent::Attr::Kind::kU64)
+          << ev.name << "." << attr.key;
+    }
+    if (ev.name == "serve.rebuild.emit") {
+      EXPECT_EQ(ev.attr_u64("identities"), owners.size());
+      EXPECT_TRUE(ev.has_attr("cells_hashed"));
+      EXPECT_TRUE(ev.has_attr("full_columns"));
+    }
+  }
+
   ASSERT_EQ(queries.size(), 2u);
   for (const obs::TraceEvent* request : queries) {
     EXPECT_EQ(request->parent, 0u);

@@ -94,6 +94,8 @@
 //         --max-violations N   exit 1 if more than N causality violations
 //       Both gates back the multiprocess smoke: a merged m=4 run must
 //       reconstruct real cross-process parent links with zero violations.
+#include <malloc.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -654,6 +656,15 @@ eppi::dataset::CollectionTable smoke_table() {
 }
 
 int cmd_serve(const std::vector<std::string>& args) {
+  // Pin glibc's heap policy. Each /query answer is a buffer of a few hundred
+  // KiB from the main arena; with the default dynamic thresholds, whether
+  // freeing it trims the heap top (and the next answer faults its pages in
+  // again) depends on what set-up left on the heap, so request latency
+  // moved with unrelated changes to set-up. Fixed thresholds keep blocks
+  // under 4 MiB in the heap and trim only past 64 MiB of free top.
+  ::mallopt(M_MMAP_THRESHOLD, 4 << 20);
+  ::mallopt(M_TRIM_THRESHOLD, 64 << 20);
+
   std::string csv_path;
   double eps = 0.6;
   std::size_t threads = 2;
