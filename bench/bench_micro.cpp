@@ -3,10 +3,14 @@
 // compilation, plain/secure evaluation, SecSumShare, and PPI queries.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/beta_policy.h"
 #include "core/constructor.h"
 #include "core/epoch_manager.h"
+#include "core/owner_truth.h"
 #include "core/posting_index.h"
 #include "core/ppi_index.h"
 #include "core/publisher.h"
@@ -191,6 +195,93 @@ void BM_PostingIndexQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PostingIndexQuery);
+
+// An index shaped like the locator daemon's benchmark collection: m = 1000
+// providers, n = 50k owners, 2% of them held by 400-600 providers and the
+// rest by 1-8, published at ε = 0.6 under the default β policy.
+const eppi::core::PostingIndex& daemon_shaped_index() {
+  static const eppi::core::PostingIndex index = [] {
+    constexpr std::size_t kProviders = 1000;
+    constexpr std::size_t kOwners = 50000;
+    eppi::Rng rng(31);
+    eppi::core::OwnerTruth truth;
+    truth.providers = kProviders;
+    truth.owners.resize(kOwners);
+    std::vector<eppi::core::ProviderId> perm(kProviders);
+    for (std::size_t p = 0; p < kProviders; ++p) {
+      perm[p] = static_cast<eppi::core::ProviderId>(p);
+    }
+    for (auto& holders : truth.owners) {
+      const std::size_t k = rng.bernoulli(0.02) ? 400 + rng.next_below(201)
+                                                : 1 + rng.next_below(8);
+      for (std::size_t i = 0; i < k; ++i) {
+        std::swap(perm[i], perm[i + rng.next_below(kProviders - i)]);
+      }
+      holders.assign(perm.begin(), perm.begin() + static_cast<long>(k));
+      std::sort(holders.begin(), holders.end());
+    }
+    const std::vector<double> eps(kOwners, 0.6);
+    eppi::core::EpochManager manager;
+    return *manager.rebuild(truth, eps).postings;
+  }();
+  return index;
+}
+
+// Posting decode, checked (decode_postings, what a shard runs on every row
+// when it is built or loaded) against trusted (PostingShard's word-level
+// decoder, what /query runs). Arg 0 picks the rows: 0 = one Elias-Fano row
+// of ~20 entries over m = 1000, 1 = one all-ones bitvector row of 1000,
+// 2 = a 256-owner uniform batch over the daemon-shaped index. Arg 1: 0 =
+// checked, 1 = trusted. Items are decoded provider ids.
+void BM_DecodePostings(benchmark::State& state) {
+  using eppi::core::IdentityId;
+  using eppi::core::ProviderId;
+  const bool trusted = state.range(1) == 1;
+  const bool whole_batch = state.range(0) == 2;
+  std::vector<ProviderId> ids;
+  for (ProviderId p = 0; p < 1000; ++p) {
+    if (state.range(0) == 1 || p % 50 == 7) ids.push_back(p);
+  }
+  const eppi::core::PostingIndex one_row(
+      1000, std::vector<std::vector<ProviderId>>{ids});
+  const eppi::core::PostingIndex& index =
+      whole_batch ? daemon_shaped_index() : one_row;
+  std::vector<IdentityId> owners = {0};
+  if (whole_batch) {
+    eppi::Rng rng(32);
+    owners.assign(256, 0);
+    for (auto& j : owners) {
+      j = static_cast<IdentityId>(rng.next_below(index.identities()));
+    }
+  }
+  const std::size_t span = index.shard_span();
+  std::vector<ProviderId> batch;
+  std::vector<ProviderId> scratch;
+  for (auto _ : state) {
+    batch.clear();
+    for (const IdentityId j : owners) {
+      if (trusted) {
+        index.append_postings(j, batch);
+      } else {
+        const auto& shard = *index.shard(j / span);
+        const std::size_t row = j % span;
+        eppi::core::decode_postings(
+            shard.codec_of(row),
+            shard.arena().subspan(shard.tagged_offsets()[row] >> 2),
+            shard.universe(), scratch);
+        batch.insert(batch.end(), scratch.begin(), scratch.end());
+      }
+    }
+    benchmark::DoNotOptimize(batch.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.size()));
+  state.counters["entries"] = static_cast<double>(batch.size());
+}
+BENCHMARK(BM_DecodePostings)
+    ->ArgNames({"rows", "trusted"})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 void BM_PpiQuery(benchmark::State& state) {
   eppi::Rng rng(7);

@@ -95,13 +95,33 @@ std::optional<IdentityId> Lexicon::find(std::string_view name) const {
       hi = mid;
     }
   }
-  std::string scratch;
+  // Scan the block in place. `matched` is how much of the target the
+  // previous entry agreed with. An entry sharing less than that with its
+  // predecessor is past the target (it differs from the predecessor, hence
+  // from the target, upward at that byte); one sharing more still trails
+  // it; only an entry sharing exactly `matched` needs its suffix compared.
   const std::size_t first = lo * kBlock;
   const std::size_t last = std::min(first + kBlock, ids_.size());
+  std::size_t matched = 0;
   for (std::size_t rank = first; rank < last; ++rank) {
-    expand(rank, scratch);
-    if (scratch == name) return ids_[rank];
-    if (std::string_view(scratch) > name) break;  // sorted: gone past it
+    const std::size_t pfx = prefix_[rank];
+    if (pfx < matched) break;
+    if (pfx > matched) continue;
+    const std::size_t end =
+        rank + 1 < starts_.size() ? starts_[rank + 1] : arena_.size();
+    const std::string_view suffix(arena_.data() + starts_[rank],
+                                  end - starts_[rank]);
+    const std::string_view rest = name.substr(matched);
+    const std::size_t common = common_prefix(suffix, rest);
+    if (common == suffix.size()) {
+      if (common == rest.size()) return ids_[rank];
+      // The entry is a proper prefix of the target, so below it.
+    } else if (common == rest.size() ||
+               static_cast<unsigned char>(suffix[common]) >
+                   static_cast<unsigned char>(rest[common])) {
+      break;  // the entry sorts after the target
+    }
+    matched += common;
   }
   return std::nullopt;
 }

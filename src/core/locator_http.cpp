@@ -1,5 +1,6 @@
 #include "core/locator_http.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -122,9 +123,23 @@ std::string query_param(std::string_view query, std::string_view key) {
 }
 
 net::HttpResponse trace_response() {
+  // The request asking for the trace is traced too, and its `http.request`
+  // span ends only after this answer is written. Its children recorded so
+  // far go back into the ring, to leave with it at the next drain: no
+  // export carries a span whose parent it leaves out.
+  const std::uint64_t own = obs::current_span_context().trace_id;
+  std::vector<obs::SpanEvent> events = obs::default_sink().drain();
+  const auto held = std::stable_partition(
+      events.begin(), events.end(), [own](const obs::SpanEvent& ev) {
+        return own == 0 || ev.trace_id != own;
+      });
+  for (auto it = held; it != events.end(); ++it) {
+    obs::default_sink().record(*it);
+  }
+  events.erase(held, events.end());
   net::HttpResponse resp;
   resp.content_type = "application/x-ndjson";
-  resp.body = obs::to_jsonl(obs::default_sink().drain());
+  resp.body = obs::to_jsonl(events);
   return resp;
 }
 

@@ -51,7 +51,10 @@ class LocatorHttp {
   Mutex admin_mu_;
 };
 
-// GET /trace: every span recorded since the last drain, as JSON Lines.
+// GET /trace: every span recorded since the last drain, as JSON Lines —
+// except the spans of the /trace request itself, which wait in the ring
+// for the next drain, where their still-open `http.request` parent joins
+// them.
 net::HttpResponse trace_response();
 
 // The value of `key` in a URL query string ("a=1&owner=x%20y"),

@@ -459,19 +459,26 @@ std::shared_ptr<const EpochSnapshot> LocatorService::acquire_serving() const {
 void LocatorService::resolve_ids(const EpochSnapshot& snap,
                                  std::span<const std::string> owners,
                                  BatchIds& out) const {
+  // Resolve every name first (ends[k] holds owners[k]'s id meanwhile), so
+  // the answer is sized once from the rows' count peeks and each row is
+  // decoded straight into it.
   out.ids.clear();
   out.ends.clear();
   out.ends.reserve(owners.size());
-  std::vector<ProviderId> list;  // query_into's reused decode buffer
+  std::size_t total = 0;
   for (const auto& owner : owners) {
     const std::optional<IdentityId> id = snap.owners->find(owner);
     if (!id.has_value()) {
       unknown_owners_.add();
       throw UnknownOwnerError("LocatorService: unknown owner");
     }
-    snap.postings->query_into(*id, list);
-    out.ids.insert(out.ids.end(), list.begin(), list.end());
-    out.ends.push_back(out.ids.size());
+    out.ends.push_back(*id);
+    total += snap.postings->apparent_frequency(*id);
+  }
+  out.ids.reserve(total);
+  for (std::size_t& end : out.ends) {
+    snap.postings->append_postings(static_cast<IdentityId>(end), out.ids);
+    end = out.ids.size();
   }
 }
 

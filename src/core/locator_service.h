@@ -212,7 +212,7 @@ class LocatorService {
   // entry point wraps. Pins ONE snapshot, so the whole batch is answered
   // from a single consistent epoch even while a rebuild swaps snapshots
   // mid-flight; resolves each owner with Lexicon::find and decodes its
-  // posting list with PostingIndex::query_into into a reused buffer. No
+  // posting list with PostingIndex::append_postings straight into `ids`. No
   // per-provider string is made: a caller that wants names reads them from
   // snapshot->provider_names. Throws UnknownOwnerError if any owner is
   // unknown to the served epoch (`out` is then unspecified). Records the

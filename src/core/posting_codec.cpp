@@ -202,6 +202,11 @@ void decode_postings(PostingCodec codec, std::span<const std::uint8_t> bytes,
         throw SerializeError("posting codec: elias-fano low width > 32");
       }
       const std::size_t n = static_cast<std::size_t>(count);
+      // Only the width the encoder picks: it fixes the row's extent, so an
+      // arena's rows tile exactly by their encoded sizes.
+      if (l != ef_lo_bits(n, universe)) {
+        throw SerializeError("posting codec: non-canonical elias-fano width");
+      }
       const std::size_t lo_bytes = (n * l + 7) / 8;
       const std::size_t hi_bits = ef_hi_bits(n, universe, l);
       const std::size_t hi_bytes = (hi_bits + 7) / 8;

@@ -18,10 +18,14 @@
 //
 // Every encoding is self-describing (leading varint count), so a decoder
 // needs only the arena offset, never an end offset — and the count peek
-// gives O(1) apparent_frequency without decoding. Decoders are fully
-// bounds-checked against the provided span and throw SerializeError on any
-// overrun or non-canonical payload: a CRC-valid shard can still be hostile
-// bytes, and a decode must never crash or over-allocate.
+// gives O(1) apparent_frequency without decoding. The decoders here are the
+// checked ones: bounds-checked against the provided span, throwing
+// SerializeError on any overrun or malformed payload, because a CRC-valid
+// shard can still be hostile bytes and a decode must never crash or
+// over-allocate. They run once per row, when a PostingShard is built or
+// loaded (and in fsck and the fuzz tests). After that the shard's rows are
+// known good and the query path decodes them with PostingShard's trusted
+// word-level decoder, which re-checks nothing (core/posting_index.h).
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/bit_matrix.h"
 #include "common/error.h"
@@ -92,6 +93,106 @@ bool row_range_any(const eppi::BitMatrix& matrix, ProviderId p,
   return false;
 }
 
+// Encoded size of a row of `count` entries under `codec` (no padding).
+std::size_t encoded_bytes(PostingCodec codec, std::size_t count,
+                          std::size_t universe) noexcept {
+  switch (codec) {
+    case PostingCodec::kEmpty: return 0;
+    case PostingCodec::kBitvector:
+      return bitvector_encoded_bytes(count, universe);
+    case PostingCodec::kEliasFano:
+      return elias_fano_encoded_bytes(count, universe);
+  }
+  return 0;
+}
+
+// ------------------------------------------------- trusted row decoding --
+//
+// The query path's decoder. It re-checks nothing: every row it sees sits in
+// a constructed PostingShard, and a shard exists only after its rows were
+// validated (the list constructor checks its input before encoding; the
+// adopt constructor runs the checked decode_postings on every row). What it
+// keeps is memory safety of the loads themselves: a high-bit or bitmap load
+// stops at the end of its array, a low-part load at the arena's end, so the
+// arena needs no padding.
+
+static_assert(std::endian::native == std::endian::little,
+              "trusted posting decode reads little-endian words");
+
+// Up to 8 bytes at `p`, of which only the first `avail` are read (the rest
+// are zero): one 8-byte load everywhere but at a region's tail.
+inline std::uint64_t load_word(const std::uint8_t* p,
+                               std::size_t avail) noexcept {
+  std::uint64_t w = 0;
+  if (avail >= 8) [[likely]] {
+    std::memcpy(&w, p, 8);
+  } else {
+    std::memcpy(&w, p, avail);
+  }
+  return w;
+}
+
+inline std::uint64_t trusted_varint(const std::uint8_t*& p) noexcept {
+  std::uint64_t v = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const std::uint8_t b = *p++;
+    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+    if ((b & 0x80) == 0) return v;
+  }
+}
+
+// Appends row `p`'s providers to `out`; `end` is the arena's end.
+void append_trusted(PostingCodec codec, const std::uint8_t* p,
+                    const std::uint8_t* end, std::size_t universe,
+                    std::vector<ProviderId>& out) {
+  if (codec == PostingCodec::kEmpty) return;
+  const std::size_t n = static_cast<std::size_t>(trusted_varint(p));
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  ProviderId* dst = out.data() + at;
+  if (codec == PostingCodec::kBitvector) {
+    const std::size_t bytes = (universe + 7) / 8;
+    for (std::size_t w = 0; w * 8 < bytes; ++w) {
+      std::uint64_t word = load_word(p + w * 8, bytes - w * 8);
+      const auto base = static_cast<ProviderId>(w * 64);
+      if (word == ~std::uint64_t{0}) {  // a broadcast row's full words
+        for (ProviderId k = 0; k < 64; ++k) dst[k] = base + k;
+        dst += 64;
+        continue;
+      }
+      while (word != 0) {
+        *dst++ = base + static_cast<ProviderId>(std::countr_zero(word));
+        word &= word - 1;
+      }
+    }
+    return;
+  }
+  // Elias-Fano: the i-th set bit of the high array sits at (v >> l) + i,
+  // and v's low l bits are bits [i·l, i·l + l) of the low array (l <= 32,
+  // so one 8-byte load shifted by at most 7 holds them).
+  const unsigned l = *p++;
+  const std::uint8_t* lo = p;
+  const std::uint8_t* hi = lo + (n * l + 7) / 8;
+  const std::size_t hi_bytes = (((universe - 1) >> l) + n + 7) / 8;
+  const std::uint64_t lo_mask = (std::uint64_t{1} << l) - 1;
+  std::size_t i = 0;
+  for (std::size_t w = 0; i < n; ++w) {
+    std::uint64_t word = load_word(hi + w * 8, hi_bytes - w * 8);
+    while (word != 0) {
+      const std::size_t pos = w * 64 + static_cast<std::size_t>(
+                                           std::countr_zero(word));
+      word &= word - 1;
+      const std::size_t bit = i * l;
+      const std::uint8_t* q = lo + (bit >> 3);
+      const std::uint64_t low =
+          (load_word(q, static_cast<std::size_t>(end - q)) >> (bit & 7)) &
+          lo_mask;
+      dst[i] = static_cast<ProviderId>(((pos - i) << l) | low);
+      ++i;
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- shard --
@@ -103,12 +204,8 @@ PostingShard::PostingShard(IdentityId first, std::size_t universe,
   presence_.assign((universe + 63) / 64, 0);
   std::size_t payload = 0;
   for (const auto& list : lists) {
-    const PostingCodec codec = choose_codec(list.size(), universe);
-    payload += codec == PostingCodec::kBitvector
-                   ? bitvector_encoded_bytes(list.size(), universe)
-                   : codec == PostingCodec::kEliasFano
-                         ? elias_fano_encoded_bytes(list.size(), universe)
-                         : 0;
+    payload += encoded_bytes(choose_codec(list.size(), universe),
+                             list.size(), universe);
   }
   arena_.reserve(payload);
   for (const auto& list : lists) {
@@ -143,9 +240,10 @@ std::span<const std::uint8_t> PostingShard::row_span(std::size_t row) const {
   return std::span<const std::uint8_t>(arena_).subspan(offset);
 }
 
-void PostingShard::decode_row(std::size_t row,
+void PostingShard::append_row(std::size_t row,
                               std::vector<ProviderId>& out) const {
-  decode_postings(codec_of(row), row_span(row), universe_, out);
+  append_trusted(codec_of(row), arena_.data() + (offsets_[row] >> 2),
+                 arena_.data() + arena_.size(), universe_, out);
 }
 
 std::size_t PostingShard::row_count(std::size_t row) const {
@@ -158,15 +256,7 @@ bool PostingShard::provider_present(ProviderId p) const noexcept {
 }
 
 std::size_t PostingShard::row_payload_bytes(std::size_t row) const {
-  switch (codec_of(row)) {
-    case PostingCodec::kEmpty:
-      return 0;
-    case PostingCodec::kBitvector:
-      return bitvector_encoded_bytes(row_count(row), universe_);
-    case PostingCodec::kEliasFano:
-      return elias_fano_encoded_bytes(row_count(row), universe_);
-  }
-  return 0;
+  return encoded_bytes(codec_of(row), row_count(row), universe_);
 }
 
 std::size_t PostingShard::resident_bytes() const noexcept {
@@ -189,19 +279,17 @@ void PostingShard::rebuild_presence() {
     if (offset != expected_offset) {
       throw SerializeError("PostingShard: row offset breaks the arena tiling");
     }
-    decode_row(row, scratch);  // bounds-checked; throws on malformed rows
-    expected_offset = offset + row_payload_bytes(row);
-  }
-  if (expected_offset != arena_.size()) {
-    throw SerializeError("PostingShard: arena larger than its rows");
-  }
-  // Presence fill wants the decoded rows too; do it in a second pass so the
-  // validation above stays readable. (Load-time only; not a hot path.)
-  for (std::size_t row = 0; row < offsets_.size(); ++row) {
-    decode_row(row, scratch);
+    // The checked decoder: every row the trusted one will ever read passes
+    // through here first, and a malformed row throws.
+    decode_postings(codec_of(row), row_span(row), universe_, scratch);
     for (const ProviderId p : scratch) {
       presence_[p >> 6] |= std::uint64_t{1} << (p & 63);
     }
+    expected_offset = offset + encoded_bytes(codec_of(row), scratch.size(),
+                                             universe_);
+  }
+  if (expected_offset != arena_.size()) {
+    throw SerializeError("PostingShard: arena larger than its rows");
   }
 }
 
@@ -343,9 +431,15 @@ std::vector<ProviderId> PostingIndex::query(IdentityId identity) const {
 
 void PostingIndex::query_into(IdentityId identity,
                               std::vector<ProviderId>& out) const {
+  out.clear();
+  append_postings(identity, out);
+}
+
+void PostingIndex::append_postings(IdentityId identity,
+                                   std::vector<ProviderId>& out) const {
   std::size_t shard = 0, row = 0;
   locate(identity, shard, row);
-  shards_[shard]->decode_row(row, out);
+  shards_[shard]->append_row(row, out);
 }
 
 std::size_t PostingIndex::apparent_frequency(IdentityId identity) const {
@@ -378,7 +472,8 @@ PpiIndex PostingIndex::to_matrix_index() const {
   std::vector<ProviderId> scratch;
   for (const auto& shard : shards_) {
     for (std::size_t row = 0; row < shard->rows(); ++row) {
-      shard->decode_row(row, scratch);
+      scratch.clear();
+      shard->append_row(row, scratch);
       for (const ProviderId p : scratch) {
         matrix.set(p, shard->first_identity() + row, true);
       }

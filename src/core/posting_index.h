@@ -66,9 +66,13 @@ struct PostingLists {
 };
 
 // One immutable range of compressed posting rows. Built by PostingIndex
-// (from a matrix walk, explicit lists, or deserialized v3 sections); query
-// decode is bounds-checked so even a CRC-passing-but-hostile arena cannot
-// read out of range.
+// (from a matrix walk, explicit lists, or deserialized v3 sections). Every
+// row is checked once, when the shard is built or loaded: the list
+// constructor checks its input before encoding, and the adopt constructor
+// runs the checked decoder (decode_postings) over every row, so a
+// CRC-passing-but-hostile arena never becomes a shard. Rows of a
+// constructed shard are decoded trusted after that, at word speed and
+// without re-checking.
 class PostingShard {
  public:
   // Encodes `lists[r]` (sorted provider ids < universe) as the rows of a
@@ -79,8 +83,9 @@ class PostingShard {
                std::span<const std::span<const ProviderId>> lists);
 
   // Adopts serialized storage (the v3 on-disk form). Decodes every row once
-  // to validate the arena and rebuild the presence bits; throws
-  // SerializeError on any malformed row or offset.
+  // with the checked decoder, validating the arena and filling the presence
+  // bits in the same pass; throws SerializeError on any malformed row or
+  // offset.
   PostingShard(IdentityId first, std::size_t universe,
                std::vector<std::uint32_t> tagged_offsets,
                std::vector<std::uint8_t> arena);
@@ -93,9 +98,9 @@ class PostingShard {
     return static_cast<PostingCodec>(offsets_[row] & 3u);
   }
 
-  // Decodes row `row`'s provider ids (sorted ascending) into `out`,
-  // replacing its contents.
-  void decode_row(std::size_t row, std::vector<ProviderId>& out) const;
+  // Appends row `row`'s provider ids (sorted ascending) to `out` — the
+  // trusted word-level decode the query path runs.
+  void append_row(std::size_t row, std::vector<ProviderId>& out) const;
 
   // O(1)-ish: reads only the row's leading count varint.
   std::size_t row_count(std::size_t row) const;
@@ -118,7 +123,7 @@ class PostingShard {
 
  private:
   std::span<const std::uint8_t> row_span(std::size_t row) const;
-  void rebuild_presence();  // decodes all rows; validates; fills presence_
+  void rebuild_presence();  // checked decode of every row; fills presence_
 
   IdentityId first_ = 0;
   std::size_t universe_ = 0;
@@ -178,6 +183,11 @@ class PostingIndex {
 
   // Zero-allocation query path: clears `out` and appends the posting list.
   void query_into(IdentityId identity, std::vector<ProviderId>& out) const;
+
+  // Appends the posting list to `out` without clearing it, so a batch can
+  // decode every owner's row straight into one buffer.
+  void append_postings(IdentityId identity,
+                       std::vector<ProviderId>& out) const;
 
   // Apparent frequency without materializing the list (count varint peek).
   std::size_t apparent_frequency(IdentityId identity) const;

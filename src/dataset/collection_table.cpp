@@ -1,5 +1,6 @@
 #include "dataset/collection_table.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -7,15 +8,25 @@
 
 namespace eppi::dataset {
 
-CollectionTable load_collection_table(std::istream& in) {
-  struct Fact {
-    std::size_t provider;
-    std::size_t identity;
-  };
-  std::unordered_map<std::string, std::size_t> provider_ids;
-  std::unordered_map<std::string, std::size_t> identity_ids;
-  CollectionTable table;
-  std::vector<Fact> facts;
+namespace {
+
+// Stable counting sort of `from` into `to` by key(fact) < buckets.
+template <typename Key>
+void counting_sort(const std::vector<CollectionFacts::Fact>& from,
+                   std::vector<CollectionFacts::Fact>& to, std::size_t buckets,
+                   Key key) {
+  std::vector<std::size_t> start(buckets + 1, 0);
+  for (const auto& f : from) ++start[key(f) + 1];
+  for (std::size_t b = 0; b < buckets; ++b) start[b + 1] += start[b];
+  to.resize(from.size());
+  for (const auto& f : from) to[start[key(f)]++] = f;
+}
+
+// The CSV's names and facts, facts in file order (duplicates kept).
+CollectionFacts parse_collection(std::istream& in) {
+  std::unordered_map<std::string, std::uint32_t> provider_ids;
+  std::unordered_map<std::string, std::uint32_t> identity_ids;
+  CollectionFacts out;
 
   std::string line;
   std::size_t line_no = 0;
@@ -29,20 +40,43 @@ CollectionTable load_collection_table(std::istream& in) {
     }
     const std::string provider = line.substr(0, comma);
     const std::string identity = line.substr(comma + 1);
-    const auto [pit, p_new] =
-        provider_ids.try_emplace(provider, provider_ids.size());
-    if (p_new) table.provider_names.push_back(provider);
-    const auto [iit, i_new] =
-        identity_ids.try_emplace(identity, identity_ids.size());
-    if (i_new) table.identity_names.push_back(identity);
-    facts.push_back(Fact{pit->second, iit->second});
+    const auto [pit, p_new] = provider_ids.try_emplace(
+        provider, static_cast<std::uint32_t>(provider_ids.size()));
+    if (p_new) out.provider_names.push_back(provider);
+    const auto [iit, i_new] = identity_ids.try_emplace(
+        identity, static_cast<std::uint32_t>(identity_ids.size()));
+    if (i_new) out.identity_names.push_back(identity);
+    out.facts.push_back({pit->second, iit->second});
   }
+  return out;
+}
 
+}  // namespace
+
+CollectionFacts load_collection_facts(std::istream& in) {
+  CollectionFacts out = parse_collection(in);
+  // Two stable counting passes (identity, then provider) leave the facts
+  // provider-major with identities ascending; duplicates end up adjacent.
+  std::vector<CollectionFacts::Fact> by_identity;
+  counting_sort(out.facts, by_identity, out.identity_names.size(),
+                [](const CollectionFacts::Fact& f) { return f.identity; });
+  counting_sort(by_identity, out.facts, out.provider_names.size(),
+                [](const CollectionFacts::Fact& f) { return f.provider; });
+  out.facts.erase(std::unique(out.facts.begin(), out.facts.end()),
+                  out.facts.end());
+  return out;
+}
+
+CollectionTable load_collection_table(std::istream& in) {
+  CollectionFacts parsed = parse_collection(in);
+  CollectionTable table;
   table.network.membership =
-      BitMatrix(table.provider_names.size(), table.identity_names.size());
-  for (const Fact& f : facts) {
+      BitMatrix(parsed.provider_names.size(), parsed.identity_names.size());
+  for (const auto& f : parsed.facts) {
     table.network.membership.set(f.provider, f.identity, true);
   }
+  table.provider_names = std::move(parsed.provider_names);
+  table.identity_names = std::move(parsed.identity_names);
   return table;
 }
 

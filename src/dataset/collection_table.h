@@ -11,6 +11,7 @@
 // the library on their own data.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <unordered_map>
@@ -26,7 +27,26 @@ struct CollectionTable {
   std::vector<std::string> identity_names;  // col index -> identity
 };
 
+// A collection table's facts without the dense matrix. Provider and
+// identity ids are the ones load_collection_table assigns (order of first
+// appearance); `facts` holds every distinct (provider, identity) fact,
+// ascending by provider and then by identity — the order of a row-major
+// walk over the matrix.
+struct CollectionFacts {
+  struct Fact {
+    std::uint32_t provider;
+    std::uint32_t identity;
+    bool operator==(const Fact&) const = default;
+  };
+  std::vector<std::string> provider_names;  // provider id -> collection id
+  std::vector<std::string> identity_names;  // identity id -> identity
+  std::vector<Fact> facts;
+};
+
 // Parses the CSV from a stream. Throws SerializeError on malformed lines.
+CollectionFacts load_collection_facts(std::istream& in);
+
+// The same, as a provider × identity matrix.
 CollectionTable load_collection_table(std::istream& in);
 
 // Writes a Network back out using the given (or synthesized) names.

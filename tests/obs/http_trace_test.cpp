@@ -3,10 +3,11 @@
 // `http.parse` (loop thread), `query.ppi_many` and `http.encode` (pool
 // thread) and `http.write` (loop thread). A full rebuild leaves
 // `serve.rebuild` with children `serve.rebuild.beta`, `.emit` and
-// `.encode`. And the privacy rule for exported telemetry: no owner name a
-// client asked about or delegated appears in /trace or /slowlog — span
-// attributes and slow-log entries carry sizes, counts, timings and status
-// only.
+// `.encode`. No /trace export carries a span without its parent: the /trace
+// request's own spans leave with the next export. And the privacy rule for
+// exported telemetry: no owner name a client asked about or delegated
+// appears in /trace or /slowlog — span attributes and slow-log entries
+// carry sizes, counts, timings and status only.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -95,6 +97,7 @@ TEST(HttpTraceTest, QuerySpansFormOneTreeAndCarryNoOwnerNames) {
   ASSERT_FALSE(service.last_rebuild().delta);
   const std::string trace = exchange(server.port(), get("/trace"));
   const std::string slowlog = exchange(server.port(), get("/slowlog"));
+  const std::string next_trace = exchange(server.port(), get("/trace"));
   server.stop();
 
   ASSERT_FALSE(trace.empty());
@@ -106,12 +109,49 @@ TEST(HttpTraceTest, QuerySpansFormOneTreeAndCarryNoOwnerNames) {
   // Not even a fragment: the common prefix of every owner name.
   EXPECT_EQ(trace.find("zq-owner"), std::string::npos);
 
-  std::vector<obs::TraceEvent> events;
-  std::istringstream lines(trace);
-  for (std::string line; std::getline(lines, line);) {
-    obs::TraceEvent ev;
-    if (obs::parse_trace_line(line, &ev)) events.push_back(ev);
+  const auto parse = [](const std::string& jsonl) {
+    std::vector<obs::TraceEvent> parsed;
+    std::istringstream lines(jsonl);
+    for (std::string line; std::getline(lines, line);) {
+      obs::TraceEvent ev;
+      if (obs::parse_trace_line(line, &ev)) parsed.push_back(ev);
+    }
+    return parsed;
+  };
+  const std::vector<obs::TraceEvent> events = parse(trace);
+  const std::vector<obs::TraceEvent> next_events = parse(next_trace);
+  // Every exported span's parent is in the same export (or it is a root):
+  // the /trace request's own spans wait for its http.request, which ends
+  // after the answer is written, and leave with it at the next drain.
+  for (const auto* exported : {&events, &next_events}) {
+    std::set<std::uint64_t> ids;
+    for (const auto& ev : *exported) ids.insert(ev.span);
+    for (const auto& ev : *exported) {
+      EXPECT_TRUE(ev.parent == 0 || ids.count(ev.parent) == 1)
+          << ev.name << " exported without its parent";
+    }
   }
+  // The first /trace request's spans (its answer's size identifies it) all
+  // leave with the second export.
+  const obs::TraceEvent* first_drain = nullptr;
+  for (const auto& ev : next_events) {
+    if (ev.name == "http.request" && ev.attr_u64("response_bytes") ==
+                                         trace.size()) {
+      first_drain = &ev;
+    }
+  }
+  ASSERT_NE(first_drain, nullptr);
+  std::vector<std::string> drain_children;
+  for (const auto& ev : next_events) {
+    if (ev.parent == first_drain->span) drain_children.push_back(ev.name);
+  }
+  std::sort(drain_children.begin(), drain_children.end());
+  EXPECT_EQ(drain_children,
+            (std::vector<std::string>{"http.parse", "http.write"}));
+  for (const auto& ev : events) {
+    EXPECT_NE(ev.trace, first_drain->span) << ev.name;
+  }
+
   // The two /query requests recorded before /trace drained the ring.
   std::map<std::uint64_t, std::vector<std::string>> children;
   std::vector<const obs::TraceEvent*> queries;

@@ -644,7 +644,7 @@ int cmd_party(const std::vector<std::string>& args) {
 
 // Deterministic built-in table for `serve --smoke`: big enough to exercise
 // readers, rebuilds and every metric family, small enough for a CI gate.
-eppi::dataset::CollectionTable smoke_table() {
+eppi::dataset::CollectionFacts smoke_facts() {
   std::ostringstream csv;
   for (std::size_t i = 0; i < 6; ++i) {
     for (std::size_t j = 0; j < 12; ++j) {
@@ -652,7 +652,7 @@ eppi::dataset::CollectionTable smoke_table() {
     }
   }
   std::istringstream in(csv.str());
-  return eppi::dataset::load_collection_table(in);
+  return eppi::dataset::load_collection_facts(in);
 }
 
 int cmd_serve(const std::vector<std::string>& args) {
@@ -730,9 +730,18 @@ int cmd_serve(const std::vector<std::string>& args) {
     if (!rebuilds_set) rebuilds = 1;
   }
 
-  const auto table = smoke ? smoke_table() : load_csv(csv_path);
-  const auto& net = table.network;
-  if (net.identities() == 0) throw eppi::ConfigError("table has no identities");
+  // The facts alone, never the dense m×n table: they are delegated in the
+  // order of a row-major walk over it (providers ascending, then
+  // identities), which fixes every id and the served epoch.
+  auto table = [&] {
+    if (smoke) return smoke_facts();
+    std::ifstream file(csv_path);
+    if (!file) throw eppi::ConfigError("cannot open " + csv_path);
+    return eppi::dataset::load_collection_facts(file);
+  }();
+  const std::size_t providers = table.provider_names.size();
+  const std::size_t identities = table.identity_names.size();
+  if (identities == 0) throw eppi::ConfigError("table has no identities");
 
   eppi::core::LocatorService::Options options;
   options.distributed = false;
@@ -742,14 +751,11 @@ int cmd_serve(const std::vector<std::string>& args) {
   // becomes a full one (delta epochs are otherwise on by default).
   options.enable_delta = !no_delta;
   eppi::core::LocatorService service(options);
-  for (std::size_t i = 0; i < net.providers(); ++i) {
-    for (std::size_t j = 0; j < net.identities(); ++j) {
-      if (net.membership.get(i, j)) {
-        service.delegate(table.identity_names[j], eps,
-                         table.provider_names[i]);
-      }
-    }
+  for (const auto& fact : table.facts) {
+    service.delegate(table.identity_names[fact.identity], eps,
+                     table.provider_names[fact.provider]);
   }
+  table.facts = {};  // delegated; the service keeps the truth
   service.construct_ppi();
 
   if (listen_set) {
@@ -767,8 +773,8 @@ int cmd_serve(const std::vector<std::string>& args) {
         listen_port,
         [&](const eppi::net::HttpRequest& req) { return routes(req); });
     http.start();
-    std::cerr << "eppi_serve: " << net.identities() << " owners across "
-              << net.providers() << " providers; HTTP on port " << http.port()
+    std::cerr << "eppi_serve: " << identities << " owners across "
+              << providers << " providers; HTTP on port " << http.port()
               << " (/healthz /metrics /trace /slowlog /query /delegate "
                  "/retire /rebuild); SIGTERM drains\n";
     while (g_terminate == 0) {
@@ -786,8 +792,8 @@ int cmd_serve(const std::vector<std::string>& args) {
     return 0;
   }
 
-  std::cerr << "serving " << net.identities() << " owners across "
-            << net.providers() << " providers; " << threads
+  std::cerr << "serving " << identities << " owners across "
+            << providers << " providers; " << threads
             << " reader thread(s) x " << queries << " call(s), batch="
             << batch << ", concurrent rebuilds=" << rebuilds << '\n';
 
@@ -813,10 +819,10 @@ int cmd_serve(const std::vector<std::string>& args) {
       for (std::size_t q = 0; q < queries; ++q) {
         if (batch == 1) {
           (void)service.query_ppi(
-              table.identity_names[(r + q) % net.identities()]);
+              table.identity_names[(r + q) % identities]);
         } else {
           for (std::size_t b = 0; b < batch; ++b) {
-            owners[b] = table.identity_names[(r + q + b) % net.identities()];
+            owners[b] = table.identity_names[(r + q + b) % identities];
           }
           (void)service.query_ppi_many(owners);
         }
