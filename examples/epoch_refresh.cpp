@@ -27,14 +27,17 @@ int main() {
 
   // Epoch 1: initial construction.
   const auto e1 = manager.rebuild(network.membership, epsilons);
-  std::cout << "epoch 1: published " << e1.index.matrix().popcount()
+  std::cout << "epoch 1: published "
+            << e1.postings->to_matrix_index().matrix().popcount()
             << " claims, lambda=" << e1.info.lambda << "\n";
 
   // Epoch 2: nothing changed — the snapshot must be bit-identical.
   const auto e2 = manager.rebuild(network.membership, epsilons);
   std::cout << "epoch 2: unchanged network -> churn " << e2.churn
             << " cells (snapshot identical: "
-            << (e1.index.matrix() == e2.index.matrix() ? "yes" : "no")
+            << (eppi::core::hamming_distance(*e1.postings, *e2.postings) == 0
+                    ? "yes"
+                    : "no")
             << ")\n";
 
   // Epoch 3: owner 10 visits two new providers.
@@ -54,14 +57,15 @@ int main() {
   const auto e4 = manager.rebuild(network.membership, epsilons);
   std::cout << "epoch 4: owner 20 raised eps to 0.95 -> churn " << e4.churn
             << " cells; owner 20's apparent frequency "
-            << e3.index.apparent_frequency(20) << " -> "
-            << e4.index.apparent_frequency(20)
+            << e3.postings->apparent_frequency(20) << " -> "
+            << e4.postings->apparent_frequency(20)
             << " (noise only ever added)\n";
 
   // Recall invariant holds in every epoch.
   std::cout << "full recall in final epoch: "
-            << (eppi::core::full_recall(network.membership,
-                                        e4.index.matrix())
+            << (eppi::core::full_recall(
+                    network.membership,
+                    e4.postings->to_matrix_index().matrix())
                     ? "yes"
                     : "NO (bug!)")
             << '\n';

@@ -19,6 +19,33 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+// Rows re-emitted over the served epoch. Each row is appended to
+// rows.entries and then closed: it is counted against its served row and
+// kept for the splice only when it differs or is new, so a shard with no
+// changed row stays shared with the served epoch.
+struct RowSplice {
+  const PostingIndex& served;
+  std::vector<IdentityId> ids;
+  PostingLists rows;
+  std::size_t churn = 0;  // cells in which the closed rows differ
+  std::vector<ProviderId> old;
+
+  void close(IdentityId j) {
+    old.clear();
+    if (j < served.identities()) served.append_postings(j, old);
+    const std::size_t diff = symmetric_difference_size(
+        old, std::span<const ProviderId>(rows.entries).subspan(
+                 rows.start.back()));
+    churn += diff;
+    if (diff == 0 && j < served.identities()) {
+      rows.entries.resize(rows.start.back());  // the served row stands
+      return;
+    }
+    ids.push_back(j);
+    rows.end_row();
+  }
+};
+
 }  // namespace
 
 std::uint64_t EpochManager::provider_key(std::size_t provider) const noexcept {
@@ -108,24 +135,19 @@ EpochManager::EpochResult EpochManager::rebuild(
     emit_span.attr("full_columns", emitter.full_columns());
   }
 
-  // One encoding serves the snapshot and the store; the dense matrix is
-  // scattered from the same lists as the delta path's splice base.
+  // One encoding serves the snapshot and the store.
   std::shared_ptr<const PostingIndex> postings;
-  eppi::BitMatrix published(m, n);
   {
     obs::Span encode_span("serve.rebuild.encode");
     postings = std::make_shared<const PostingIndex>(m, lists);
-    for (std::size_t j = 0; j < n; ++j) {
-      for (const ProviderId p : lists.row(j)) published.set(p, j, true);
-    }
     encode_span.attr("entries", lists.entries.size());
   }
   lists = PostingLists{};
 
-  const std::size_t churn = churn_against_previous(published);
+  const std::size_t churn = churn_since_served(*postings);
   // Commit first (durable), then mutate: if the store throws, the manager
   // keeps serving the old epoch unchanged and a retry is safe.
-  adopt_epoch(published, info.lambda, nullptr, postings.get());
+  adopt_epoch(postings, info.lambda);
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
 
@@ -141,7 +163,6 @@ EpochManager::EpochResult EpochManager::rebuild(
   result.epoch = epoch_;
   result.churn = churn;
   result.postings = std::move(postings);
-  result.index = PpiIndex(std::move(published));
   return result;
 }
 
@@ -154,8 +175,8 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   require(m >= 1, "EpochManager: need at least one provider");
   apply_membership(request, m);
 
-  if (!has_previous_ || !has_last_info_ || previous_.rows() > m ||
-      previous_.cols() > n) {
+  if (!served_ || !has_last_info_ || served_->providers() > m ||
+      served_->identities() > n) {
     // No base to splice over (first epoch, fresh restart, or a shrinking
     // shape): run the full path — same result, more work.
     EpochResult result = rebuild(truth, epsilons);
@@ -167,7 +188,13 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   span.attr("providers", m);
   span.attr("identities", n);
 
-  const bool shape_changed = previous_.rows() != m || previous_.cols() != n;
+  const std::size_t n0 = served_->identities();
+  const bool shape_changed = served_->providers() != m || n0 != n;
+  // A joined row's noise and a leaving row's bits land in any column, so a
+  // membership epoch re-emits every column: a full rebuild's work and
+  // result, still journaled as a delta.
+  const bool membership = !request.joined.empty() || !request.left.empty() ||
+                          served_->providers() != m;
 
   // Grow the retained derivation state; new identities are implicitly
   // dirty, so the placeholder values below are always overwritten.
@@ -182,7 +209,10 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
     require(j < n, "EpochManager: dirty identity out of range");
     dirty[j] = 1;
   }
-  for (std::size_t j = previous_.cols(); j < n; ++j) dirty[j] = 1;
+  for (std::size_t j = n0; j < n; ++j) dirty[j] = 1;
+  // σ_j = f_j / m and the policies' m-dependent terms move every β when the
+  // provider count does.
+  if (served_->providers() != m) std::fill(dirty.begin(), dirty.end(), 1);
 
   // Re-derive β*/commonness only where the global frequency or ε could have
   // moved; everything else keeps the previous epoch's values verbatim.
@@ -226,92 +256,34 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
     last_info_.betas[j] = beta;
   }
 
-  // Splice over the previous epoch's published matrix.
-  eppi::BitMatrix published(m, n);
-  if (!shape_changed) {
-    published = previous_;
-  } else {
-    for (std::size_t i = 0; i < previous_.rows(); ++i) {
-      for (std::size_t j = 0; j < previous_.cols(); ++j) {
-        if (previous_.get(i, j)) published.set(i, j, true);
-      }
-    }
-  }
-
-  // The same emitter, thresholds and PRF draws as the full path.
+  // Re-emit the affected columns (every column in a membership epoch) with
+  // the same emitter, thresholds and PRF draws as the full path.
   const StickyEmitter emitter(provider_keys(m), last_info_.betas,
                               retired_prefix(m));
-  // Every write below stores the cell's FINAL value, so overlaps (a joined
-  // row crossing an affected column) are written twice with the same bit
-  // and the flip count stays exact.
-  std::size_t flips = 0;
-  const auto write_cell = [&](std::size_t i, std::size_t j, bool bit) {
-    if (published.get(i, j) != bit) {
-      ++flips;
-      published.set(i, j, bit);
-    }
-  };
-
-  for (std::size_t p = 0; p < m; ++p) {
-    if (p < retired_.size() && retired_[p]) {
-      for (std::size_t j = 0; j < n; ++j) write_cell(p, j, false);
-    }
-  }
+  RowSplice splice{*served_};
   std::size_t recomputed = 0;
-  std::vector<IdentityId> affected_ids;
-  std::vector<ProviderId> column;
   for (std::size_t j = 0; j < n; ++j) {
-    if (!affected[j]) continue;
-    ++recomputed;
-    affected_ids.push_back(static_cast<IdentityId>(j));
-    column.clear();
-    emitter.emit(static_cast<IdentityId>(j), truth.owners[j], column);
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const bool bit = k < column.size() && column[k] == i;
-      k += bit ? 1 : 0;
-      write_cell(i, j, bit);
-    }
+    recomputed += affected[j];
+    if (!affected[j] && !membership) continue;
+    const auto id = static_cast<IdentityId>(j);
+    emitter.emit(id, truth.owners[j], splice.rows.entries);
+    splice.close(id);
   }
-  for (const ProviderId p : request.joined) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto id = static_cast<IdentityId>(j);
-      write_cell(p, j, emitter.publishes(p, id, truth.holds(p, id)));
-    }
-  }
+  const std::size_t churn = shape_changed ? m * n : splice.churn;
+  auto next = std::make_shared<const PostingIndex>(*served_, m, n, splice.ids,
+                                                   splice.rows);
 
-  const std::size_t churn = shape_changed ? m * n : flips;
-
-  // Journal as a delta record when the store's lineage head can base one.
   EpochStore::EpochDelta rec;
-  rec.epoch = epoch_ + 1;
-  rec.base_epoch = epoch_;
-  rec.rows = m;
-  rec.cols = n;
-  rec.lambda = lambda;
-  rec.joined = request.joined;
-  rec.left = request.left;
-  for (const ProviderId p : request.joined) {
-    EpochStore::EpochDelta::Row row;
-    row.provider = p;
-    row.bits.assign((n + 7) / 8, 0);
+  const bool journal = delta_commit_possible();
+  if (journal) {
+    std::vector<IdentityId> columns;
     for (std::size_t j = 0; j < n; ++j) {
-      if (published.get(p, j)) row.bits[j >> 3] |= 1u << (j & 7);
+      if (affected[j]) columns.push_back(static_cast<IdentityId>(j));
     }
-    rec.row_splices.push_back(std::move(row));
+    rec = delta_record(*next, lambda, request, request.joined, columns);
   }
-  for (const IdentityId j : affected_ids) {
-    EpochStore::EpochDelta::Column col;
-    col.identity = j;
-    col.bits.assign((m + 7) / 8, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (published.get(i, j)) col.bits[i >> 3] |= 1u << (i & 7);
-    }
-    rec.col_splices.push_back(std::move(col));
-  }
-  rec.postings_crc = postings_checksum(published);
 
-  adopt_epoch(published, lambda, &rec);
+  adopt_epoch(next, lambda, journal ? &rec : nullptr);
   has_last_info_ = true;
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
@@ -319,57 +291,84 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   record_churn_metrics(churn, /*delta=*/true);
 
   EpochResult result;
+  result.postings = std::move(next);
   result.info = last_info_;
   result.epoch = epoch_;
   result.churn = churn;
   result.delta.delta = true;
   result.delta.recomputed = recomputed;
   result.delta.spliced_rows = request.joined.size();
-  result.delta.affected_ids = std::move(affected_ids);
-  result.index = PpiIndex(std::move(published));
   return result;
 }
 
-std::size_t EpochManager::churn_against_previous(
-    const eppi::BitMatrix& published) const {
-  if (!has_previous_ || previous_.rows() != published.rows() ||
-      previous_.cols() != published.cols()) {
-    return published.rows() * published.cols();
+std::size_t EpochManager::churn_since_served(const PostingIndex& next) const {
+  if (!served_ || served_->providers() != next.providers() ||
+      served_->identities() != next.identities()) {
+    return next.providers() * next.identities();
   }
-  return previous_.hamming_distance(published);
+  return hamming_distance(*served_, next);
 }
 
-void EpochManager::adopt_epoch(const eppi::BitMatrix& published,
-                               double lambda,
-                               const EpochStore::EpochDelta* delta_rec,
-                               const PostingIndex* encoded) {
-  if (store_ != nullptr) {
-    bool as_delta = false;
-    if (delta_rec != nullptr && options_.delta_base_interval > 0 &&
-        store_->deltas_since_full() + 1 < options_.delta_base_interval &&
-        !store_->lineage().empty()) {
-      // The journal-only commit needs a loadable lineage head of the same
-      // id and a non-shrinking shape; anything else (quarantined head,
-      // record too large) falls back to a full index file — the published
-      // matrix is identical either way.
-      const EpochStore::EpochRecord& head = store_->lineage().back();
-      as_delta = head.epoch == epoch_ && head.file_intact &&
-                 head.rows <= delta_rec->rows &&
-                 head.cols <= delta_rec->cols &&
-                 !EpochStore::delta_overflows(*delta_rec);
+bool EpochManager::delta_commit_possible() const {
+  if (store_ == nullptr || options_.delta_base_interval == 0 ||
+      store_->lineage().empty() ||
+      store_->deltas_since_full() + 1 >= options_.delta_base_interval) {
+    return false;
+  }
+  const EpochStore::EpochRecord& head = store_->lineage().back();
+  return head.epoch == epoch_ && head.file_intact;
+}
+
+EpochStore::EpochDelta EpochManager::delta_record(
+    const PostingIndex& next, double lambda, const DeltaRequest& request,
+    std::span<const ProviderId> rows,
+    std::span<const IdentityId> columns) const {
+  EpochStore::EpochDelta rec;
+  rec.epoch = epoch_ + 1;
+  rec.base_epoch = epoch_;
+  rec.rows = next.providers();
+  rec.cols = next.identities();
+  rec.lambda = lambda;
+  rec.joined = request.joined;
+  rec.left = request.left;
+  std::vector<ProviderId> list;
+  for (const ProviderId p : rows) {
+    EpochStore::EpochDelta::Row row;
+    row.provider = p;
+    row.bits.assign((rec.cols + 7) / 8, 0);
+    for (std::size_t j = 0; j < rec.cols; ++j) {
+      next.query_into(static_cast<IdentityId>(j), list);
+      if (std::binary_search(list.begin(), list.end(), p)) {
+        row.bits[j >> 3] |= 1u << (j & 7);
+      }
     }
-    if (as_delta) {
+    rec.row_splices.push_back(std::move(row));
+  }
+  for (const IdentityId j : columns) {
+    EpochStore::EpochDelta::Column col;
+    col.identity = j;
+    col.bits.assign((rec.rows + 7) / 8, 0);
+    next.query_into(j, list);
+    for (const ProviderId p : list) col.bits[p >> 3] |= 1u << (p & 7);
+    rec.col_splices.push_back(std::move(col));
+  }
+  rec.postings_crc = postings_checksum(next);
+  return rec;
+}
+
+void EpochManager::adopt_epoch(std::shared_ptr<const PostingIndex> next,
+                               double lambda,
+                               const EpochStore::EpochDelta* delta_rec) {
+  if (store_ != nullptr) {
+    // A record past the journal's bound is committed as a full index file
+    // instead — the published epoch is identical either way.
+    if (delta_rec != nullptr && !EpochStore::delta_overflows(*delta_rec)) {
       store_->commit_delta(*delta_rec);
-    } else if (encoded != nullptr) {
-      store_->commit_epoch(epoch_ + 1, *encoded, lambda,
-                           commit_lexicon_.get());
     } else {
-      store_->commit_epoch(epoch_ + 1, PostingIndex(published), lambda,
-                           commit_lexicon_.get());
+      store_->commit_epoch(epoch_ + 1, *next, lambda, commit_lexicon_.get());
     }
   }
-  previous_ = published;
-  has_previous_ = true;
+  served_ = std::move(next);
   last_lambda_ = lambda;
   ++epoch_;
   served_epoch_ = epoch_;
@@ -391,16 +390,6 @@ void EpochManager::apply_membership(const DeltaRequest& request,
   }
 }
 
-void EpochManager::zero_retired_rows(eppi::BitMatrix& published) const {
-  const std::size_t rows = std::min(retired_.size(), published.rows());
-  for (std::size_t p = 0; p < rows; ++p) {
-    if (!retired_[p]) continue;
-    for (std::size_t j = 0; j < published.cols(); ++j) {
-      published.set(p, j, false);
-    }
-  }
-}
-
 std::size_t EpochManager::retired_count() const noexcept {
   std::size_t count = 0;
   for (const std::uint8_t r : retired_) count += r ? 1 : 0;
@@ -408,14 +397,17 @@ std::size_t EpochManager::retired_count() const noexcept {
 }
 
 std::size_t EpochManager::pending_churn(const eppi::BitMatrix& truth) const {
-  if (!has_previous_) return truth.rows() * truth.cols();
+  if (!served_) return truth.rows() * truth.cols();
   std::size_t pending = 0;
-  for (std::size_t i = 0; i < truth.rows(); ++i) {
-    const bool retired = i < retired_.size() && retired_[i];
-    for (std::size_t j = 0; j < truth.cols(); ++j) {
-      const bool served = i < previous_.rows() && j < previous_.cols() &&
-                          previous_.get(i, j);
-      if (retired ? served : (truth.get(i, j) && !served)) ++pending;
+  std::vector<ProviderId> row;
+  for (std::size_t j = 0; j < truth.cols(); ++j) {
+    row.clear();
+    if (j < served_->identities()) {
+      served_->append_postings(static_cast<IdentityId>(j), row);
+    }
+    for (std::size_t i = 0; i < truth.rows(); ++i) {
+      const bool served = std::binary_search(row.begin(), row.end(), i);
+      if (retired(i) ? served : (truth.get(i, j) && !served)) ++pending;
     }
   }
   return pending;
@@ -440,7 +432,7 @@ void EpochManager::record_churn_metrics(std::size_t churn, bool delta) const {
   }
 }
 
-void EpochManager::attach_store(EpochStore& store) {
+std::shared_ptr<const Lexicon> EpochManager::attach_store(EpochStore& store) {
   store_ = &store;
   if (store.has_sticky_state()) {
     // The recorded lineage wins: deriving noise from a *new* key would
@@ -469,11 +461,13 @@ void EpochManager::attach_store(EpochStore& store) {
     membership.left.assign(delta.left.begin(), delta.left.end());
     apply_membership(membership, delta.rows);
   }
+  std::shared_ptr<const Lexicon> lexicon;
   if (const auto latest = store.latest_epoch()) {
     // The epoch *served* is the newest intact one, which can be older than
     // the newest committed id when recovery quarantined a rotted file.
-    previous_ = store.load_epoch(*latest).matrix();
-    has_previous_ = true;
+    LoadedIndex loaded = store.load_epoch_postings(*latest);
+    served_ = std::make_shared<const PostingIndex>(std::move(loaded.postings));
+    lexicon = std::move(loaded.lexicon);
     served_epoch_ = *latest;
     epoch_time_ = std::chrono::steady_clock::now();
     has_epoch_time_ = true;
@@ -481,12 +475,13 @@ void EpochManager::attach_store(EpochStore& store) {
       if (rec.epoch == *latest) last_lambda_ = rec.lambda;
     }
   }
+  return lexicon;
 }
 
 EpochManager::ServingStatus EpochManager::serving_status() const {
   ServingStatus status;
   status.epoch = served_epoch_;
-  status.serving = has_previous_;
+  status.serving = served_ != nullptr;
   status.degraded = failed_since_commit_ > 0;
   status.rebuilds_behind = failed_since_commit_;
   if (has_epoch_time_) {
@@ -495,16 +490,6 @@ EpochManager::ServingStatus EpochManager::serving_status() const {
                              .count();
   }
   return status;
-}
-
-PpiIndex EpochManager::current_index() const {
-  require(has_previous_, "EpochManager: no epoch has been built yet");
-  return PpiIndex(previous_);
-}
-
-const eppi::BitMatrix& EpochManager::current_matrix() const {
-  require(has_previous_, "EpochManager: no epoch has been built yet");
-  return previous_;
 }
 
 EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
@@ -524,7 +509,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
     // party). Keep serving the last good epoch rather than going dark; the
     // stale index is correct for the previous network state and strictly
     // better than no locator service.
-    if (!has_previous_) throw;  // nothing to fall back to
+    if (!served_) throw;  // nothing to fall back to
     ++failed_rebuilds_;
     ++failed_since_commit_;
     last_failure_ = failure.what();
@@ -533,7 +518,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
         .counter("eppi_serving_failed_rebuilds_total", {},
                  "Distributed rebuilds that aborted into degraded serving")
         .add();
-    result.index = PpiIndex(previous_);
+    result.postings = served_;
     result.epoch = served_epoch_;
     result.degraded = true;
     result.failure = last_failure_;
@@ -545,20 +530,28 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
     return result;
   }
 
+  // The constructor answers with a dense matrix; retired rows go dark (the
+  // centralized emitter skips them itself) and it is inverted once.
   eppi::BitMatrix published = built.index.matrix();
-  zero_retired_rows(published);
-  const std::size_t churn = churn_against_previous(published);
-  adopt_epoch(published, built.report.lambda);
+  for (std::size_t p = 0; p < published.rows(); ++p) {
+    if (!retired(p)) continue;
+    for (std::size_t j = 0; j < published.cols(); ++j) {
+      published.set(p, j, false);
+    }
+  }
+  auto next = std::make_shared<const PostingIndex>(published);
+  const std::size_t churn = churn_since_served(*next);
+  adopt_epoch(next, built.report.lambda);
   // The distributed constructor derives β inside the MPC, so the retained
   // centralized derivation state no longer matches what is being served.
   has_last_info_ = false;
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
   record_churn_metrics(churn, /*delta=*/false);
+  result.postings = std::move(next);
   result.epoch = epoch_;
   result.churn = churn;
   result.report = std::move(built.report);
-  result.index = PpiIndex(std::move(published));
   return result;
 }
 
@@ -570,7 +563,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   require(epsilons.size() == n, "EpochManager: epsilon count mismatch");
   apply_membership(request, m);
 
-  if (!has_previous_ || previous_.rows() > m || previous_.cols() > n) {
+  if (!served_ || served_->providers() > m || served_->identities() > n) {
     DistributedEpochResult result = rebuild_distributed(truth, epsilons,
                                                         options);
     result.delta = DeltaStats{};
@@ -582,14 +575,15 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   span.attr("identities", n);
   span.attr("distributed", true);
 
-  const bool shape_changed = previous_.rows() != m || previous_.cols() != n;
+  const std::size_t n0 = served_->identities();
+  const bool shape_changed = served_->providers() != m || n0 != n;
 
   std::vector<std::uint8_t> dirty(n, 0);
   for (const IdentityId j : request.dirty) {
     require(j < n, "EpochManager: dirty identity out of range");
     dirty[j] = 1;
   }
-  for (std::size_t j = previous_.cols(); j < n; ++j) dirty[j] = 1;
+  for (std::size_t j = n0; j < n; ++j) dirty[j] = 1;
   std::vector<IdentityId> dirty_ids;
   for (std::size_t j = 0; j < n; ++j) {
     if (dirty[j]) dirty_ids.push_back(static_cast<IdentityId>(j));
@@ -601,9 +595,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   // own replica.
   std::vector<ProviderId> active;
   for (std::size_t i = 0; i < m; ++i) {
-    if (!(i < retired_.size() && retired_[i])) {
-      active.push_back(static_cast<ProviderId>(i));
-    }
+    if (!retired(i)) active.push_back(static_cast<ProviderId>(i));
   }
   require(active.size() >= 2,
           "EpochManager: delta rebuild needs at least two active providers");
@@ -614,7 +606,6 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   result.delta.spliced_rows = request.joined.size();
 
   DistributedResult built;
-  bool ran_sub = false;
   if (!dirty_ids.empty()) {
     eppi::BitMatrix sub(active.size(), dirty_ids.size());
     for (std::size_t a = 0; a < active.size(); ++a) {
@@ -630,7 +621,6 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
     sub_options.c = std::min<std::size_t>(options.c, active.size());
     try {
       built = construct_distributed(sub, sub_epsilons, sub_options);
-      ran_sub = true;
     } catch (const eppi::ProtocolError& failure) {
       ++failed_rebuilds_;
       ++failed_since_commit_;
@@ -640,7 +630,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
           .counter("eppi_serving_failed_rebuilds_total", {},
                    "Distributed rebuilds that aborted into degraded serving")
           .add();
-      result.index = PpiIndex(previous_);
+      result.postings = served_;
       result.epoch = served_epoch_;
       result.degraded = true;
       result.failure = last_failure_;
@@ -650,76 +640,51 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
     }
   }
 
-  // Splice the recomputed columns over the previous epoch. λ only widens
-  // (max of previous and sub-run) so the decoy set stays monotone across
-  // partial recomputes.
-  eppi::BitMatrix published(m, n);
-  if (!shape_changed) {
-    published = previous_;
-  } else {
-    for (std::size_t i = 0; i < previous_.rows(); ++i) {
-      for (std::size_t j = 0; j < previous_.cols(); ++j) {
-        if (previous_.get(i, j)) published.set(i, j, true);
-      }
-    }
-  }
-  std::size_t flips = 0;
-  const auto write_cell = [&](std::size_t i, std::size_t j, bool bit) {
-    if (published.get(i, j) != bit) {
-      ++flips;
-      published.set(i, j, bit);
-    }
-  };
-  for (std::size_t p = 0; p < m; ++p) {
-    if (p < retired_.size() && retired_[p]) {
-      for (std::size_t j = 0; j < n; ++j) write_cell(p, j, false);
-    }
-  }
-  if (ran_sub) {
-    const eppi::BitMatrix& sub_published = built.index.matrix();
-    for (std::size_t d = 0; d < dirty_ids.size(); ++d) {
-      const std::size_t j = dirty_ids[d];
+  // Splice over the served epoch: each dirty column is the sub-run's
+  // answer over the active providers, and every other served column that
+  // still holds a retired provider (a leaving row's bits) drops it. λ only
+  // widens (max of previous and sub-run) so the decoy set stays monotone
+  // across partial recomputes.
+  RowSplice splice{*served_};
+  std::vector<ProviderId> held;
+  for (std::size_t j = 0, d = 0; j < n; ++j) {
+    const auto id = static_cast<IdentityId>(j);
+    if (d < dirty_ids.size() && dirty_ids[d] == j) {
+      const eppi::BitMatrix& sub_published = built.index.matrix();
       for (std::size_t a = 0; a < active.size(); ++a) {
-        write_cell(active[a], j, sub_published.get(a, d));
+        if (sub_published.get(a, d)) splice.rows.entries.push_back(active[a]);
       }
-      // Retired rows in a recomputed column stay zero — handled above.
+      ++d;
+    } else {
+      held.clear();
+      served_->append_postings(id, held);
+      for (const ProviderId p : held) {
+        if (!retired(p)) splice.rows.entries.push_back(p);
+      }
     }
+    splice.close(id);
   }
-  const std::size_t churn = shape_changed ? m * n : flips;
+  const std::size_t churn = shape_changed ? m * n : splice.churn;
+  auto next = std::make_shared<const PostingIndex>(*served_, m, n, splice.ids,
+                                                   splice.rows);
   const double lambda =
-      std::max(last_lambda_, ran_sub ? built.report.lambda : 0.0);
+      std::max(last_lambda_, dirty_ids.empty() ? 0.0 : built.report.lambda);
 
   EpochStore::EpochDelta rec;
-  rec.epoch = epoch_ + 1;
-  rec.base_epoch = epoch_;
-  rec.rows = m;
-  rec.cols = n;
-  rec.lambda = lambda;
-  rec.joined = request.joined;
-  rec.left = request.left;
-  for (const IdentityId j : dirty_ids) {
-    EpochStore::EpochDelta::Column col;
-    col.identity = j;
-    col.bits.assign((m + 7) / 8, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (published.get(i, j)) col.bits[i >> 3] |= 1u << (i & 7);
-    }
-    rec.col_splices.push_back(std::move(col));
-  }
-  rec.postings_crc = postings_checksum(published);
+  const bool journal = delta_commit_possible();
+  if (journal) rec = delta_record(*next, lambda, request, {}, dirty_ids);
 
-  adopt_epoch(published, lambda, &rec);
+  adopt_epoch(next, lambda, journal ? &rec : nullptr);
   has_last_info_ = false;
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
   span.attr("recomputed", dirty_ids.size());
   record_churn_metrics(churn, /*delta=*/true);
 
+  result.postings = std::move(next);
   result.epoch = epoch_;
   result.churn = churn;
-  result.delta.affected_ids = std::move(dirty_ids);
-  if (ran_sub) result.report = std::move(built.report);
-  result.index = PpiIndex(std::move(published));
+  if (!dirty_ids.empty()) result.report = std::move(built.report);
   return result;
 }
 

@@ -17,6 +17,9 @@
 // adds noise/decoys), so an epoch's snapshot differs from the previous one
 // only where the data or the privacy requirements actually changed.
 //
+// The served epoch is one immutable PostingIndex behind a shared_ptr: the
+// delta splice's base, what the store commits and what a snapshot serves.
+//
 // Concurrency: EpochManager is the build/commit side of the serving tier
 // and is single-threaded by contract — one writer at a time calls
 // rebuild*/attach_store. Concurrent readers never touch it; they read the
@@ -38,7 +41,6 @@
 #include "core/epoch_store.h"
 #include "core/owner_truth.h"
 #include "core/posting_index.h"
-#include "core/ppi_index.h"
 
 namespace eppi::core {
 
@@ -64,25 +66,19 @@ class EpochManager {
   // actually engaged (benches, the locator service's status surface).
   struct DeltaStats {
     bool delta = false;            // false: a full rebuild ran instead
-    std::size_t recomputed = 0;    // identity columns recomputed/republished
+    std::size_t recomputed = 0;    // identity columns recomputed (λ-widened)
     std::size_t spliced_rows = 0;  // joined provider rows published whole
-    // The identity columns actually republished (the request's dirty set
-    // widened by λ-flips) — what a serving-tier snapshot splice must
-    // re-invert. Empty when `delta` is false.
-    std::vector<IdentityId> affected_ids;
   };
 
   struct EpochResult {
-    PpiIndex index;
-    // The epoch encoded once, straight from the emitted posting lists: what
-    // the store committed and what a serving snapshot can share. Set by
-    // full rebuilds; null when the epoch was spliced by the delta path.
+    // The epoch as served: the pointer the manager holds, the store
+    // committed and a serving snapshot shares. Never null.
     std::shared_ptr<const PostingIndex> postings;
     ConstructionInfo info;
     std::uint64_t epoch = 0;
-    // Cells that differ from the previous epoch's published matrix
-    // (0 when data and requirements are unchanged); the full matrix size on
-    // the first epoch or after a shape change.
+    // Cells that differ from the previous published epoch (0 when data and
+    // requirements are unchanged); the full m×n size on the first epoch or
+    // after a shape change.
     std::size_t churn = 0;
     DeltaStats delta;
   };
@@ -104,23 +100,24 @@ class EpochManager {
   // previous epoch — including every identity appearing in a joined or
   // leaving provider's row (the locator service derives this set from
   // provider-reported diffs). The manager re-derives β/ξ/λ only over that
-  // set and widens it automatically to identities whose λ-mixing decision
-  // flipped, so the published matrix is bit-identical to a full rebuild()
-  // over the same truth.
+  // set (over every identity when the provider count changed, since σ_j is
+  // a share of m) and widens it automatically to identities whose λ-mixing
+  // decision flipped, so the published epoch is bit-identical to a full
+  // rebuild() over the same truth.
   struct DeltaRequest {
     std::vector<IdentityId> dirty;
     std::vector<ProviderId> joined;  // provider rows entering this epoch
     std::vector<ProviderId> left;    // provider rows retiring this epoch
   };
 
-  // Incremental rebuild: recomputes only the dirty identity columns and the
-  // joined/left provider rows, splicing them over the previous epoch's
-  // published matrix. Falls back to a full rebuild (same result, more work)
+  // Incremental rebuild: re-emits the affected identity columns (every one
+  // when a provider joins or leaves) and splices the changed rows over the
+  // served epoch. Falls back to a full rebuild (same result, more work)
   // when there is no in-memory base to splice over — first epoch, right
   // after attach_store, or a shrinking shape. With a store attached the
   // epoch is journaled as a delta record unless the record would overflow
   // or the replay chain hit delta_base_interval, in which case a full index
-  // file is committed (the published matrix is identical either way).
+  // file is committed (the published epoch is identical either way).
   EpochResult rebuild_delta(const OwnerTruth& truth,
                             std::span<const double> epsilons,
                             const DeltaRequest& request);
@@ -131,8 +128,8 @@ class EpochManager {
   }
 
   struct DistributedEpochResult {
-    PpiIndex index;             // fresh on success; the previous epoch's
-                                // index when degraded
+    // Fresh on success; the served (previous) epoch when degraded.
+    std::shared_ptr<const PostingIndex> postings;
     DistributedReport report;   // meaningful only when !degraded
     std::uint64_t epoch = 0;    // advances only on success
     // On success: as EpochResult::churn. On a degraded rebuild: the number
@@ -149,7 +146,7 @@ class EpochManager {
   // Builds the next epoch via the secure distributed constructor, degrading
   // gracefully on protocol failure: if a rebuild aborts (PartyFailure or any
   // ProtocolError) and a previous epoch exists, the previous index is
-  // returned with `degraded` set and the failure recorded. A failure with no
+  // kept with `degraded` set and the failure recorded. A failure with no
   // previous epoch to fall back to propagates.
   DistributedEpochResult rebuild_distributed(const eppi::BitMatrix& truth,
                                              std::span<const double> epsilons,
@@ -157,7 +154,9 @@ class EpochManager {
 
   // Incremental distributed rebuild: runs SecSumShare/CountBelow only over
   // the dirty identities (an m×d submatrix job among the surviving active
-  // providers) and splices the resulting columns over the previous epoch.
+  // providers) and splices the resulting columns over the served epoch,
+  // dropping retired providers from the other columns that still hold
+  // them.
   // λ only ever widens (max of the previous and the sub-run's λ), so the
   // decoy set stays monotone; non-dirty columns keep their previous bits
   // until the next full rebuild. Degrades exactly like
@@ -183,10 +182,12 @@ class EpochManager {
   // mixing coins as before, even if the process was relaunched with a
   // different configured master key (re-rolling sticky randomness is the
   // cross-epoch leak this class exists to prevent). A fresh store records the
-  // configured state instead. The last committed epoch (if any) is loaded so
-  // serving resumes where the previous process stopped, and every subsequent
-  // successful rebuild is committed durably before it takes effect.
-  void attach_store(EpochStore& store);
+  // configured state instead. The last committed epoch (if any) is loaded,
+  // as postings, so serving resumes where the previous process stopped, and
+  // every subsequent successful rebuild is committed durably before it
+  // takes effect. Returns the owner lexicon that epoch's file carries (null
+  // when the store holds no epoch or the file carries none).
+  std::shared_ptr<const Lexicon> attach_store(EpochStore& store);
 
   // Owner-name lexicon persisted alongside each full-epoch commit (omitted
   // when null), so a recovered store can republish name lookups without
@@ -208,13 +209,12 @@ class EpochManager {
   };
   ServingStatus serving_status() const;
 
-  bool serving() const noexcept { return has_previous_; }
-  PpiIndex current_index() const;  // requires serving(); copies
-  // The served epoch's published matrix without the PpiIndex copy — the
-  // delta splice's base and the builder-side index. The reference is
-  // invalidated by the next successful rebuild/attach_store (writer-side
-  // use only; readers go through LocatorService's snapshots).
-  const eppi::BitMatrix& current_matrix() const;  // requires serving()
+  bool serving() const noexcept { return served_ != nullptr; }
+  // The served epoch (null until one is built or recovered); the next
+  // successful rebuild or attach_store replaces the pointer.
+  const std::shared_ptr<const PostingIndex>& served_postings() const noexcept {
+    return served_;
+  }
 
   // Provider `provider`'s sticky publication key under the master key
   // (public so tests can replay the publication rule cell by cell).
@@ -232,20 +232,26 @@ class EpochManager {
   std::vector<std::uint64_t> provider_keys(std::size_t m) const;
   // retired_ clipped to the first m providers (the emitter's view).
   std::span<const std::uint8_t> retired_prefix(std::size_t m) const noexcept;
-  std::size_t churn_against_previous(const eppi::BitMatrix& published) const;
-  // Commits (store attached) and starts serving `published`. When
-  // `delta_rec` is non-null and the store's lineage head can base a delta
-  // of that shape, the epoch is journaled as a delta record instead of a
-  // full index file; a full commit stores `encoded` when given (the same
-  // epoch already encoded) instead of inverting `published` again.
-  void adopt_epoch(const eppi::BitMatrix& published, double lambda,
-                   const EpochStore::EpochDelta* delta_rec = nullptr,
-                   const PostingIndex* encoded = nullptr);
+  bool retired(std::size_t provider) const noexcept {
+    return provider < retired_.size() && retired_[provider] != 0;
+  }
+  // Cells `next` differs from the served epoch by (all, on a new shape).
+  std::size_t churn_since_served(const PostingIndex& next) const;
+  // Whether the next commit may be a delta record (store attached, chain
+  // below delta_base_interval, lineage head the intact served epoch).
+  bool delta_commit_possible() const;
+  // The delta record of `next`: its provider `rows` and identity `columns`
+  // read off it, the membership lists and the postings checksum.
+  EpochStore::EpochDelta delta_record(
+      const PostingIndex& next, double lambda, const DeltaRequest& request,
+      std::span<const ProviderId> rows,
+      std::span<const IdentityId> columns) const;
+  // Commits (store attached) and starts serving `next`, journaled as
+  // `delta_rec` instead of a full index file when that is non-null and fits.
+  void adopt_epoch(std::shared_ptr<const PostingIndex> next, double lambda,
+                   const EpochStore::EpochDelta* delta_rec = nullptr);
   void apply_membership(const DeltaRequest& request, std::size_t m);
-  // The distributed paths' retirement rule (the centralized emitter skips
-  // retired providers itself).
-  void zero_retired_rows(eppi::BitMatrix& published) const;
-  // Cells the served index is behind by relative to `truth`: true postings
+  // Cells the served epoch is behind by relative to `truth`: true postings
   // not yet published plus bits still shown in retired rows.
   std::size_t pending_churn(const eppi::BitMatrix& truth) const;
   void record_churn_metrics(std::size_t churn, bool delta) const;
@@ -256,14 +262,13 @@ class EpochManager {
   // monotone-lineage invariant in commit_epoch.
   std::uint64_t epoch_ = 0;         // newest *committed* epoch id (never
                                     // reused)
-  std::uint64_t served_epoch_ = 0;  // epoch of previous_ — older than epoch_
+  std::uint64_t served_epoch_ = 0;  // epoch of served_ — older than epoch_
                                     // when recovery quarantined newer files
-  eppi::BitMatrix previous_;
-  bool has_previous_ = false;
-  // Per-identity derivation state of the previous epoch, the base the delta
-  // path recomputes from. Only valid alongside has_previous_ when the
-  // previous epoch was built in-process (attach_store restores the matrix
-  // but not this, so the first rebuild after a restart runs full).
+  std::shared_ptr<const PostingIndex> served_;
+  // Per-identity derivation state of the served epoch, the base the delta
+  // path recomputes from. Only valid alongside served_ when that epoch was
+  // built in-process (attach_store restores the postings but not this, so
+  // the first rebuild after a restart runs full).
   bool has_last_info_ = false;
   std::vector<double> last_raw_;  // pre-mixing β* per identity
   ConstructionInfo last_info_;

@@ -809,62 +809,67 @@ PostingIndex apply_delta_postings(const PostingIndex& base,
           "apply_delta: delta shrinks the matrix");
   const std::size_t row_bytes = (delta.cols + 7) / 8;
   const std::size_t col_bytes = (delta.rows + 7) / 8;
-  // Decode the base lists into the result shape. New identity columns start
-  // empty; new provider rows contribute nothing until a splice grafts them.
-  std::vector<std::vector<ProviderId>> lists(delta.cols);
-  {
-    std::vector<ProviderId> buf;
-    for (std::size_t j = 0; j < base.identities(); ++j) {
-      base.query_into(static_cast<IdentityId>(j), buf);
-      lists[j].assign(buf.begin(), buf.end());
-    }
-  }
   // Providers whose base rows are replaced wholesale — retired (zeroed) or
-  // re-rowed by a splice — are erased from every list in ONE pass, which is
-  // what makes this the posting-space mirror of apply_delta's row writes.
+  // re-rowed by a splice — leave every list, which is what makes this the
+  // posting-space mirror of apply_delta's row writes.
   std::vector<bool> dropped(delta.rows, false);
-  bool any_dropped = false;
+  const bool any_dropped = !delta.left.empty() || !delta.row_splices.empty();
   for (const std::uint32_t p : delta.left) {
     require(p < delta.rows, "apply_delta: retired row out of range");
     dropped[p] = true;
-    any_dropped = true;
   }
   for (const auto& r : delta.row_splices) {
     require(r.provider < delta.rows, "apply_delta: row splice out of range");
     require(r.bits.size() == row_bytes,
             "apply_delta: row splice length mismatch");
     dropped[r.provider] = true;
-    any_dropped = true;
-  }
-  if (any_dropped) {
-    for (auto& l : lists) {
-      std::erase_if(l, [&](ProviderId p) { return dropped[p]; });
-    }
-  }
-  // Graft the spliced rows back in; the dropped-erase above guarantees no
-  // duplicate, and the sorted insert keeps each list ordered.
-  for (const auto& r : delta.row_splices) {
-    for (std::size_t j = 0; j < delta.cols; ++j) {
-      if ((r.bits[j >> 3] >> (j & 7)) & 1) {
-        auto& l = lists[j];
-        l.insert(std::lower_bound(l.begin(), l.end(), r.provider),
-                 r.provider);
-      }
-    }
   }
   // Column splices carry FINAL values and apply_delta writes them last, so
-  // they overwrite whatever the row pass produced for the same cell.
+  // they replace whatever the row pass would produce for the same cell.
+  std::vector<const EpochStore::EpochDelta::Column*> column(delta.cols);
   for (const auto& c : delta.col_splices) {
     require(c.identity < delta.cols, "apply_delta: column splice out of range");
     require(c.bits.size() == col_bytes,
             "apply_delta: column splice length mismatch");
-    auto& l = lists[c.identity];
-    l.clear();
-    for (std::size_t i = 0; i < delta.rows; ++i) {
-      if ((c.bits[i >> 3] >> (i & 7)) & 1) l.push_back(static_cast<ProviderId>(i));
-    }
+    column[c.identity] = &c;
   }
-  return PostingIndex(delta.rows, lists, base.shard_span());
+  // Only the rows the delta changes are rebuilt; the splice constructor
+  // shares or copies every other row of the base.
+  std::vector<IdentityId> ids;
+  PostingLists rows;
+  std::vector<ProviderId> list;
+  for (std::size_t j = 0; j < delta.cols; ++j) {
+    const auto id = static_cast<IdentityId>(j);
+    if (column[j] != nullptr) {
+      for (std::size_t i = 0; i < delta.rows; ++i) {
+        if ((column[j]->bits[i >> 3] >> (i & 7)) & 1) {
+          rows.entries.push_back(static_cast<ProviderId>(i));
+        }
+      }
+    } else if (any_dropped || j >= base.identities()) {
+      list.clear();
+      if (j < base.identities()) base.append_postings(id, list);
+      bool changed = std::erase_if(list, [&](ProviderId p) {
+                       return dropped[p];
+                     }) > 0 || j >= base.identities();
+      // Graft the spliced rows back in; the erase above guarantees no
+      // duplicate, and the sorted insert keeps the list ordered.
+      for (const auto& r : delta.row_splices) {
+        if ((r.bits[j >> 3] >> (j & 7)) & 1) {
+          list.insert(std::lower_bound(list.begin(), list.end(), r.provider),
+                      r.provider);
+          changed = true;
+        }
+      }
+      if (!changed) continue;
+      rows.entries.insert(rows.entries.end(), list.begin(), list.end());
+    } else {
+      continue;
+    }
+    ids.push_back(id);
+    rows.end_row();
+  }
+  return PostingIndex(base, delta.rows, delta.cols, ids, rows);
 }
 
 // --- fsck ------------------------------------------------------------------

@@ -218,11 +218,13 @@ std::uint32_t postings_checksum(const PostingIndex& postings);
 eppi::BitMatrix apply_delta(const eppi::BitMatrix& base,
                             const EpochStore::EpochDelta& delta);
 
-// The same splice computed entirely in posting space: decode the base
-// lists, drop every provider the delta retires or re-rows, graft the
-// spliced rows back in, overwrite the spliced columns, re-encode. Recovery
-// and load_epoch_postings replay with this — bit-identical to apply_delta
-// (the differential suite pins it) with no dense intermediate.
+// The same splice computed entirely in posting space: the spliced columns
+// take their FINAL values, and when the delta retires or re-rows a
+// provider every other row drops it and grafts the spliced rows back in.
+// Only those rows are re-encoded (PostingIndex's splice constructor), so a
+// column-only delta shares or copies the rest of the base. Recovery and
+// load_epoch_postings replay with this — bit-identical to apply_delta (the
+// differential suite pins it) with no dense intermediate.
 PostingIndex apply_delta_postings(const PostingIndex& base,
                                   const EpochStore::EpochDelta& delta);
 

@@ -223,9 +223,9 @@ void LocatorService::construct_ppi() {
   // retirement and joins only take effect in the delta protocol — so in
   // that case everything is marked dirty instead (a full recompute carried
   // by the delta machinery).
-  bool use_delta =
+  const bool may_delta =
       manager_.serving() && (options_.enable_delta || membership_pending);
-  if (use_delta) {
+  if (may_delta) {
     if (options_.enable_delta) {
       for (std::size_t j = 0; j < n; ++j) {
         if (dirty_owners_[j] != 0) req.dirty.push_back(static_cast<IdentityId>(j));
@@ -235,30 +235,27 @@ void LocatorService::construct_ppi() {
       for (std::size_t j = 0; j < n; ++j) req.dirty[j] = static_cast<IdentityId>(j);
     }
   }
-  if (use_delta && !membership_pending) {
-    if (options_.distributed) {
-      // A partial distributed run reseeds the sub-protocol differently from
-      // a full one; without membership churn forcing the delta protocol,
-      // prefer the full rebuild (identical output to the pre-churn path).
-      use_delta = false;
-    } else if (static_cast<double>(req.dirty.size()) >
-               options_.delta_max_dirty_fraction * static_cast<double>(n)) {
-      // Nearly everything is dirty: a full rebuild is cheaper and (in
-      // centralized mode) bit-identical.
-      use_delta = false;
-    }
-  }
+  // A partial distributed run reseeds the sub-protocol differently from a
+  // full one; without membership churn forcing the delta protocol, prefer
+  // the full rebuild (identical output to the pre-churn path).
+  const bool use_delta =
+      may_delta && (membership_pending || !options_.distributed);
   span.attr("delta", use_delta);
 
   last_rebuild_ = RebuildInfo{};
   last_rebuild_.dirty = req.dirty.size();
   last_rebuild_.joined = req.joined.size();
   last_rebuild_.left = req.left.size();
-  std::vector<IdentityId> affected;
-  std::vector<ProviderId> touched = req.joined;
-  touched.insert(touched.end(), req.left.begin(), req.left.end());
-  bool spliced = false;
-  std::shared_ptr<const PostingIndex> encoded;
+  std::shared_ptr<const PostingIndex> postings;
+  const auto take = [&](const auto& result) {
+    built_ = true;
+    index_.reset();
+    last_rebuild_.epoch = result.epoch;
+    last_rebuild_.churn = result.churn;
+    last_rebuild_.delta = result.delta.delta;
+    last_rebuild_.recomputed = result.delta.recomputed;
+    postings = result.postings;
+  };
 
   if (options_.distributed) {
     DistributedOptions dopt;
@@ -273,12 +270,7 @@ void LocatorService::construct_ppi() {
     auto result =
         use_delta ? manager_.rebuild_delta_distributed(truth, epsilons_, req, dopt)
                   : manager_.rebuild_distributed(truth, epsilons_, dopt);
-    built_ = true;
-    index_.reset();
-    last_rebuild_.epoch = result.epoch;
-    last_rebuild_.churn = result.churn;
-    last_rebuild_.delta = result.delta.delta;
-    last_rebuild_.recomputed = result.delta.recomputed;
+    take(result);
     if (result.degraded) {
       // The rebuild aborted; we are serving the last committed epoch.
       // serving_status() carries the failure — the stale report (if any)
@@ -290,20 +282,9 @@ void LocatorService::construct_ppi() {
       return;
     }
     report_ = std::move(result.report);
-    spliced = result.delta.delta;
-    affected = std::move(result.delta.affected_ids);
   } else {
-    auto result = use_delta ? manager_.rebuild_delta(truth_, epsilons_, req)
-                            : manager_.rebuild(truth_, epsilons_);
-    built_ = true;
-    index_.reset();
-    last_rebuild_.epoch = result.epoch;
-    last_rebuild_.churn = result.churn;
-    last_rebuild_.delta = result.delta.delta;
-    last_rebuild_.recomputed = result.delta.recomputed;
-    spliced = result.delta.delta;
-    affected = std::move(result.delta.affected_ids);
-    encoded = std::move(result.postings);
+    take(use_delta ? manager_.rebuild_delta(truth_, epsilons_, req)
+                   : manager_.rebuild(truth_, epsilons_));
     report_.reset();
   }
 
@@ -311,71 +292,37 @@ void LocatorService::construct_ppi() {
   std::fill(dirty_owners_.begin(), dirty_owners_.end(), 0);
   pending_joined_.clear();
   pending_left_.clear();
-  if (spliced) {
-    publish_snapshot_spliced(affected, touched);
-  } else if (encoded != nullptr) {
-    publish_with(std::move(encoded));  // the epoch the manager encoded
-  } else {
-    publish_snapshot();
-  }
+  publish_with(std::move(postings));  // the epoch the manager now serves
 }
 
 void LocatorService::attach_store(EpochStore& store) {
-  manager_.attach_store(store);
+  std::shared_ptr<const Lexicon> lexicon = manager_.attach_store(store);
   if (!manager_.serving()) return;
   // Resume answering from the recovered epoch right away (the manager has
   // adopted the store's lineage); a later construct_ppi() replaces it with
   // a fresh one.
   built_ = true;
   index_.reset();
-  const auto latest = store.latest_epoch();
-  if (latest.has_value() && owner_names_.empty()) {
+  if (lexicon != nullptr && !lexicon->empty() && owner_names_.empty()) {
     // A fresh process attaching a populated store has no in-memory owner
     // catalog; the committed epoch carries one (v3 lexicon section).
     // Restore it so the recovered epoch answers by name immediately — the
     // restored owners are dirty-by-definition, like any new registration,
-    // and re-delegate their facts before the next rebuild.
-    LoadedIndex loaded = store.load_epoch_postings(*latest);
-    if (loaded.lexicon != nullptr && !loaded.lexicon->empty()) {
-      // The persisted ids must survive verbatim — they are the index's
-      // column numbers — so names are seated at their id, not re-assigned
-      // in registration order.
-      owner_names_.resize(loaded.lexicon->size());
-      for (auto& [name, id] : loaded.lexicon->entries()) {
-        owner_ids_.emplace(name, id);
-        owner_names_[id] = std::move(name);
-      }
-      epsilons_.assign(owner_names_.size(), options_.default_epsilon);
-      dirty_owners_.assign(owner_names_.size(), 1);
-      truth_.owners.resize(owner_names_.size());
-      lexicon_cache_ = std::move(loaded.lexicon);
-      lexicon_dirty_ = false;
+    // and re-delegate their facts before the next rebuild. The persisted
+    // ids must survive verbatim — they are the index's column numbers — so
+    // names are seated at their id, not re-assigned in registration order.
+    owner_names_.resize(lexicon->size());
+    for (auto& [name, id] : lexicon->entries()) {
+      owner_ids_.emplace(name, id);
+      owner_names_[id] = std::move(name);
     }
-    publish_with(std::make_shared<const PostingIndex>(
-        std::move(loaded.postings)));
-    return;
+    epsilons_.assign(owner_names_.size(), options_.default_epsilon);
+    dirty_owners_.assign(owner_names_.size(), 1);
+    truth_.owners.resize(owner_names_.size());
+    lexicon_cache_ = std::move(lexicon);
+    lexicon_dirty_ = false;
   }
-  publish_snapshot();
-}
-
-void LocatorService::publish_snapshot() {
-  publish_with(
-      std::make_shared<const PostingIndex>(manager_.current_matrix()));
-}
-
-void LocatorService::publish_snapshot_spliced(
-    std::span<const IdentityId> affected,
-    std::span<const ProviderId> touched) {
-  const auto prev = snapshot_.acquire();
-  const eppi::BitMatrix& published = manager_.current_matrix();
-  if (prev == nullptr || prev->postings == nullptr ||
-      prev->postings->identities() > published.cols() ||
-      prev->postings->providers() > published.rows()) {
-    publish_snapshot();
-    return;
-  }
-  publish_with(std::make_shared<const PostingIndex>(*prev->postings, published,
-                                                    affected, touched));
+  publish_with(manager_.served_postings());
 }
 
 std::shared_ptr<const Lexicon> LocatorService::serving_lexicon() {
@@ -583,7 +530,9 @@ LocatorService::BatchQueryResult LocatorService::query_ppi_many(
 
 const PpiIndex& LocatorService::index() const {
   require(built_, "LocatorService: ConstructPPI has not been run");
-  if (!index_.has_value()) index_.emplace(manager_.current_matrix());
+  if (!index_.has_value()) {
+    index_.emplace(manager_.served_postings()->to_matrix_index());
+  }
   return *index_;
 }
 
@@ -592,9 +541,10 @@ LocatorService::SearchResult LocatorService::search(
     const Authorizer& authorize) const {
   const auto it = owner_ids_.find(owner);
   require(it != owner_ids_.end(), "LocatorService: unknown owner");
+  require(built_, "LocatorService: ConstructPPI has not been run");
 
   SearchResult result;
-  for (const ProviderId p : index().query(it->second)) {
+  for (const ProviderId p : acquire_serving()->postings->query(it->second)) {
     const std::string& name = provider_names_[p];
     result.contacted.push_back(name);
     if (authorize && !authorize(searcher, name)) {

@@ -86,14 +86,12 @@ class LocatorService {
     FaultToleranceOptions fault_tolerance;
     // Incremental epochs: when a previous epoch exists, construct_ppi()
     // recomputes only the owners touched since the last build and splices
-    // the result over it (centralized mode: bit-identical to a full
-    // rebuild). Membership churn (joins/retirements) always routes through
-    // the delta protocol regardless of this flag — retirement only takes
-    // effect there. A full rebuild still runs when more than
-    // delta_max_dirty_fraction of the owners are dirty (recomputing nearly
-    // everything incrementally costs more than a clean rebuild).
+    // their rows over it (centralized mode: bit-identical to a full
+    // rebuild; with every owner dirty it costs about one).
+    // Membership churn (joins/retirements) always routes through the delta
+    // protocol regardless of this flag — retirement only takes effect
+    // there.
     bool enable_delta = true;
-    double delta_max_dirty_fraction = 0.10;
     // Journal bound: see EpochManager::Options::delta_base_interval.
     std::size_t delta_base_interval = 16;
   };
@@ -145,8 +143,8 @@ class LocatorService {
 
   bool constructed() const noexcept { return built_; }
   // The builder's view of the served epoch as a dense index, materialized
-  // on first use after each construction (the serving path never needs
-  // it).
+  // from its postings (to_matrix_index) on first use after each
+  // construction. Nothing in the service calls it.
   const PpiIndex& index() const;
 
   // How the most recent construct_ppi() ran — whether the incremental path
@@ -273,7 +271,8 @@ class LocatorService {
       std::function<bool(const std::string& searcher,
                          const std::string& provider)>;
 
-  // Runs the full two-phase search. The default authorizer grants access.
+  // Runs the full two-phase search: the owner's posting row in the served
+  // snapshot, then each candidate. The default authorizer grants access.
   // Builder-side (consults the ground-truth membership): not safe
   // concurrently with mutations.
   SearchResult search(const std::string& searcher, const std::string& owner,
@@ -292,16 +291,9 @@ class LocatorService {
   LocatorService(Options options, const obs::Labels& instance);
 
   void mark_owner_dirty(IdentityId t);
-  // Writer side: freeze the current builder state + manager staleness into
-  // a new immutable snapshot and swap it in.
-  void publish_snapshot();
-  // Writer side, delta epoch: like publish_snapshot() but reuses the served
-  // snapshot's posting lists except the `affected` identity columns and the
-  // `touched` provider rows (joined/retired), so snapshot cost scales with
-  // the delta, not the index. Falls back to a full publish when there is no
-  // compatible served snapshot to splice over.
-  void publish_snapshot_spliced(std::span<const IdentityId> affected,
-                                std::span<const ProviderId> touched);
+  // Writer side: freeze `postings` (the manager's served epoch), the owner
+  // catalog and the manager's staleness into a new immutable snapshot and
+  // swap it in.
   void publish_with(std::shared_ptr<const PostingIndex> postings);
   // Writer side, degraded rebuild: republish the already-served epoch with
   // updated staleness accounting (shares the served postings; no copy).

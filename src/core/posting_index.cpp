@@ -12,8 +12,8 @@ namespace eppi::core {
 namespace {
 
 // Inverts columns [first, first + n_rows) of `matrix` into lists laid end
-// to end — exact-size, two word-walk passes, no per-row allocations. This
-// is the only place the serving tier touches the dense matrix.
+// to end — exact-size, two word-walk passes, no per-row allocations. The
+// serving tier reaches it only from a distributed rebuild's dense answer.
 PostingLists invert_range(const eppi::BitMatrix& matrix, std::size_t first,
                           std::size_t n_rows) {
   PostingLists flat;
@@ -74,23 +74,6 @@ PostingShard shard_from_matrix(const eppi::BitMatrix& matrix,
                                std::size_t first, std::size_t n_rows) {
   return encode_shard(static_cast<IdentityId>(first), matrix.rows(),
                       invert_range(matrix, first, n_rows), 0, n_rows);
-}
-
-// Does provider row `p` have any published bit in columns [first, end)?
-bool row_range_any(const eppi::BitMatrix& matrix, ProviderId p,
-                   std::size_t first, std::size_t end) {
-  const std::uint64_t* words = matrix.row_words(p);
-  const std::size_t w_lo = first / 64;
-  const std::size_t w_hi = std::min((end + 63) / 64, matrix.words_per_row());
-  for (std::size_t w = w_lo; w < w_hi; ++w) {
-    std::uint64_t word = words[w];
-    if (w == w_lo && first % 64 != 0) word &= ~std::uint64_t{0} << (first % 64);
-    if (w == w_hi - 1 && end % 64 != 0) {
-      word &= ~(~std::uint64_t{0} << (end % 64));
-    }
-    if (word != 0) return true;
-  }
-  return false;
 }
 
 // Encoded size of a row of `count` entries under `codec` (no padding).
@@ -201,25 +184,13 @@ PostingShard::PostingShard(IdentityId first, std::size_t universe,
                            std::span<const std::span<const ProviderId>> lists)
     : first_(first), universe_(universe) {
   offsets_.reserve(lists.size());
-  presence_.assign((universe + 63) / 64, 0);
   std::size_t payload = 0;
   for (const auto& list : lists) {
     payload += encoded_bytes(choose_codec(list.size(), universe),
                              list.size(), universe);
   }
   arena_.reserve(payload);
-  for (const auto& list : lists) {
-    const PostingCodec codec = choose_codec(list.size(), universe);
-    const std::size_t offset = arena_.size();
-    require(offset <= (std::size_t{1} << 30) - 1,
-            "PostingShard: arena exceeds the 1 GiB tagged-offset ceiling");
-    offsets_.push_back(static_cast<std::uint32_t>(offset << 2) |
-                       static_cast<std::uint32_t>(codec));
-    encode_postings(codec, list, universe, arena_);
-    for (const ProviderId p : list) {
-      presence_[p >> 6] |= std::uint64_t{1} << (p & 63);
-    }
-  }
+  for (const auto& list : lists) append_encoded(list);
 }
 
 PostingShard::PostingShard(IdentityId first, std::size_t universe,
@@ -229,7 +200,78 @@ PostingShard::PostingShard(IdentityId first, std::size_t universe,
       universe_(universe),
       offsets_(std::move(tagged_offsets)),
       arena_(std::move(arena)) {
-  rebuild_presence();
+  validate_rows();
+}
+
+PostingShard::PostingShard(IdentityId first, std::size_t universe,
+                           const PostingShard* base, std::size_t n_rows,
+                           std::span<const std::uint32_t> rows,
+                           std::span<const std::span<const ProviderId>> lists)
+    : first_(first), universe_(universe) {
+  require(rows.size() == lists.size(),
+          "PostingShard: one list per spliced row required");
+  const std::size_t kept = base == nullptr ? 0 : base->rows();
+  // Base rows keep their bytes only under the same universe.
+  const bool copy = base != nullptr && base->universe_ == universe;
+  // Size the arena exactly, as the list constructor does: base's bytes
+  // less the replaced rows', plus the new rows' encodings.
+  std::size_t payload = copy ? base->arena_.size() : 0;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    require(rows[k] < n_rows && (k == 0 || rows[k - 1] < rows[k]),
+            "PostingShard: spliced rows must be ascending and in range");
+    if (copy && rows[k] < kept) {
+      payload -= base->byte_offset(rows[k] + 1) - base->byte_offset(rows[k]);
+    }
+    payload += encoded_bytes(choose_codec(lists[k].size(), universe_),
+                             lists[k].size(), universe_);
+  }
+  offsets_.reserve(n_rows);
+  arena_.reserve(payload);
+  std::vector<ProviderId> scratch;
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < n_rows;) {
+    if (k < rows.size() && rows[k] == r) {
+      append_encoded(lists[k++]);
+      ++r;
+      continue;
+    }
+    const std::size_t stop = k < rows.size() ? rows[k] : n_rows;
+    require(stop <= kept, "PostingShard: a new row was not spliced");
+    if (!copy) {
+      for (; r < stop; ++r) {
+        scratch.clear();
+        base->append_row(r, scratch);
+        append_encoded(scratch);
+      }
+      continue;
+    }
+    // A run of untouched rows [r, stop): one copy of their bytes, and
+    // their offsets moved by where the run now starts.
+    const std::size_t from = base->byte_offset(r);
+    const std::size_t to = base->byte_offset(stop);
+    const std::size_t at = arena_.size();
+    require(at + (to - from) <= (std::size_t{1} << 30),
+            "PostingShard: arena exceeds the 1 GiB tagged-offset ceiling");
+    for (std::size_t row = r; row < stop; ++row) {
+      const std::size_t offset = (base->offsets_[row] >> 2) - from + at;
+      offsets_.push_back(static_cast<std::uint32_t>(offset << 2) |
+                         (base->offsets_[row] & 3u));
+    }
+    arena_.insert(arena_.end(), base->arena_.begin() + from,
+                  base->arena_.begin() + to);
+    r = stop;
+  }
+  if (!copy) arena_.shrink_to_fit();  // re-encoded rows were not presized
+}
+
+void PostingShard::append_encoded(std::span<const ProviderId> list) {
+  const PostingCodec codec = choose_codec(list.size(), universe_);
+  const std::size_t offset = arena_.size();
+  require(offset <= (std::size_t{1} << 30) - 1,
+          "PostingShard: arena exceeds the 1 GiB tagged-offset ceiling");
+  offsets_.push_back(static_cast<std::uint32_t>(offset << 2) |
+                     static_cast<std::uint32_t>(codec));
+  encode_postings(codec, list, universe_, arena_);
 }
 
 std::span<const std::uint8_t> PostingShard::row_span(std::size_t row) const {
@@ -250,9 +292,8 @@ std::size_t PostingShard::row_count(std::size_t row) const {
   return decode_count(codec_of(row), row_span(row));
 }
 
-bool PostingShard::provider_present(ProviderId p) const noexcept {
-  if (p >= universe_) return false;
-  return (presence_[p >> 6] >> (p & 63)) & 1;
+std::size_t PostingShard::byte_offset(std::size_t row) const noexcept {
+  return row < offsets_.size() ? offsets_[row] >> 2 : arena_.size();
 }
 
 std::size_t PostingShard::row_payload_bytes(std::size_t row) const {
@@ -261,12 +302,10 @@ std::size_t PostingShard::row_payload_bytes(std::size_t row) const {
 
 std::size_t PostingShard::resident_bytes() const noexcept {
   return arena_.capacity() * sizeof(std::uint8_t) +
-         offsets_.capacity() * sizeof(std::uint32_t) +
-         presence_.capacity() * sizeof(std::uint64_t);
+         offsets_.capacity() * sizeof(std::uint32_t);
 }
 
-void PostingShard::rebuild_presence() {
-  presence_.assign((universe_ + 63) / 64, 0);
+void PostingShard::validate_rows() const {
   std::vector<ProviderId> scratch;
   std::size_t expected_offset = 0;
   for (std::size_t row = 0; row < offsets_.size(); ++row) {
@@ -282,9 +321,6 @@ void PostingShard::rebuild_presence() {
     // The checked decoder: every row the trusted one will ever read passes
     // through here first, and a malformed row throws.
     decode_postings(codec_of(row), row_span(row), universe_, scratch);
-    for (const ProviderId p : scratch) {
-      presence_[p >> 6] |= std::uint64_t{1} << (p & 63);
-    }
     expected_offset = offset + encoded_bytes(codec_of(row), scratch.size(),
                                              universe_);
   }
@@ -368,50 +404,44 @@ PostingIndex::PostingIndex(
   }
 }
 
-PostingIndex::PostingIndex(const PostingIndex& base,
-                           const eppi::BitMatrix& published,
-                           std::span<const IdentityId> affected,
-                           std::span<const ProviderId> touched)
-    : providers_(published.rows()),
-      identities_(published.cols()),
+PostingIndex::PostingIndex(const PostingIndex& base, std::size_t providers,
+                           std::size_t identities,
+                           std::span<const IdentityId> ids,
+                           const PostingLists& rows)
+    : providers_(providers),
+      identities_(identities),
       shard_span_(base.shard_span_) {
-  require(base.providers_ <= published.rows() &&
-              base.identities_ <= published.cols(),
-          "PostingIndex: splice base larger than published matrix");
-  const std::size_t count =
-      (identities_ + shard_span_ - 1) / shard_span_;
-  std::vector<std::uint8_t> dirty(count, 0);
-  for (const IdentityId j : affected) {
-    require(j < identities_, "PostingIndex: affected identity out of range");
-    dirty[j / shard_span_] = 1;
+  require(base.providers_ <= providers && base.identities_ <= identities,
+          "PostingIndex: a splice may not shrink the index");
+  require(rows.rows() == ids.size(),
+          "PostingIndex: one spliced row per identity required");
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    require(ids[k] < identities && (k == 0 || ids[k - 1] < ids[k]),
+            "PostingIndex: spliced identities must be ascending and in "
+            "range");
   }
-  for (const ProviderId p : touched) {
-    require(p < providers_, "PostingIndex: touched provider out of range");
-  }
-  // A provider-count change alters every row's universe, hence every
-  // encoding: nothing from the base is reusable.
-  const bool universe_changed = providers_ != base.providers_;
-
-  shards_.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t first = k * shard_span_;
+  shards_.reserve((identities_ + shard_span_ - 1) / shard_span_);
+  std::vector<std::uint32_t> local;  // the shard's listed rows
+  std::vector<std::span<const ProviderId>> lists;
+  std::size_t next = 0;  // first entry of `ids` not yet placed
+  for (std::size_t first = 0; first < identities_; first += shard_span_) {
+    const std::size_t k = first / shard_span_;
     const std::size_t n = std::min(shard_span_, identities_ - first);
-    bool reuse = !universe_changed && !dirty[k] &&
-                 k < base.shards_.size() && base.shards_[k]->rows() == n;
-    if (reuse) {
-      for (const ProviderId p : touched) {
-        if (base.shards_[k]->provider_present(p) ||
-            row_range_any(published, p, first, first + n)) {
-          reuse = false;
-          break;
-        }
-      }
+    const PostingShard* old =
+        k < base.shards_.size() ? base.shards_[k].get() : nullptr;
+    local.clear();
+    lists.clear();
+    while (next < ids.size() && ids[next] < first + n) {
+      local.push_back(static_cast<std::uint32_t>(ids[next] - first));
+      lists.push_back(rows.row(next));
+      ++next;
     }
-    if (reuse) {
+    if (old != nullptr && local.empty() && old->rows() == n &&
+        providers_ == base.providers_) {
       shards_.push_back(base.shards_[k]);
     } else {
       shards_.push_back(std::make_shared<const PostingShard>(
-          shard_from_matrix(published, first, n)));
+          static_cast<IdentityId>(first), providers_, old, n, local, lists));
     }
   }
 }
@@ -480,6 +510,36 @@ PpiIndex PostingIndex::to_matrix_index() const {
     }
   }
   return PpiIndex(std::move(matrix));
+}
+
+std::size_t symmetric_difference_size(std::span<const ProviderId> a,
+                                      std::span<const ProviderId> b) noexcept {
+  std::size_t common = 0;
+  for (std::size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++common;
+      ++i;
+      ++j;
+    }
+  }
+  return a.size() + b.size() - 2 * common;
+}
+
+std::size_t hamming_distance(const PostingIndex& a, const PostingIndex& b) {
+  require(a.providers() == b.providers() && a.identities() == b.identities(),
+          "PostingIndex: hamming distance needs indexes of one shape");
+  std::size_t distance = 0;
+  std::vector<ProviderId> x, y;
+  for (std::size_t j = 0; j < a.identities(); ++j) {
+    a.query_into(static_cast<IdentityId>(j), x);
+    b.query_into(static_cast<IdentityId>(j), y);
+    distance += symmetric_difference_size(x, y);
+  }
+  return distance;
 }
 
 }  // namespace eppi::core

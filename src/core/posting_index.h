@@ -15,17 +15,15 @@
 //                    each covering identities [k·span, (k+1)·span)
 //   PostingShard ── offsets_[row] : u32, (arena byte offset << 2) | codec
 //                    arena_        : one contiguous encoded-rows buffer
-//                    presence_     : per-provider "appears in this shard" bits
 //
 // Per-identity metadata is 4 bytes (the tagged offset); encodings are
 // self-describing (leading varint count) so no end offsets or counts are
 // stored. Shards are immutable and individually shared: an incremental
-// epoch (PR 8 delta splice) rebuilds only the shards a delta touches and
-// aliases the rest from the previous snapshot via shared_ptr — publication
-// cost scales with the delta, and the per-provider presence bits are what
-// decide "touched" cheaply. The same shard blobs are what eppi-index-v3
-// persists verbatim (core/index_io.h), so load never re-encodes and replay
-// never materializes the dense matrix.
+// epoch is spliced in posting space, sharing every shard its changed rows
+// miss and copying a touched shard's other rows as encoded bytes, so
+// publication cost scales with the delta. The same shard blobs are what
+// eppi-index-v3 persists verbatim (core/index_io.h), so load never
+// re-encodes and replay never materializes the dense matrix.
 //
 // A constructed PostingIndex is deeply immutable, which is what lets the
 // concurrent serving tier (core/epoch_snapshot.h) share one instance across
@@ -45,8 +43,8 @@ namespace eppi::core {
 
 // Identities per shard. 2^16 keeps shard arenas comfortably under the u32
 // tagged-offset ceiling at any plausible provider count and makes a delta
-// rebuild O(span · m/64) per dirty shard. Must stay a multiple of 64 so
-// shard ranges are word-aligned in the BitMatrix walk.
+// splice O(span) offset words per touched shard. Must stay a multiple of
+// 64 so shard ranges are word-aligned in the BitMatrix walk.
 inline constexpr std::size_t kDefaultShardSpan = std::size_t{1} << 16;
 
 // Posting lists laid end to end: row j is entries[start[j], start[j+1]).
@@ -66,9 +64,10 @@ struct PostingLists {
 };
 
 // One immutable range of compressed posting rows. Built by PostingIndex
-// (from a matrix walk, explicit lists, or deserialized v3 sections). Every
-// row is checked once, when the shard is built or loaded: the list
-// constructor checks its input before encoding, and the adopt constructor
+// (from a matrix walk, explicit lists, a splice, or deserialized v3
+// sections). Every row is checked once, when it is first encoded or loaded:
+// the list and splice constructors check the rows they encode (a splice
+// copies the rest from a constructed shard), and the adopt constructor
 // runs the checked decoder (decode_postings) over every row, so a
 // CRC-passing-but-hostile arena never becomes a shard. Rows of a
 // constructed shard are decoded trusted after that, at word speed and
@@ -83,12 +82,22 @@ class PostingShard {
                std::span<const std::span<const ProviderId>> lists);
 
   // Adopts serialized storage (the v3 on-disk form). Decodes every row once
-  // with the checked decoder, validating the arena and filling the presence
-  // bits in the same pass; throws SerializeError on any malformed row or
-  // offset.
+  // with the checked decoder, validating the arena; throws SerializeError on
+  // any malformed row or offset.
   PostingShard(IdentityId first, std::size_t universe,
                std::vector<std::uint32_t> tagged_offsets,
                std::vector<std::uint8_t> arena);
+
+  // Splices over `base` (null for a new shard) a shard of `n_rows` rows:
+  // row rows[k] is encoded from lists[k] (`rows` ascending, shard-relative),
+  // and every other row is base's — its bytes copied run by run under the
+  // same universe, decoded and encoded again under a grown one. Rows at or
+  // past base's row count must all be listed. The result is byte-identical
+  // to encoding every row.
+  PostingShard(IdentityId first, std::size_t universe,
+               const PostingShard* base, std::size_t n_rows,
+               std::span<const std::uint32_t> rows,
+               std::span<const std::span<const ProviderId>> lists);
 
   IdentityId first_identity() const noexcept { return first_; }
   std::size_t rows() const noexcept { return offsets_.size(); }
@@ -105,10 +114,6 @@ class PostingShard {
   // O(1)-ish: reads only the row's leading count varint.
   std::size_t row_count(std::size_t row) const;
 
-  // Whether provider `p` appears in any row of this shard — the splice
-  // path's cheap "is this shard touched" test.
-  bool provider_present(ProviderId p) const noexcept;
-
   // Serialized storage views (what v3 persists).
   std::span<const std::uint32_t> tagged_offsets() const noexcept {
     return offsets_;
@@ -118,18 +123,21 @@ class PostingShard {
   // Encoded payload bytes of one row (no padding), derived from its count.
   std::size_t row_payload_bytes(std::size_t row) const;
 
-  // Heap bytes this shard holds (arena + offsets + presence, capacities).
+  // Heap bytes this shard holds (arena + offsets, capacities).
   std::size_t resident_bytes() const noexcept;
 
  private:
   std::span<const std::uint8_t> row_span(std::size_t row) const;
-  void rebuild_presence();  // checked decode of every row; fills presence_
+  // Where row `row`'s bytes start; the arena's end for row == rows().
+  std::size_t byte_offset(std::size_t row) const noexcept;
+  void validate_rows() const;  // checked decode of every row
+  // Checks `list` and appends its encoding as the next row.
+  void append_encoded(std::span<const ProviderId> list);
 
   IdentityId first_ = 0;
   std::size_t universe_ = 0;
-  std::vector<std::uint32_t> offsets_;   // (byte offset << 2) | codec
+  std::vector<std::uint32_t> offsets_;  // (byte offset << 2) | codec
   std::vector<std::uint8_t> arena_;
-  std::vector<std::uint64_t> presence_;  // ⌈universe/64⌉ provider bits
 };
 
 class PostingIndex {
@@ -161,17 +169,16 @@ class PostingIndex {
                std::size_t shard_span,
                std::vector<std::shared_ptr<const PostingShard>> shards);
 
-  // Partial-refresh constructor for incremental epochs: shares every shard
-  // of `base` that the delta provably does not touch and rebuilds only the
-  // dirty ones from `published`. A shard is dirty iff an `affected`
-  // identity falls in its range, or a `touched` provider either appears in
-  // the base shard or has a published bit inside the range (a joined
-  // provider's noise bits land anywhere). If the provider universe changed
-  // every encoding changes, so everything is rebuilt. The result is
-  // immutable; sharing is by shared_ptr, never by mutation.
-  PostingIndex(const PostingIndex& base, const eppi::BitMatrix& published,
-               std::span<const IdentityId> affected,
-               std::span<const ProviderId> touched);
+  // The incremental epoch: `base` with the rows of identities `ids`
+  // (strictly ascending) replaced by `rows` (rows.row(k) is identity
+  // ids[k]'s new list), grown to `providers` × `identities`. Identities
+  // past base.identities() must all be listed. A shard no listed identity
+  // falls in is shared with `base` by shared_ptr, and a touched one is
+  // spliced (see PostingShard). The result is byte-identical, shard by
+  // shard, to encoding the whole epoch.
+  PostingIndex(const PostingIndex& base, std::size_t providers,
+               std::size_t identities, std::span<const IdentityId> ids,
+               const PostingLists& rows);
 
   std::size_t providers() const noexcept { return providers_; }
   std::size_t identities() const noexcept { return identities_; }
@@ -195,8 +202,8 @@ class PostingIndex {
   // Memory accounting for capacity planning. `payload_bytes` is the encoded
   // row bytes alone (what v3 persists, minus framing); `resident_bytes` is
   // what the process actually holds: arenas with alignment padding and
-  // allocation slack, tagged offsets, presence bitmaps, and the shard
-  // control structures. The per-codec split is the compression story —
+  // allocation slack, tagged offsets, and the shard control structures.
+  // The per-codec split is the compression story —
   // `eppi_index_bytes{codec=...}` in the obs registry comes from here.
   struct CodecFootprint {
     std::size_t rows = 0;
@@ -236,5 +243,14 @@ class PostingIndex {
   std::size_t shard_span_ = kDefaultShardSpan;
   std::vector<std::shared_ptr<const PostingShard>> shards_;
 };
+
+// |a △ b|: the providers in exactly one of two ascending lists.
+std::size_t symmetric_difference_size(std::span<const ProviderId> a,
+                                      std::span<const ProviderId> b) noexcept;
+
+// The cells in which two indexes of one shape differ — BitMatrix's
+// hamming_distance in posting space. Throws ConfigError when the shapes
+// differ.
+std::size_t hamming_distance(const PostingIndex& a, const PostingIndex& b);
 
 }  // namespace eppi::core

@@ -3,7 +3,8 @@
 // BIT-IDENTICAL to a full rebuild over the same truth, because β*/ξ/λ are
 // re-derived globally and every sticky decision is keyed, not drawn. The
 // suite pins that equivalence, the membership (join/leave/rejoin) semantics,
-// the LocatorService routing on top, and the serving-tier posting splice.
+// the LocatorService routing on top, and the posting-space splice the
+// delta epochs are built with.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +16,9 @@
 #include "common/error.h"
 #include "core/epoch_manager.h"
 #include "core/locator_service.h"
+#include "core/owner_truth.h"
 #include "core/posting_index.h"
+#include "fixtures/publication.h"
 
 namespace eppi::core {
 namespace {
@@ -69,7 +72,8 @@ TEST(DeltaEpochTest, DeltaRebuildIsBitIdenticalToFullRebuild) {
 
   EXPECT_TRUE(delta.delta.delta);
   EXPECT_GE(delta.delta.recomputed, req.dirty.size());
-  EXPECT_EQ(delta.index.matrix(), reference.index.matrix());
+  EXPECT_EQ(fixtures::dense(*delta.postings),
+            fixtures::dense(*reference.postings));
   EXPECT_EQ(delta.churn, reference.churn);
 }
 
@@ -83,8 +87,9 @@ TEST(DeltaEpochTest, FirstEpochFallsBackToFullTransparently) {
   EXPECT_EQ(result.epoch, 1u);
 
   EpochManager reference(manager_options());
-  EXPECT_EQ(result.index.matrix(),
-            reference.rebuild(base_truth(), base_epsilons()).index.matrix());
+  EXPECT_EQ(fixtures::dense(*result.postings),
+            fixtures::dense(
+                *reference.rebuild(base_truth(), base_epsilons()).postings));
 }
 
 TEST(DeltaEpochTest, LeaveZeroesRowAndRejoinRestoresStickyNoise) {
@@ -107,13 +112,13 @@ TEST(DeltaEpochTest, LeaveZeroesRowAndRejoinRestoresStickyNoise) {
   const auto epoch2 = manager.rebuild_delta(truth2, eps, leave);
   EXPECT_EQ(manager.retired_count(), 1u);
   for (std::size_t j = 0; j < kN; ++j) {
-    EXPECT_FALSE(epoch2.index.matrix().get(2, j)) << "col " << j;
+    EXPECT_FALSE(fixtures::dense(*epoch2.postings).get(2, j)) << "col " << j;
   }
 
   // A later FULL rebuild must keep honoring the retirement.
   const auto epoch3 = manager.rebuild(truth2, eps);
   for (std::size_t j = 0; j < kN; ++j) {
-    EXPECT_FALSE(epoch3.index.matrix().get(2, j)) << "col " << j;
+    EXPECT_FALSE(fixtures::dense(*epoch3.postings).get(2, j)) << "col " << j;
   }
 
   // Rejoin with the original data: the published row must be byte-identical
@@ -124,8 +129,8 @@ TEST(DeltaEpochTest, LeaveZeroesRowAndRejoinRestoresStickyNoise) {
   const auto epoch4 = manager.rebuild_delta(base_truth(), eps, rejoin);
   EXPECT_EQ(manager.retired_count(), 0u);
   for (std::size_t j = 0; j < kN; ++j) {
-    EXPECT_EQ(epoch4.index.matrix().get(2, j),
-              epoch1.index.matrix().get(2, j))
+    EXPECT_EQ(fixtures::dense(*epoch4.postings).get(2, j),
+              fixtures::dense(*epoch1.postings).get(2, j))
         << "col " << j;
   }
 }
@@ -148,13 +153,14 @@ TEST(DeltaEpochTest, JoinGrowsShapeAndMatchesFullRebuild) {
     join.dirty.push_back(static_cast<IdentityId>(j));
   }
   const auto delta = incremental.rebuild_delta(truth2, eps, join);
-  EXPECT_EQ(delta.index.matrix().rows(), kM + 1);
+  EXPECT_EQ(delta.postings->providers(), kM + 1);
   EXPECT_EQ(delta.delta.spliced_rows, 1u);
 
   EpochManager full(manager_options());
   full.rebuild(base_truth(), eps);
   const auto reference = full.rebuild(truth2, eps);
-  EXPECT_EQ(delta.index.matrix(), reference.index.matrix());
+  EXPECT_EQ(fixtures::dense(*delta.postings),
+            fixtures::dense(*reference.postings));
 }
 
 // --- LocatorService routing ------------------------------------------------
@@ -197,18 +203,28 @@ TEST(DeltaEpochTest, ServiceDeltaPathAnswersIdenticallyToFullPath) {
   }
 }
 
-TEST(DeltaEpochTest, DirtyFractionGateFallsBackToFullRebuild) {
-  LocatorService svc(service_options(true));
-  seed_service(svc);
-  svc.construct_ppi();
-  // Touch most owners: recomputing nearly everything incrementally is a
-  // waste, so the service must choose a full rebuild.
+TEST(DeltaEpochTest, MostlyDirtyRebuildStillTakesDeltaPath) {
+  LocatorService with_delta(service_options(true));
+  LocatorService without(service_options(false));
+  seed_service(with_delta);
+  seed_service(without);
+  with_delta.construct_ppi();
+  without.construct_ppi();
+  // Touch most owners: a row splice with nearly every column re-emitted
+  // costs about one full encode, so the service still splices — and
+  // answers exactly as a full rebuild does.
   for (int o = 0; o < 15; ++o) {
-    svc.delegate("owner" + std::to_string(o), 0.8, "prov1");
+    with_delta.delegate("owner" + std::to_string(o), 0.8, "prov1");
+    without.delegate("owner" + std::to_string(o), 0.8, "prov1");
   }
-  svc.construct_ppi();
-  EXPECT_FALSE(svc.last_rebuild().delta);
-  EXPECT_EQ(svc.last_rebuild().epoch, 2u);
+  with_delta.construct_ppi();
+  without.construct_ppi();
+  EXPECT_TRUE(with_delta.last_rebuild().delta);
+  EXPECT_EQ(with_delta.last_rebuild().epoch, 2u);
+  for (int o = 0; o < 20; ++o) {
+    const std::string owner = "owner" + std::to_string(o);
+    EXPECT_EQ(with_delta.query_ppi(owner), without.query_ppi(owner)) << owner;
+  }
 }
 
 TEST(DeltaEpochTest, ServiceRetireAndRejoinFlowsThroughQueries) {
@@ -240,7 +256,42 @@ TEST(DeltaEpochTest, RetireUnknownProviderThrows) {
   EXPECT_THROW(svc.retire_provider("nobody"), eppi::ConfigError);
 }
 
-// --- serving-tier posting splice -------------------------------------------
+// --- posting-space splice ---------------------------------------------------
+
+// Every shard of `a` and `b` is byte-identical: the same tagged offsets and
+// the same arena.
+void expect_same_bytes(const PostingIndex& a, const PostingIndex& b) {
+  ASSERT_EQ(a.shard_count(), b.shard_count());
+  EXPECT_EQ(a.providers(), b.providers());
+  EXPECT_EQ(a.identities(), b.identities());
+  for (std::size_t k = 0; k < a.shard_count(); ++k) {
+    const auto offsets_a = a.shard(k)->tagged_offsets();
+    const auto offsets_b = b.shard(k)->tagged_offsets();
+    EXPECT_TRUE(std::equal(offsets_a.begin(), offsets_a.end(),
+                           offsets_b.begin(), offsets_b.end()))
+        << "shard " << k << " offsets";
+    const auto arena_a = a.shard(k)->arena();
+    const auto arena_b = b.shard(k)->arena();
+    EXPECT_TRUE(std::equal(arena_a.begin(), arena_a.end(), arena_b.begin(),
+                           arena_b.end()))
+        << "shard " << k << " arena";
+  }
+}
+
+// The rows of `published` for identities `ids`, laid end to end.
+PostingLists rows_of(const eppi::BitMatrix& published,
+                     const std::vector<IdentityId>& ids) {
+  PostingLists rows;
+  for (const IdentityId j : ids) {
+    for (std::size_t i = 0; i < published.rows(); ++i) {
+      if (published.get(i, j)) {
+        rows.entries.push_back(static_cast<ProviderId>(i));
+      }
+    }
+    rows.end_row();
+  }
+  return rows;
+}
 
 TEST(DeltaEpochTest, PostingSpliceMatchesFullInversion) {
   eppi::BitMatrix before(5, 16);
@@ -263,9 +314,18 @@ TEST(DeltaEpochTest, PostingSpliceMatchesFullInversion) {
   after.set(3, 11, true);
   for (const std::size_t j : {1u, 4u, 7u, 15u}) after.set(5, j, true);
 
-  const std::vector<IdentityId> affected{4, 11};
-  const std::vector<ProviderId> touched{2, 5};
-  const PostingIndex spliced(base, after, affected, touched);
+  // Splice the rows that changed; the grown provider universe re-encodes
+  // the rest.
+  std::vector<IdentityId> ids;
+  for (std::size_t j = 0; j < 16; ++j) {
+    for (std::size_t i = 0; i < 5; ++i) {
+      if (before.get(i, j) != after.get(i, j) || after.get(5, j)) {
+        ids.push_back(static_cast<IdentityId>(j));
+        break;
+      }
+    }
+  }
+  const PostingIndex spliced(base, 6, 16, ids, rows_of(after, ids));
   const PostingIndex full(after);
 
   ASSERT_EQ(spliced.identities(), full.identities());
@@ -275,15 +335,175 @@ TEST(DeltaEpochTest, PostingSpliceMatchesFullInversion) {
               full.query(static_cast<IdentityId>(j)))
         << "col " << j;
   }
+  expect_same_bytes(spliced, full);
+
+  // Same universe: untouched rows are copied as bytes, and a shard no
+  // listed row falls in is shared.
+  eppi::BitMatrix wide(5, 200);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 200; ++j) {
+      if ((i * 7 + j) % 5 == 0) wide.set(i, j, true);
+    }
+  }
+  const PostingIndex wide_base(wide, 64);
+  eppi::BitMatrix wide_after = wide;
+  wide_after.set(1, 70, !wide_after.get(1, 70));
+  wide_after.set(4, 127, !wide_after.get(4, 127));
+  const std::vector<IdentityId> wide_ids{70, 127};
+  const PostingIndex wide_spliced(wide_base, 5, 200, wide_ids,
+                                  rows_of(wide_after, wide_ids));
+  expect_same_bytes(wide_spliced, PostingIndex(wide_after, 64));
+  EXPECT_EQ(wide_spliced.shard(0), wide_base.shard(0));
+  EXPECT_NE(wide_spliced.shard(1), wide_base.shard(1));
+  EXPECT_EQ(wide_spliced.shard(2), wide_base.shard(2));
+  EXPECT_EQ(hamming_distance(wide_base, wide_spliced), 2u);
 }
 
 TEST(DeltaEpochTest, PostingSpliceRejectsOutOfRangeInputs) {
   eppi::BitMatrix published(3, 4);
   const PostingIndex base(published);
-  EXPECT_THROW(PostingIndex(base, published, std::vector<IdentityId>{9}, {}),
+  const auto splice = [&](std::size_t providers, std::size_t identities,
+                          std::vector<IdentityId> ids) {
+    PostingLists rows;
+    for (std::size_t k = 0; k < ids.size(); ++k) rows.end_row();
+    return PostingIndex(base, providers, identities, ids, rows);
+  };
+  EXPECT_THROW(splice(3, 4, {9}), eppi::ConfigError);      // out of range
+  EXPECT_THROW(splice(3, 4, {2, 1}), eppi::ConfigError);   // not ascending
+  EXPECT_THROW(splice(3, 5, {1}), eppi::ConfigError);      // new row missing
+  EXPECT_THROW(splice(2, 4, {}), eppi::ConfigError);       // shrinks
+  EXPECT_THROW(PostingIndex(base, 3, 4, std::vector<IdentityId>{1},
+                            PostingLists{}),
+               eppi::ConfigError);  // one row per identity
+  PostingLists beyond;
+  beyond.entries.push_back(7);  // provider outside the universe
+  beyond.end_row();
+  EXPECT_THROW(PostingIndex(base, 3, 4, std::vector<IdentityId>{1}, beyond),
                eppi::ConfigError);
-  EXPECT_THROW(PostingIndex(base, published, {}, std::vector<ProviderId>{7}),
-               eppi::ConfigError);
+}
+
+// A delta epoch over two shards (n = 2^16 + 500, m = 8), step by step:
+// each epoch is byte-identical, shard by shard, to a fresh full rebuild of
+// the same state; a shard with no changed cell is the served epoch's shard
+// itself; and churn is the Hamming distance of the dense epochs.
+TEST(DeltaEpochTest, MultiShardDeltaMatchesFullRebuildShardByShard) {
+  constexpr std::size_t kShardM = 8;
+  std::size_t n = kDefaultShardSpan + 500;
+  OwnerTruth truth;
+  truth.providers = kShardM;
+  truth.owners.resize(n);
+  std::vector<double> eps(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < kShardM; ++i) {
+      if ((i * 13 + j * 7) % 11 < 2) {
+        truth.owners[j].push_back(static_cast<ProviderId>(i));
+      }
+    }
+    eps[j] = 0.2 + 0.05 * static_cast<double>(j % 10);
+  }
+  for (std::size_t j = 0; j < n; j += 997) {  // a few common owners
+    truth.owners[j].clear();
+    for (std::size_t i = 0; i < kShardM; ++i) {
+      truth.owners[j].push_back(static_cast<ProviderId>(i));
+    }
+  }
+
+  // The basic policy keeps the common set to the fully held owners, so λ
+  // stays inside (0, 1) and moves only when ξ or that set does.
+  EpochManager::Options options = manager_options();
+  options.policy = BetaPolicy::basic();
+  EpochManager manager(options);
+  auto served = manager.rebuild(truth, eps).postings;
+  std::vector<ProviderId> retired;
+  double lambda = 0.0;
+
+  const auto step = [&](const std::string& what,
+                        const EpochManager::DeltaRequest& request) {
+    SCOPED_TRACE(what);
+    const auto result = manager.rebuild_delta(truth, eps, request);
+    ASSERT_TRUE(result.delta.delta);
+    const PostingIndex& next = *result.postings;
+
+    EpochManager fresh(options);
+    EpochManager::DeltaRequest membership;
+    membership.left = retired;
+    const auto full = fresh.rebuild_delta(truth, eps, membership);
+    ASSERT_FALSE(full.delta.delta);
+    expect_same_bytes(next, *full.postings);
+
+    const eppi::BitMatrix before = served->to_matrix_index().matrix();
+    const eppi::BitMatrix after = next.to_matrix_index().matrix();
+    if (before.rows() == after.rows() && before.cols() == after.cols()) {
+      EXPECT_EQ(result.churn, before.hamming_distance(after));
+    } else {
+      EXPECT_EQ(result.churn, after.rows() * after.cols());
+    }
+    // Shard 0 is shared exactly when none of its cells changed.
+    bool shard0_changed = before.rows() != after.rows();
+    for (std::size_t i = 0; i < before.rows() && !shard0_changed; ++i) {
+      for (std::size_t j = 0; j < kDefaultShardSpan; ++j) {
+        if (before.get(i, j) != after.get(i, j)) {
+          shard0_changed = true;
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(next.shard(0) == served->shard(0), !shard0_changed);
+    lambda = result.info.lambda;
+    served = result.postings;
+  };
+
+  {  // Dirty owners only in shard 1.
+    EpochManager::DeltaRequest request;
+    for (const std::size_t j : {kDefaultShardSpan + 3, n - 1}) {
+      truth.owners[j] = {1, 5};
+      request.dirty.push_back(static_cast<IdentityId>(j));
+    }
+    const auto shard0 = served->shard(0);
+    step("dirty owners in shard 1", request);
+    EXPECT_EQ(served->shard(0), shard0);
+  }
+  {  // Appended owners grow shard 1.
+    for (std::size_t k = 0; k < 10; ++k) {
+      truth.owners.push_back({static_cast<ProviderId>(k % kShardM)});
+      eps.push_back(0.4);
+    }
+    n = truth.owners.size();
+    step("appended owners", {});
+  }
+  {  // An ε change that makes an owner common moves λ.
+    const std::size_t j = 12;
+    truth.owners[j] = {0, 1, 2, 3, 4, 5, 6, 7};
+    eps[j] = 0.9;
+    const double before = lambda;
+    EpochManager::DeltaRequest request;
+    request.dirty = {static_cast<IdentityId>(j)};
+    step("epsilon change moving lambda", request);
+    EXPECT_NE(lambda, before);
+  }
+  {  // Provider 3 leaves: its facts are withdrawn and its row goes dark.
+    EpochManager::DeltaRequest request;
+    request.left = {3};
+    for (std::size_t j = 0; j < n; ++j) {
+      auto& holders = truth.owners[j];
+      const auto at = std::find(holders.begin(), holders.end(), 3u);
+      if (at == holders.end()) continue;
+      holders.erase(at);
+      request.dirty.push_back(static_cast<IdentityId>(j));
+    }
+    retired = {3};
+    step("leave", request);
+  }
+  {  // A new provider joins with a few facts, growing the universe.
+    truth.providers = kShardM + 1;
+    EpochManager::DeltaRequest request;
+    request.joined = {static_cast<ProviderId>(kShardM)};
+    for (const std::size_t j : {std::size_t{40}, kDefaultShardSpan + 40}) {
+      truth.owners[j].push_back(static_cast<ProviderId>(kShardM));
+      request.dirty.push_back(static_cast<IdentityId>(j));
+    }
+    step("join", request);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "core/publisher.h"
 #include "dataset/synthetic.h"
+#include "fixtures/publication.h"
 
 namespace eppi::core {
 namespace {
@@ -30,7 +31,8 @@ TEST(EpochManagerTest, UnchangedDataProducesZeroChurn) {
   EpochManager manager;
   const auto first = manager.rebuild(f.network.membership, f.epsilons);
   const auto second = manager.rebuild(f.network.membership, f.epsilons);
-  EXPECT_EQ(first.index.matrix(), second.index.matrix());
+  EXPECT_EQ(fixtures::dense(*first.postings),
+            fixtures::dense(*second.postings));
   EXPECT_EQ(second.churn, 0u);
   EXPECT_EQ(second.epoch, 2u);
 }
@@ -39,7 +41,8 @@ TEST(EpochManagerTest, FullRecallEveryEpoch) {
   const Fixture f = make_fixture(2);
   EpochManager manager;
   const auto result = manager.rebuild(f.network.membership, f.epsilons);
-  EXPECT_TRUE(full_recall(f.network.membership, result.index.matrix()));
+  EXPECT_TRUE(
+      full_recall(f.network.membership, fixtures::dense(*result.postings)));
 }
 
 TEST(EpochManagerTest, DecoySetStableAcrossEpochs) {
@@ -63,7 +66,7 @@ TEST(EpochManagerTest, MembershipChangeTouchesOnlyAffectedColumns) {
   std::size_t target = 1;
   while (before.info.is_apparent_common[target]) ++target;
   std::size_t provider = 0;
-  while (before.index.matrix().get(provider, target)) ++provider;
+  while (fixtures::dense(*before.postings).get(provider, target)) ++provider;
   f.network.membership.set(provider, target, true);
   const auto result = manager.rebuild(f.network.membership, f.epsilons);
   // β_target changes slightly with σ_target, so only that column's noise
@@ -73,8 +76,8 @@ TEST(EpochManagerTest, MembershipChangeTouchesOnlyAffectedColumns) {
   for (std::size_t i = 0; i < f.network.membership.rows(); ++i) {
     for (std::size_t j = 0; j < f.network.membership.cols(); ++j) {
       if (j == target) continue;
-      EXPECT_EQ(result.index.matrix().get(i, j),
-                before.index.matrix().get(i, j));
+      EXPECT_EQ(fixtures::dense(*result.postings).get(i, j),
+                fixtures::dense(*before.postings).get(i, j));
     }
   }
 }
@@ -87,8 +90,8 @@ TEST(EpochManagerTest, RaisingEpsilonOnlyAddsNoise) {
   const auto after = manager.rebuild(f.network.membership, f.epsilons);
   for (std::size_t i = 0; i < f.network.membership.rows(); ++i) {
     // Monotone sticky noise: no published 1 for identity 10 disappears.
-    if (before.index.matrix().get(i, 10)) {
-      EXPECT_TRUE(after.index.matrix().get(i, 10));
+    if (fixtures::dense(*before.postings).get(i, 10)) {
+      EXPECT_TRUE(fixtures::dense(*after.postings).get(i, 10));
     }
   }
 }
@@ -103,7 +106,7 @@ TEST(EpochManagerTest, DifferentMasterKeysProduceDifferentNoise) {
   EpochManager b{opt_b};
   const auto ra = a.rebuild(f.network.membership, f.epsilons);
   const auto rb = b.rebuild(f.network.membership, f.epsilons);
-  EXPECT_NE(ra.index.matrix(), rb.index.matrix());
+  EXPECT_NE(fixtures::dense(*ra.postings), fixtures::dense(*rb.postings));
 }
 
 TEST(EpochManagerTest, FirstEpochChurnIsFullMatrix) {

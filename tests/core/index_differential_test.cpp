@@ -351,7 +351,7 @@ TEST(IndexDifferentialTest, ManagerDeltaLifecycleRecoversIdentically) {
     EpochManager::DeltaRequest req;
     req.dirty = {5};
     manager.rebuild_delta(truth, eps, req);
-    published = manager.current_matrix();
+    published = manager.served_postings()->to_matrix_index().matrix();
   }
 
   EpochStore reopened(vfs, "store");
@@ -365,7 +365,7 @@ TEST(IndexDifferentialTest, ManagerDeltaLifecycleRecoversIdentically) {
   EpochManager resumed(opt);
   resumed.attach_store(reopened);
   ASSERT_TRUE(resumed.serving());
-  EXPECT_EQ(resumed.current_matrix(), published);
+  EXPECT_EQ(resumed.served_postings()->to_matrix_index().matrix(), published);
 }
 
 // Sticky publication in posting space is the same publication: the lists

@@ -10,6 +10,7 @@
 
 #include "common/error.h"
 #include "core/epoch_manager.h"
+#include "fixtures/publication.h"
 
 namespace eppi::core {
 namespace {
@@ -146,9 +147,7 @@ TEST(LocatorServiceTest, DistributedNeedsEnoughProviders) {
 // holders, and the delta epoch is bit-identical to a full rebuild of the
 // same state by a fresh manager.
 TEST(LocatorServiceTest, OwnerTruthMaintenanceMatchesDenseReference) {
-  LocatorService::Options options = fast_options();
-  options.delta_max_dirty_fraction = 1.0;  // every rebuild after the first
-                                           // takes the delta path
+  const LocatorService::Options options = fast_options();
   LocatorService service{options};
   std::map<std::string, std::set<std::string>> holders;  // the reference
   std::map<std::string, double> eps;
@@ -202,7 +201,7 @@ TEST(LocatorServiceTest, OwnerTruthMaintenanceMatchesDenseReference) {
     }
     const auto rebuilt = full.rebuild_delta(reference, epsilons, membership);
     ASSERT_FALSE(rebuilt.delta.delta);
-    EXPECT_EQ(service.index().matrix(), rebuilt.index.matrix());
+    EXPECT_EQ(service.index().matrix(), fixtures::dense(*rebuilt.postings));
   };
 
   check("first epoch");

@@ -139,8 +139,8 @@ TEST(PublicationEmitterTest, EpochsMatchReferenceAcrossRetireAndRejoin) {
     }
     const eppi::BitMatrix expected_first =
         reference_publication(net.membership, first.info.betas, keys, retired);
-    EXPECT_EQ(first.index.matrix(), expected_first) << "mixing " << mixing;
-    EXPECT_EQ(first.postings->to_matrix_index().matrix(), expected_first);
+    EXPECT_EQ(fixtures::dense(*first.postings), expected_first)
+        << "mixing " << mixing;
 
     // Provider 7 re-joins: a delta epoch.
     EpochManager::DeltaRequest join;
@@ -148,9 +148,9 @@ TEST(PublicationEmitterTest, EpochsMatchReferenceAcrossRetireAndRejoin) {
     const auto second = manager.rebuild_delta(net.membership, eps, join);
     ASSERT_TRUE(second.delta.delta);
     retired[7] = 0;
-    EXPECT_EQ(second.index.matrix(), reference_publication(net.membership,
-                                                           second.info.betas,
-                                                           keys, retired));
+    EXPECT_EQ(fixtures::dense(*second.postings),
+              reference_publication(net.membership, second.info.betas, keys,
+                                    retired));
 
     // A fresh manager with the same membership builds the same epoch whole.
     EpochManager fresh(opt);
@@ -158,7 +158,8 @@ TEST(PublicationEmitterTest, EpochsMatchReferenceAcrossRetireAndRejoin) {
     same.left = {0, 64};
     const auto full = fresh.rebuild_delta(net.membership, eps, same);
     ASSERT_FALSE(full.delta.delta);
-    EXPECT_EQ(full.index.matrix(), second.index.matrix());
+    EXPECT_EQ(fixtures::dense(*full.postings),
+              fixtures::dense(*second.postings));
   }
 }
 
@@ -177,8 +178,8 @@ TEST(PublicationEmitterTest, FullEpochCrcsArePinned) {
     EpochManager manager(opt);
     const auto r = manager.rebuild(net.membership, eps);
     EXPECT_EQ(postings_checksum(*r.postings), 0x7996c940u);
-    EXPECT_EQ(postings_checksum(r.index.matrix()), 0x7996c940u);
-    EXPECT_EQ(r.index.matrix().popcount(), 21351u);
+    EXPECT_EQ(postings_checksum(fixtures::dense(*r.postings)), 0x7996c940u);
+    EXPECT_EQ(fixtures::dense(*r.postings).popcount(), 21351u);
   }
   {
     // Mixing off, two providers retired on the first (full) epoch.
@@ -197,7 +198,7 @@ TEST(PublicationEmitterTest, FullEpochCrcsArePinned) {
     const auto r = manager.rebuild_delta(net.membership, eps, req);
     ASSERT_FALSE(r.delta.delta);
     EXPECT_EQ(postings_checksum(*r.postings), 0xce1e1929u);
-    EXPECT_EQ(r.index.matrix().popcount(), 9280u);
+    EXPECT_EQ(fixtures::dense(*r.postings).popcount(), 9280u);
   }
   {
     // The benchmark's shape in small: m = 1000, one ε for every owner.
@@ -212,7 +213,7 @@ TEST(PublicationEmitterTest, FullEpochCrcsArePinned) {
     EpochManager manager(opt);
     const auto r = manager.rebuild(net.membership, eps);
     EXPECT_EQ(postings_checksum(*r.postings), 0xc208a8f3u);
-    EXPECT_EQ(r.index.matrix().popcount(), 66804u);
+    EXPECT_EQ(fixtures::dense(*r.postings).popcount(), 66804u);
   }
 }
 

@@ -1,6 +1,7 @@
 // Dense views of the publication emitter for tests that compare matrices:
 // the truth converted once to per-owner lists, published by StickyEmitter,
-// and the lists scattered back into an m×n matrix.
+// and the lists scattered back into an m×n matrix — and of a published
+// epoch, whose postings are expanded back into one.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,11 @@ inline eppi::BitMatrix sticky_matrix(const eppi::BitMatrix& truth,
                                      const std::vector<std::uint64_t>& keys) {
   return dense_lists(truth.rows(),
                      StickyEmitter(keys, betas).publish(owner_truth(truth)));
+}
+
+// A published epoch as its m×n matrix (the epoch manager serves postings).
+inline eppi::BitMatrix dense(const PostingIndex& postings) {
+  return postings.to_matrix_index().matrix();
 }
 
 }  // namespace eppi::core::fixtures

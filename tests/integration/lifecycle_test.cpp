@@ -8,6 +8,7 @@
 #include "core/publisher.h"
 #include "dataset/evolution.h"
 #include "dataset/synthetic.h"
+#include "fixtures/publication.h"
 
 namespace eppi {
 namespace {
@@ -31,7 +32,8 @@ TEST(LifecycleTest, EvolvingNetworkStaysPrivateAcrossEpochs) {
     const auto result = manager.rebuild(net.membership, epsilons);
 
     // Invariants every epoch: recall, bounded churn, privacy audit.
-    EXPECT_TRUE(core::full_recall(net.membership, result.index.matrix()))
+    EXPECT_TRUE(core::full_recall(net.membership,
+                                  core::fixtures::dense(*result.postings)))
         << "epoch " << epoch;
     if (epoch > 0) {
       // Churn stays in the same order as the ground-truth change (a few
@@ -45,7 +47,8 @@ TEST(LifecycleTest, EvolvingNetworkStaysPrivateAcrossEpochs) {
       common[j] = result.info.is_common[j];
     }
     const auto report =
-        attack::audit_index(net.membership, result.index.matrix(), epsilons,
+        attack::audit_index(net.membership,
+                            core::fixtures::dense(*result.postings), epsilons,
                             common, audit_rng);
     EXPECT_EQ(report.primary_degree, attack::PrivacyDegree::kEpsPrivate)
         << "epoch " << epoch;

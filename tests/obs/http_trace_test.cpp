@@ -70,6 +70,7 @@ TEST(HttpTraceTest, QuerySpansFormOneTreeAndCarryNoOwnerNames) {
   LocatorService::Options options;
   options.distributed = false;
   options.seed = 3;
+  options.enable_delta = false;  // the second epoch is a full rebuild
   LocatorService service(options);
   const std::vector<std::string> owners = {"zq-owner-alpha", "zq-owner-beta",
                                            "zq-owner-gamma"};
@@ -90,8 +91,7 @@ TEST(HttpTraceTest, QuerySpansFormOneTreeAndCarryNoOwnerNames) {
   ASSERT_NE(answer.find("zq-owner-gamma,prov2\n"), std::string::npos);
   ASSERT_FALSE(exchange(server.port(), get("/query?owner=zq-owner-beta"))
                    .empty());
-  // A new ε for one of three owners dirties a third of them: past the delta
-  // threshold, so the next epoch is a full rebuild.
+  // A new ε for one owner; with deltas off the next epoch is a full rebuild.
   service.delegate(owners[1], 0.7, "prov0");
   service.construct_ppi();
   ASSERT_FALSE(service.last_rebuild().delta);

@@ -223,7 +223,7 @@ TEST(DeltaStoreTest, CrashAtEveryOperationBoundary) {
     manager.attach_store(store);
     const auto rebuilt =
         manager.rebuild_delta(truth_epoch3(), epsilons, request_epoch3());
-    EXPECT_EQ(rebuilt.index.matrix(), reference[2]);
+    EXPECT_EQ(rebuilt.postings->to_matrix_index().matrix(), reference[2]);
   }
 }
 
@@ -275,8 +275,10 @@ TEST(DeltaStoreTest, JournaledMembershipSurvivesRestart) {
   EXPECT_EQ(manager.retired_count(), 1u);
   const std::vector<double> epsilons(12, 0.5);
   const auto rebuilt = manager.rebuild(truth_epoch3(), epsilons);
+  const eppi::BitMatrix published =
+      rebuilt.postings->to_matrix_index().matrix();
   for (std::size_t j = 0; j < 12; ++j) {
-    EXPECT_FALSE(rebuilt.index.matrix().get(3, j)) << "col " << j;
+    EXPECT_FALSE(published.get(3, j)) << "col " << j;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "core/epoch_store.h"
 #include "core/locator_service.h"
 #include "storage/mem_vfs.h"
+#include "fixtures/publication.h"
 
 namespace eppi::core {
 namespace {
@@ -44,7 +45,8 @@ TEST(DurableServiceTest, StoredStickyKeyBeatsConfiguredKey) {
     options.master_key = 1111;
     EpochManager manager(options);
     manager.attach_store(store);
-    first_published = manager.rebuild(small_truth(), epsilons).index.matrix();
+    first_published = fixtures::dense(
+        *manager.rebuild(small_truth(), epsilons).postings);
   }
   vfs.crash();
 
@@ -57,7 +59,7 @@ TEST(DurableServiceTest, StoredStickyKeyBeatsConfiguredKey) {
   EpochManager manager(options);
   manager.attach_store(store);
   const auto rebuilt = manager.rebuild(small_truth(), epsilons);
-  EXPECT_EQ(rebuilt.index.matrix(), first_published);
+  EXPECT_EQ(fixtures::dense(*rebuilt.postings), first_published);
   EXPECT_EQ(rebuilt.churn, 0u);  // nothing changed, so nothing may churn
 }
 
@@ -70,7 +72,8 @@ TEST(DurableServiceTest, ManagerResumesServingAndEpochNumbering) {
     EpochManager manager;
     manager.attach_store(store);
     (void)manager.rebuild(small_truth(), epsilons);
-    published = manager.rebuild(small_truth(), epsilons).index.matrix();
+    published =
+        fixtures::dense(*manager.rebuild(small_truth(), epsilons).postings);
   }
   vfs.crash();
 
@@ -78,7 +81,7 @@ TEST(DurableServiceTest, ManagerResumesServingAndEpochNumbering) {
   EpochManager manager;
   manager.attach_store(store);
   EXPECT_TRUE(manager.serving());
-  EXPECT_EQ(manager.current_index().matrix(), published);
+  EXPECT_EQ(fixtures::dense(*manager.served_postings()), published);
   EXPECT_EQ(manager.epochs_built(), 2u);
 
   const auto status = manager.serving_status();

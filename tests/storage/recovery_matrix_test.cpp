@@ -22,6 +22,7 @@
 #include "core/index_io.h"
 #include "storage/faulty_vfs.h"
 #include "storage/mem_vfs.h"
+#include "fixtures/publication.h"
 
 namespace eppi::core {
 namespace {
@@ -107,7 +108,7 @@ void check_recovery(MemVfs& vfs, const eppi::BitMatrix& reference) {
   manager.attach_store(store);
   const std::vector<double> epsilons(12, 0.5);
   const auto rebuilt = manager.rebuild(truth_epoch2(), epsilons);
-  EXPECT_EQ(rebuilt.index.matrix(), reference);
+  EXPECT_EQ(fixtures::dense(*rebuilt.postings), reference);
 
   // And what was just committed is durable: power-cycle once more.
   vfs.crash();
