@@ -31,22 +31,17 @@ PureMpcRunResult run_pure_mpc(const eppi::BitMatrix& truth,
   cluster.run([&](eppi::net::PartyContext& ctx) {
     const std::size_t me = ctx.id();
     std::vector<eppi::SecretU64> membership;
-    std::vector<eppi::SecretU64> coins;
     membership.reserve(n);
     for (std::size_t j = 0; j < n; ++j) {
       membership.emplace_back(truth.get(me, j) ? 1 : 0);
-      if (!options.include_mixing) continue;
-      // λ-coins: one fair bit per coin bit, identity after identity.
-      std::uint64_t coin = 0;
-      for (unsigned b = 0; b < options.coin_bits; ++b) {
-        if (ctx.rng().bernoulli(0.5)) coin |= std::uint64_t{1} << b;
-      }
-      coins.emplace_back(coin);
     }
     auto inputs = eppi::mpc::bitslice_inputs(membership, 1);
-    const auto coin_inputs =
-        eppi::mpc::bitslice_inputs(coins, options.coin_bits);
-    inputs.insert(inputs.end(), coin_inputs.begin(), coin_inputs.end());
+    if (options.include_mixing) {
+      // λ-coins: one fair bit per coin bit, identity after identity.
+      const auto coin_inputs =
+          eppi::mpc::draw_coin_planes(n, options.coin_bits, ctx.rng());
+      inputs.insert(inputs.end(), coin_inputs.begin(), coin_inputs.end());
+    }
     eppi::mpc::GmwSession session;
     for (std::size_t i = 0; i < m; ++i) {
       session.parties.push_back(static_cast<eppi::net::PartyId>(i));

@@ -28,7 +28,18 @@ class Rng {
   }
   result_type operator()() noexcept { return next(); }
 
-  std::uint64_t next() noexcept;
+  // Inline: the λ-coin and share-splitting loops draw once per bit.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [0, bound). bound must be > 0. Uses Lemire's unbiased
   // multiply-shift rejection method.
@@ -51,6 +62,10 @@ class Rng {
   void fill_bytes(void* out, std::size_t len) noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_;
 };
 

@@ -162,6 +162,15 @@ std::vector<std::uint32_t> epsilon_order(std::span<const double> epsilons) {
 std::vector<std::uint64_t> common_thresholds(const BetaPolicy& policy,
                                              std::span<const double> epsilons,
                                              std::size_t m) {
+  if (policy.kind == PolicyKind::kExact) {
+    return common_thresholds(policy, epsilons, {}, m);
+  }
+  return common_thresholds(policy, epsilons, epsilon_order(epsilons), m);
+}
+
+std::vector<std::uint64_t> common_thresholds(
+    const BetaPolicy& policy, std::span<const double> epsilons,
+    std::span<const std::uint32_t> order, std::size_t m) {
   std::vector<std::uint64_t> out(epsilons.size());
   if (policy.kind == PolicyKind::kExact) {
     // Bisection-based β: evaluated per identity.
@@ -173,7 +182,8 @@ std::vector<std::uint64_t> common_thresholds(const BetaPolicy& policy,
   // β_b, β_d and β_c are compositions of correctly rounded monotone steps
   // in ε, so thresholds never rise along ascending ε: a run whose two ends
   // agree is filled without evaluating the policy inside it.
-  const std::vector<std::uint32_t> order = epsilon_order(epsilons);
+  require(order.size() == epsilons.size(),
+          "common_thresholds: order must cover every epsilon");
   const auto at = [&](std::size_t i) {
     return common_threshold(policy, epsilons[order[i]], m);
   };

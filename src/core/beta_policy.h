@@ -95,4 +95,10 @@ std::vector<std::uint64_t> common_thresholds(const BetaPolicy& policy,
                                              std::span<const double> epsilons,
                                              std::size_t m);
 
+// The same over `order` = epsilon_order(epsilons), for a caller that also
+// ranks ε and so orders it once. The exact policy ignores `order`.
+std::vector<std::uint64_t> common_thresholds(
+    const BetaPolicy& policy, std::span<const double> epsilons,
+    std::span<const std::uint32_t> order, std::size_t m);
+
 }  // namespace eppi::core

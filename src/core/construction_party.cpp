@@ -35,10 +35,12 @@ struct EpsilonRanks {
   }
 };
 
-EpsilonRanks rank_epsilons(std::span<const double> epsilons) {
+// `order` = epsilon_order(epsilons), shared with common_thresholds.
+EpsilonRanks rank_epsilons(std::span<const double> epsilons,
+                           std::span<const std::uint32_t> order) {
   EpsilonRanks er;
   er.ranks.resize(epsilons.size());
-  for (const std::uint32_t j : epsilon_order(epsilons)) {
+  for (const std::uint32_t j : order) {
     if (er.unique_values.empty() || epsilons[j] != er.unique_values.back()) {
       er.unique_values.push_back(epsilons[j]);
     }
@@ -135,9 +137,10 @@ ConstructionPartyResult run_construction_party(
     // coordinator): ε ranks, thresholds and the CountBelow template.
     std::optional<eppi::obs::Span> prepare;
     prepare.emplace("mpc.prepare");
-    const EpsilonRanks er = rank_epsilons(epsilons);
+    const std::vector<std::uint32_t> order = epsilon_order(epsilons);
+    const EpsilonRanks er = rank_epsilons(epsilons, order);
     const auto thresholds =
-        common_thresholds(options.policy, epsilons, m_eff);
+        common_thresholds(options.policy, epsilons, order, m_eff);
     eppi::mpc::CountBelowSpec cb_spec;
     cb_spec.c = options.c;
     cb_spec.q = ring.q();
@@ -154,9 +157,10 @@ ConstructionPartyResult run_construction_party(
     // Phase 1.2a: CountBelow.
     std::optional<eppi::net::PhaseSpan> phase;
     phase.emplace(ctx, "phase:count_below");
-    const auto cb_out = eppi::mpc::run_gmw_party(
-        ctx, session, cb_circuit,
-        eppi::mpc::bitslice_inputs(*my_shares, width));
+    // Both circuits take this party's shares as their first inputs.
+    const auto share_inputs = eppi::mpc::bitslice_inputs(*my_shares, width);
+    const auto cb_out =
+        eppi::mpc::run_gmw_party(ctx, session, cb_circuit, share_inputs);
     const auto counted = eppi::mpc::decode_count_below(
         cb_spec, eppi::mpc::opened_bits(cb_circuit, cb_out));
     phase->span().attr("common_count", counted.common_count);
@@ -183,18 +187,9 @@ ConstructionPartyResult run_construction_party(
     phase.emplace(ctx, "phase:mix_reveal");
     phase->span().attr("lambda", lambda);
     // λ-coins: one fair bit per coin bit, identity after identity.
-    std::vector<eppi::SecretU64> coins;
-    coins.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      std::uint64_t coin = 0;
-      for (unsigned b = 0; b < options.coin_bits; ++b) {
-        if (ctx.rng().bernoulli(0.5)) coin |= std::uint64_t{1} << b;
-      }
-      coins.emplace_back(coin);
-    }
-    auto mr_inputs = eppi::mpc::bitslice_inputs(*my_shares, width);
+    auto mr_inputs = share_inputs;
     const auto coin_inputs =
-        eppi::mpc::bitslice_inputs(coins, options.coin_bits);
+        eppi::mpc::draw_coin_planes(n, options.coin_bits, ctx.rng());
     mr_inputs.insert(mr_inputs.end(), coin_inputs.begin(), coin_inputs.end());
     session.seq_base = eppi::mpc::GmwSession::kSeqStride;
     const auto mr_out =

@@ -24,6 +24,8 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 // kept for the splice only when it differs or is new, so a shard with no
 // changed row stays shared with the served epoch.
 struct RowSplice {
+  explicit RowSplice(const PostingIndex& base) : served(base) {}
+
   const PostingIndex& served;
   std::vector<IdentityId> ids;
   PostingLists rows;
@@ -260,7 +262,7 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   // the same emitter, thresholds and PRF draws as the full path.
   const StickyEmitter emitter(provider_keys(m), last_info_.betas,
                               retired_prefix(m));
-  RowSplice splice{*served_};
+  RowSplice splice(*served_);
   std::size_t recomputed = 0;
   for (std::size_t j = 0; j < n; ++j) {
     recomputed += affected[j];
@@ -645,7 +647,7 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   // still holds a retired provider (a leaving row's bits) drops it. λ only
   // widens (max of previous and sub-run) so the decoy set stays monotone
   // across partial recomputes.
-  RowSplice splice{*served_};
+  RowSplice splice(*served_);
   std::vector<ProviderId> held;
   for (std::size_t j = 0, d = 0; j < n; ++j) {
     const auto id = static_cast<IdentityId>(j);

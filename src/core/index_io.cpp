@@ -395,8 +395,7 @@ std::vector<std::uint8_t> save_index_v3_bytes(const PostingIndex& index,
   require(index.shard_span() <= 0xffffffffu &&
               index.shard_count() <= 0xffffffffu,
           "save_index_v3: shard geometry exceeds the u32 header fields");
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagicV3, kMagicV3 + sizeof(kMagicV3));
+  std::vector<std::uint8_t> out(kMagicV3, kMagicV3 + sizeof(kMagicV3));
   append_u64(out, index.providers());
   append_u64(out, index.identities());
   append_u32(out, static_cast<std::uint32_t>(index.shard_count()));

@@ -191,6 +191,7 @@ PostingShard::PostingShard(IdentityId first, std::size_t universe,
   }
   arena_.reserve(payload);
   for (const auto& list : lists) append_encoded(list);
+  tally_codecs();
 }
 
 PostingShard::PostingShard(IdentityId first, std::size_t universe,
@@ -201,6 +202,7 @@ PostingShard::PostingShard(IdentityId first, std::size_t universe,
       offsets_(std::move(tagged_offsets)),
       arena_(std::move(arena)) {
   validate_rows();
+  tally_codecs();
 }
 
 PostingShard::PostingShard(IdentityId first, std::size_t universe,
@@ -262,6 +264,7 @@ PostingShard::PostingShard(IdentityId first, std::size_t universe,
     r = stop;
   }
   if (!copy) arena_.shrink_to_fit();  // re-encoded rows were not presized
+  tally_codecs();
 }
 
 void PostingShard::append_encoded(std::span<const ProviderId> list) {
@@ -296,8 +299,12 @@ std::size_t PostingShard::byte_offset(std::size_t row) const noexcept {
   return row < offsets_.size() ? offsets_[row] >> 2 : arena_.size();
 }
 
-std::size_t PostingShard::row_payload_bytes(std::size_t row) const {
-  return encoded_bytes(codec_of(row), row_count(row), universe_);
+void PostingShard::tally_codecs() noexcept {
+  for (std::size_t row = 0; row < offsets_.size(); ++row) {
+    auto& codec = by_codec_[static_cast<std::size_t>(codec_of(row))];
+    ++codec.rows;
+    codec.payload_bytes += byte_offset(row + 1) - byte_offset(row);
+  }
 }
 
 std::size_t PostingShard::resident_bytes() const noexcept {
@@ -486,12 +493,11 @@ PostingIndex::MemoryFootprint PostingIndex::memory_footprint()
       shards_.capacity() * sizeof(std::shared_ptr<const PostingShard>);
   for (const auto& shard : shards_) {
     fp.resident_bytes += sizeof(PostingShard) + shard->resident_bytes();
-    for (std::size_t row = 0; row < shard->rows(); ++row) {
-      const std::size_t bytes = shard->row_payload_bytes(row);
-      auto& codec = fp.by_codec[static_cast<std::size_t>(shard->codec_of(row))];
-      ++codec.rows;
-      codec.payload_bytes += bytes;
-      fp.payload_bytes += bytes;
+    const auto& tally = shard->codec_footprint();
+    for (std::size_t c = 0; c < tally.size(); ++c) {
+      fp.by_codec[c].rows += tally[c].rows;
+      fp.by_codec[c].payload_bytes += tally[c].payload_bytes;
+      fp.payload_bytes += tally[c].payload_bytes;
     }
   }
   return fp;

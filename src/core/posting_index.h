@@ -63,6 +63,12 @@ struct PostingLists {
   void end_row() { start.push_back(entries.size()); }
 };
 
+// Rows and encoded payload bytes under one codec (memory accounting).
+struct CodecFootprint {
+  std::size_t rows = 0;
+  std::size_t payload_bytes = 0;
+};
+
 // One immutable range of compressed posting rows. Built by PostingIndex
 // (from a matrix walk, explicit lists, a splice, or deserialized v3
 // sections). Every row is checked once, when it is first encoded or loaded:
@@ -120,8 +126,13 @@ class PostingShard {
   }
   std::span<const std::uint8_t> arena() const noexcept { return arena_; }
 
-  // Encoded payload bytes of one row (no padding), derived from its count.
-  std::size_t row_payload_bytes(std::size_t row) const;
+  // Rows and encoded payload bytes per codec, tallied once when the shard
+  // is built or loaded: the rows tile the arena with no padding, so a row's
+  // payload is the gap to the next row's offset.
+  const std::array<CodecFootprint, kPostingCodecCount>& codec_footprint()
+      const noexcept {
+    return by_codec_;
+  }
 
   // Heap bytes this shard holds (arena + offsets, capacities).
   std::size_t resident_bytes() const noexcept;
@@ -133,11 +144,14 @@ class PostingShard {
   void validate_rows() const;  // checked decode of every row
   // Checks `list` and appends its encoding as the next row.
   void append_encoded(std::span<const ProviderId> list);
+  // Fills by_codec_; every constructor's last step.
+  void tally_codecs() noexcept;
 
   IdentityId first_ = 0;
   std::size_t universe_ = 0;
   std::vector<std::uint32_t> offsets_;  // (byte offset << 2) | codec
   std::vector<std::uint8_t> arena_;
+  std::array<CodecFootprint, kPostingCodecCount> by_codec_{};
 };
 
 class PostingIndex {
@@ -205,10 +219,6 @@ class PostingIndex {
   // allocation slack, tagged offsets, and the shard control structures.
   // The per-codec split is the compression story —
   // `eppi_index_bytes{codec=...}` in the obs registry comes from here.
-  struct CodecFootprint {
-    std::size_t rows = 0;
-    std::size_t payload_bytes = 0;
-  };
   struct MemoryFootprint {
     std::size_t payload_bytes = 0;
     std::size_t resident_bytes = 0;

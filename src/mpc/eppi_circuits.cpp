@@ -1,6 +1,7 @@
 #include "mpc/eppi_circuits.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.h"
@@ -21,6 +22,30 @@ std::vector<eppi::SecretU64> bitslice_inputs(
     }
   }
   return out;
+}
+
+std::vector<eppi::SecretU64> draw_coin_planes(std::size_t n,
+                                              unsigned coin_bits,
+                                              eppi::Rng& rng) {
+  require(coin_bits >= 1 && coin_bits <= 64,
+          "draw_coin_planes: coin_bits out of range");
+  const std::size_t words = lane_words(n);
+  std::vector<eppi::SecretU64> planes(coin_bits * words);
+  std::array<std::uint64_t, 64> acc{};
+  for (std::size_t w = 0; w < words; ++w) {
+    const auto lanes =
+        static_cast<unsigned>(std::min<std::size_t>(64, n - w * 64));
+    std::fill_n(acc.begin(), coin_bits, 0);
+    for (unsigned lane = 0; lane < lanes; ++lane) {
+      for (unsigned b = 0; b < coin_bits; ++b) {
+        acc[b] |= (~rng.next() >> 63) << lane;
+      }
+    }
+    for (unsigned b = 0; b < coin_bits; ++b) {
+      planes[b * words + w] = eppi::SecretU64(acc[b]);
+    }
+  }
+  return planes;
 }
 
 namespace {

@@ -36,6 +36,7 @@
 #include <span>
 #include <vector>
 
+#include "common/rng.h"
 #include "mpc/circuit.h"
 #include "secret/secret.h"
 
@@ -48,6 +49,16 @@ namespace eppi::mpc {
 // phase XOR-shares the result before anything leaves the party.
 std::vector<eppi::SecretU64> bitslice_inputs(
     std::span<const eppi::SecretU64> values, unsigned width);
+
+// A party's λ-coin inputs for `n` identities, drawn straight into
+// bitslice_inputs' layout: `coin_bits` planes, bit b of identity j's coin
+// in lane j of plane b. Identity after identity, bit after bit, each coin
+// bit is 1 exactly when one rng.next() has its top bit clear — what
+// rng.bernoulli(0.5) returns for that draw — so every seed yields the
+// coins of a per-identity bernoulli(0.5) loop. 1 <= coin_bits <= 64.
+std::vector<eppi::SecretU64> draw_coin_planes(std::size_t n,
+                                              unsigned coin_bits,
+                                              eppi::Rng& rng);
 
 struct CountBelowSpec {
   std::size_t c = 3;                     // MPC parties (coordinators)

@@ -40,20 +40,15 @@ std::vector<std::uint8_t> PartyContext::recv(PartyId from, std::uint32_t tag,
 std::optional<std::vector<std::uint8_t>> PartyContext::recv_for(
     PartyId from, std::uint32_t tag, std::uint64_t seq,
     std::chrono::milliseconds timeout) {
-  // Polling with a short sleep keeps Mailbox's interface minimal; bounded
-  // receives sit on failure-detection paths, never on the loss-free hot
-  // path.
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  // Blocks on the mailbox until delivery, the deadline, or a failure
+  // detector marking `from` dead (a party declared dead will not send, so
+  // the wait ends at once instead of running out the full budget).
   Message msg;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (inbox_.try_recv(from, tag, seq, msg)) return std::move(msg.payload);
-    // A party a failure detector declared dead will not send: report the
-    // timeout immediately instead of sleeping out the full budget.
-    if (inbox_.party_failed(from)) return std::nullopt;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (!inbox_.recv_until(from, tag, seq,
+                         std::chrono::steady_clock::now() + timeout, msg)) {
+    return std::nullopt;
   }
-  if (inbox_.try_recv(from, tag, seq, msg)) return std::move(msg.payload);
-  return std::nullopt;
+  return std::move(msg.payload);
 }
 
 Cluster::Cluster(std::size_t n_parties, std::uint64_t seed)

@@ -58,8 +58,11 @@ class PartyContext {
   std::vector<std::uint8_t> recv(PartyId from, std::uint32_t tag,
                                  std::uint64_t seq);
 
-  // Bounded receive used by failure detectors and fault-injection tests;
-  // std::nullopt on timeout.
+  // Bounded receive: blocks on the mailbox (no polling) and returns
+  // std::nullopt once `timeout` passes or a failure detector marks `from`
+  // dead, unless the message is already buffered. recv() takes this path
+  // whenever the cluster configured a receive timeout, so it carries every
+  // message of a fault-tolerant run.
   std::optional<std::vector<std::uint8_t>> recv_for(
       PartyId from, std::uint32_t tag, std::uint64_t seq,
       std::chrono::milliseconds timeout);

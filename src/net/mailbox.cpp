@@ -37,22 +37,42 @@ void Mailbox::deliver(Message msg) {
   if (ack_via != nullptr) ack_via->send(std::move(ack));
 }
 
+bool Mailbox::take_or_wait(const Key& key, std::optional<Deadline> deadline,
+                           Message& out) {
+  for (;;) {
+    const auto it = buffer_.find(key);
+    if (it != buffer_.end()) {
+      out = std::move(it->second);
+      buffer_.erase(it);
+      return true;
+    }
+    if (failed_.count(std::get<0>(key)) != 0) return false;
+    if (!deadline) {
+      cv_.wait(mutex_);
+    } else if (std::chrono::steady_clock::now() >= *deadline) {
+      return false;
+    } else {
+      cv_.wait_until(mutex_, *deadline);
+    }
+  }
+}
+
 Message Mailbox::recv(PartyId from, std::uint32_t tag, std::uint64_t seq) {
   const MutexLock lock(mutex_);
-  const Key key{from, tag, seq};
-  while (buffer_.find(key) == buffer_.end()) {
-    if (failed_.count(from) != 0) {
-      throw eppi::PartyFailure("recv: party " + std::to_string(from) +
-                                   " marked failed while waiting for tag " +
-                                   std::to_string(tag),
-                               from);
-    }
-    cv_.wait(mutex_);
+  Message msg;
+  if (!take_or_wait(Key{from, tag, seq}, std::nullopt, msg)) {
+    throw eppi::PartyFailure("recv: party " + std::to_string(from) +
+                                 " marked failed while waiting for tag " +
+                                 std::to_string(tag),
+                             from);
   }
-  const auto it = buffer_.find(key);
-  Message msg = std::move(it->second);
-  buffer_.erase(it);
   return msg;
+}
+
+bool Mailbox::recv_until(PartyId from, std::uint32_t tag, std::uint64_t seq,
+                         Deadline deadline, Message& out) {
+  const MutexLock lock(mutex_);
+  return take_or_wait(Key{from, tag, seq}, deadline, out);
 }
 
 bool Mailbox::try_recv(PartyId from, std::uint32_t tag, std::uint64_t seq,

@@ -12,8 +12,10 @@
 // once per (from, tag, seq) key.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -29,10 +31,19 @@ class Mailbox {
  public:
   void deliver(Message msg) EPPI_EXCLUDES(mutex_);
 
+  using Deadline = std::chrono::steady_clock::time_point;
+
   // Blocks until a message from `from` with tag `tag` and sequence `seq`
-  // arrives; removes and returns it.
+  // arrives; removes and returns it. Throws PartyFailure once `from` is
+  // marked failed and no such message is buffered.
   Message recv(PartyId from, std::uint32_t tag, std::uint64_t seq)
       EPPI_EXCLUDES(mutex_);
+
+  // Bounded variant: blocks on the same condition variable until the
+  // message is buffered (true, `out` filled), `from` is marked failed, or
+  // `deadline` passes (false). A buffered message wins over both.
+  bool recv_until(PartyId from, std::uint32_t tag, std::uint64_t seq,
+                  Deadline deadline, Message& out) EPPI_EXCLUDES(mutex_);
 
   // Non-blocking variant; returns true and fills `out` if present.
   bool try_recv(PartyId from, std::uint32_t tag, std::uint64_t seq,
@@ -49,15 +60,21 @@ class Mailbox {
 
   // Failure signal from a detector (e.g. the socket runtime's heartbeat):
   // a blocked recv on a failed party throws PartyFailure instead of waiting
-  // forever, and new blocking receives fail fast. Messages already buffered
-  // stay retrievable — only the *wait* is cut short. clear_failed() (on
-  // reconnect) restores normal blocking behaviour.
+  // forever (recv_until returns false), and new blocking receives fail
+  // fast. Messages already buffered stay retrievable — only the *wait* is
+  // cut short. clear_failed() (on reconnect) restores normal blocking
+  // behaviour.
   void fail_party(PartyId party) EPPI_EXCLUDES(mutex_);
   void clear_failed(PartyId party) EPPI_EXCLUDES(mutex_);
   bool party_failed(PartyId party) const EPPI_EXCLUDES(mutex_);
 
  private:
   using Key = std::tuple<PartyId, std::uint32_t, std::uint64_t>;
+
+  // The one wait loop behind recv and recv_until; no deadline waits until
+  // the message arrives or its sender fails.
+  bool take_or_wait(const Key& key, std::optional<Deadline> deadline,
+                    Message& out) EPPI_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
   CondVar cv_;

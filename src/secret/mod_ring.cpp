@@ -14,15 +14,10 @@ bool ModRing::is_power_of_two() const noexcept {
   return std::has_single_bit(q_);
 }
 
-std::uint64_t ModRing::add(std::uint64_t a, std::uint64_t b) const noexcept {
-  // a, b are residues < q <= 2^63 in practice; guard against wrap anyway via
-  // 128-bit intermediate.
+std::uint64_t ModRing::add_wide(std::uint64_t a,
+                               std::uint64_t b) const noexcept {
   const auto sum = static_cast<unsigned __int128>(a) + b;
   return static_cast<std::uint64_t>(sum % q_);
-}
-
-std::uint64_t ModRing::sub(std::uint64_t a, std::uint64_t b) const noexcept {
-  return add(a % q_, neg(b));
 }
 
 std::uint64_t ModRing::neg(std::uint64_t a) const noexcept {

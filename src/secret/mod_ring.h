@@ -22,8 +22,21 @@ class ModRing {
   bool is_power_of_two() const noexcept;
 
   std::uint64_t reduce(std::uint64_t x) const noexcept { return x % q_; }
-  std::uint64_t add(std::uint64_t a, std::uint64_t b) const noexcept;
-  std::uint64_t sub(std::uint64_t a, std::uint64_t b) const noexcept;
+
+  // (a + b) mod q for any inputs. Residues (the protocol's case) take one
+  // compare-and-subtract that never forms a + b, so it cannot wrap for q
+  // up to 2^64 - 1; anything else reduces a 128-bit sum.
+  std::uint64_t add(std::uint64_t a, std::uint64_t b) const noexcept {
+    if (a < q_ && b < q_) return a >= q_ - b ? a - (q_ - b) : a + b;
+    return add_wide(a, b);
+  }
+
+  // (a - b) mod q for any inputs; residues take the branch-only path.
+  std::uint64_t sub(std::uint64_t a, std::uint64_t b) const noexcept {
+    if (a < q_ && b < q_) return a >= b ? a - b : a + (q_ - b);
+    return add_wide(a % q_, neg(b));
+  }
+
   std::uint64_t neg(std::uint64_t a) const noexcept;
 
   // (a * b) mod q without overflow: the product is formed in 128 bits before
@@ -40,6 +53,8 @@ class ModRing {
   static ModRing power_of_two_for(std::uint64_t max_sum);
 
  private:
+  std::uint64_t add_wide(std::uint64_t a, std::uint64_t b) const noexcept;
+
   std::uint64_t q_;
 };
 

@@ -7,7 +7,6 @@
 #include "common/serialize.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "secret/additive_share.h"
 
 namespace eppi::secret {
 
@@ -17,18 +16,41 @@ namespace {
 // that is supposed to hold them, and are re-tainted on arrival.
 std::vector<std::uint8_t> encode_vector(std::span<const SecretU64> values) {
   eppi::BinaryWriter writer;
-  writer.write_u64_vector(wire_shares(values));
+  writer.write_varint(values.size());
+  for (const SecretU64& v : values) writer.write_varint(v.unwrap_for_wire());
   return writer.take();
 }
 
-std::vector<SecretU64> decode_vector(std::span<const std::uint8_t> bytes,
-                                     std::size_t expected) {
+// Adds the share vector encoded in `bytes` into `sum` element by element,
+// without materializing it. The vector must have sum.size() elements.
+void add_decoded(std::span<const std::uint8_t> bytes,
+                 std::vector<SecretU64>& sum, const ModRing& ring) {
   eppi::BinaryReader reader(bytes);
-  const auto values = reader.read_u64_vector();
-  if (values.size() != expected) {
+  if (reader.read_varint() != sum.size()) {
     throw eppi::ProtocolError("SecSumShare: share vector length mismatch");
   }
-  return wrap_shares(values);
+  for (SecretU64& s : sum) s = s.add(SecretU64(reader.read_varint()), ring);
+}
+
+// Step 1 for all n inputs in one pass: hops[k][j] is identity j's share for
+// the k-th ring successor (hop 0 stays local). Per identity it draws what
+// split_additive draws — c-1 uniform residues, then the balancing share —
+// so every seed splits exactly as the per-identity form does.
+std::vector<std::vector<SecretU64>> split_inputs(
+    std::span<const std::uint8_t> inputs, std::size_t c, const ModRing& ring,
+    eppi::Rng& rng) {
+  const std::size_t n = inputs.size();
+  std::vector<std::vector<SecretU64>> hops(c, std::vector<SecretU64>(n));
+  for (std::size_t j = 0; j < n; ++j) {
+    require(inputs[j] <= 1, "SecSumShare: inputs must be Boolean");
+    SecretU64 partial;
+    for (std::size_t k = 0; k + 1 < c; ++k) {
+      hops[k][j] = SecretU64(rng.next_below(ring.q()));
+      partial = partial.add(hops[k][j], ring);
+    }
+    hops[c - 1][j] = SecretU64(inputs[j]).sub(partial, ring);
+  }
+  return hops;
 }
 
 }  // namespace
@@ -65,15 +87,8 @@ std::optional<std::vector<SecretU64>> run_sec_sum_share_party(
   const ModRing ring = resolve_ring(params, m);
   const PartyId me = ctx.id();
 
-  // Step 1: split every input bit into c shares. shares_by_hop[k][j] is the
-  // share of identity j destined for the k-th successor.
-  std::vector<std::vector<SecretU64>> shares_by_hop(
-      c, std::vector<SecretU64>(n));
-  for (std::size_t j = 0; j < n; ++j) {
-    require(inputs[j] <= 1, "SecSumShare: inputs must be Boolean");
-    const auto shares = split_additive(inputs[j], c, ring, ctx.rng());
-    for (std::size_t k = 0; k < c; ++k) shares_by_hop[k][j] = shares[k];
-  }
+  // Step 1: split every input bit into c shares, one buffer per hop.
+  auto shares_by_hop = split_inputs(inputs, c, ring, ctx.rng());
 
   std::vector<SecretU64> super_share;
   {
@@ -95,11 +110,8 @@ std::optional<std::vector<SecretU64>> run_sec_sum_share_party(
     super_share = std::move(shares_by_hop[0]);
     for (std::size_t k = 1; k < c; ++k) {
       const auto from = static_cast<PartyId>((me + m - k) % m);
-      const auto payload = ctx.recv(from, MessageTag::kShareDistribute, k);
-      const auto incoming = decode_vector(payload, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        super_share[j] = super_share[j].add(incoming[j], ring);
-      }
+      add_decoded(ctx.recv(from, MessageTag::kShareDistribute, k),
+                  super_share, ring);
     }
   }
 
@@ -116,12 +128,8 @@ std::optional<std::vector<SecretU64>> run_sec_sum_share_party(
 
   std::vector<SecretU64> aggregated(n);
   for (std::size_t i = me; i < m; i += c) {
-    const auto payload =
-        ctx.recv(static_cast<PartyId>(i), MessageTag::kSuperShare, 0);
-    const auto incoming = decode_vector(payload, n);
-    for (std::size_t j = 0; j < n; ++j) {
-      aggregated[j] = aggregated[j].add(incoming[j], ring);
-    }
+    add_decoded(ctx.recv(static_cast<PartyId>(i), MessageTag::kSuperShare, 0),
+                aggregated, ring);
   }
   return aggregated;
 }
@@ -237,13 +245,7 @@ SecSumShareOutcome run_sec_sum_share_party_ft(
     // Steps 1-2: fresh shares (new randomness per attempt — shares from an
     // abandoned attempt reveal nothing on their own) to survivor-relative
     // ring successors.
-    std::vector<std::vector<SecretU64>> shares_by_hop(
-        c, std::vector<SecretU64>(n));
-    for (std::size_t j = 0; j < n; ++j) {
-      require(inputs[j] <= 1, "SecSumShare: inputs must be Boolean");
-      const auto shares = split_additive(inputs[j], c, ring, ctx.rng());
-      for (std::size_t k = 0; k < c; ++k) shares_by_hop[k][j] = shares[k];
-    }
+    auto shares_by_hop = split_inputs(inputs, c, ring, ctx.rng());
     for (std::size_t k = 1; k < c; ++k) {
       const PartyId to = alive[(pos + k) % m];
       ctx.send(to, MessageTag::kShareDistribute, seqb + k,
@@ -261,10 +263,7 @@ SecSumShareOutcome run_sec_sum_share_party_ft(
         suspects.insert(from);
         continue;
       }
-      const auto incoming = decode_vector(*payload, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        super_share[j] = super_share[j].add(incoming[j], ring);
-      }
+      add_decoded(*payload, super_share, ring);
     }
 
     // Step 4: super-share to the survivor-relative coordinator. The first c
@@ -285,10 +284,7 @@ SecSumShareOutcome run_sec_sum_share_party_ft(
           suspects.insert(from);
           continue;
         }
-        const auto incoming = decode_vector(*payload, n);
-        for (std::size_t j = 0; j < n; ++j) {
-          aggregated[j] = aggregated[j].add(incoming[j], ring);
-        }
+        add_decoded(*payload, aggregated, ring);
       }
     }
 

@@ -160,6 +160,59 @@ TEST(PostingIndexTest, MemoryFootprintSeparatesPayloadFromResident) {
   EXPECT_EQ(fp.shards, postings.shard_count());
 }
 
+// The per-codec footprint is tallied once per shard; it must equal the
+// per-row recomputation from each row's codec and count, on built, spliced
+// (copied and re-encoded rows) and grown indexes alike.
+TEST(PostingIndexTest, MemoryFootprintMatchesPerRowRecount) {
+  const auto recount = [](const PostingIndex& index) {
+    std::array<CodecFootprint, kPostingCodecCount> by_codec{};
+    for (std::size_t k = 0; k < index.shard_count(); ++k) {
+      const PostingShard& shard = *index.shard(k);
+      for (std::size_t row = 0; row < shard.rows(); ++row) {
+        const std::size_t count = shard.row_count(row);
+        const PostingCodec codec = shard.codec_of(row);
+        auto& tally = by_codec[static_cast<std::size_t>(codec)];
+        ++tally.rows;
+        if (codec == PostingCodec::kBitvector) {
+          tally.payload_bytes +=
+              bitvector_encoded_bytes(count, shard.universe());
+        } else if (codec == PostingCodec::kEliasFano) {
+          tally.payload_bytes +=
+              elias_fano_encoded_bytes(count, shard.universe());
+        }
+      }
+    }
+    return by_codec;
+  };
+  const auto expect_tiled = [&](const PostingIndex& index) {
+    const auto fp = index.memory_footprint();
+    const auto expected = recount(index);
+    std::size_t payload = 0;
+    for (std::size_t c = 0; c < kPostingCodecCount; ++c) {
+      EXPECT_EQ(fp.by_codec[c].rows, expected[c].rows) << "codec " << c;
+      EXPECT_EQ(fp.by_codec[c].payload_bytes, expected[c].payload_bytes)
+          << "codec " << c;
+      payload += expected[c].payload_bytes;
+    }
+    EXPECT_EQ(fp.payload_bytes, payload);
+  };
+  const PostingIndex base(sample_index(100, 300, 9, 0.2).matrix(), 128);
+  expect_tiled(base);
+  // Splice rows in the first and last shard, one of them emptied: base
+  // rows are copied as bytes under the same universe...
+  PostingLists rows;
+  rows.entries = {1, 5, 99};
+  rows.end_row();
+  rows.end_row();
+  const std::vector<IdentityId> ids{3, 290};
+  expect_tiled(PostingIndex(base, 100, 300, ids, rows));
+  // ...and re-encoded when a new provider and identity grow the universe.
+  rows.entries.push_back(100);
+  rows.end_row();
+  const std::vector<IdentityId> grown_ids{3, 290, 300};
+  expect_tiled(PostingIndex(base, 101, 301, grown_ids, rows));
+}
+
 TEST(PostingIndexTest, EmptyIndexStillHasResidentFootprint) {
   const PostingIndex postings(PpiIndex{eppi::BitMatrix(5, 64)});
   const auto fp = postings.memory_footprint();

@@ -284,5 +284,31 @@ TEST(CountBelowCircuitTest, SizeIndependentOfProviderCount) {
   EXPECT_LT(large.total_gates(), 3 * small.total_gates());
 }
 
+// The planes must be bit for bit what bitslicing a per-identity
+// bernoulli(0.5) loop gives, and leave the generator in the same state, for
+// full, partial and single-lane words.
+TEST(CoinPlanesTest, MatchBitslicedBernoulliLoop) {
+  for (const std::size_t n : {1, 63, 64, 65, 1000}) {
+    for (const unsigned coin_bits : {1u, 16u}) {
+      eppi::Rng reference(n * 131 + coin_bits);
+      eppi::Rng fast(n * 131 + coin_bits);
+      std::vector<eppi::SecretU64> coins;
+      for (std::size_t j = 0; j < n; ++j) {
+        std::uint64_t coin = 0;
+        for (unsigned b = 0; b < coin_bits; ++b) {
+          if (reference.bernoulli(0.5)) coin |= std::uint64_t{1} << b;
+        }
+        coins.emplace_back(coin);
+      }
+      const auto expected =
+          eppi::reveal_shares(bitslice_inputs(coins, coin_bits));
+      const auto planes =
+          eppi::reveal_shares(draw_coin_planes(n, coin_bits, fast));
+      EXPECT_EQ(planes, expected) << "n " << n << " coin_bits " << coin_bits;
+      EXPECT_EQ(fast.next(), reference.next());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace eppi::mpc

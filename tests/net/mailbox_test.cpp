@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 namespace eppi::net {
@@ -68,6 +69,60 @@ TEST(MailboxTest, DuplicateKeysQueueInOrderOfArrival) {
   // Multimap preserves insertion order per key.
   EXPECT_EQ(box.recv(1, 1, 0).payload[0], 0x01);
   EXPECT_EQ(box.recv(1, 1, 0).payload[0], 0x02);
+}
+
+TEST(MailboxTest, RecvUntilReturnsBufferedMessageAfterFailure) {
+  Mailbox box;
+  box.deliver(make(2, 4, 1, 0x5A));
+  box.fail_party(2);
+  Message out;
+  // Already past the deadline and the sender is failed: the buffered
+  // message still wins.
+  EXPECT_TRUE(box.recv_until(2, 4, 1, std::chrono::steady_clock::now(), out));
+  EXPECT_EQ(out.payload[0], 0x5A);
+  EXPECT_FALSE(box.recv_until(2, 4, 1,
+                              std::chrono::steady_clock::now() +
+                                  std::chrono::seconds(10),
+                              out));
+}
+
+TEST(MailboxTest, RecvUntilReturnsFalseAtDeadline) {
+  Mailbox box;
+  box.deliver(make(1, 1, 0, 0x01));  // a different key does not satisfy it
+  Message out;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(box.recv_until(1, 1, 1, start + std::chrono::milliseconds(30),
+                              out));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(30));
+  EXPECT_EQ(box.pending(), 1u);
+}
+
+TEST(MailboxTest, DeliveryWakesBoundedWaiter) {
+  Mailbox box;
+  std::thread producer([&box] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    box.deliver(make(3, 1, 5, 0x42));
+  });
+  Message out;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(box.recv_until(3, 1, 5, start + std::chrono::seconds(10), out));
+  EXPECT_EQ(out.payload[0], 0x42);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  producer.join();
+}
+
+TEST(MailboxTest, FailPartyWakesBoundedWaiter) {
+  Mailbox box;
+  std::thread detector([&box] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    box.fail_party(3);
+  });
+  Message out;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(box.recv_until(3, 1, 5, start + std::chrono::seconds(10), out));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  detector.join();
 }
 
 TEST(MailboxTest, WireSizeCoversHeaderAndPayload) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace eppi::secret {
 namespace {
@@ -61,8 +64,39 @@ TEST_P(ModRingSweep, AddSubNegAreConsistent) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Moduli, ModRingSweep,
-                         ::testing::Values(2, 3, 5, 8, 16, 97, 1024));
+// add/sub against the 128-bit reference: residue pairs at the edges of the
+// ring (where the compare-and-subtract path would wrap if it formed a + b
+// for q > 2^63) and random ones, plus non-residues, which take the wide
+// path.
+TEST_P(ModRingSweep, FastPathMatchesWideReference) {
+  const ModRing ring(GetParam());
+  const std::uint64_t q = ring.q();
+  using Wide = unsigned __int128;
+  const auto ref_add = [q](std::uint64_t a, std::uint64_t b) {
+    return static_cast<std::uint64_t>((Wide{a} + b) % q);
+  };
+  const auto ref_sub = [q](std::uint64_t a, std::uint64_t b) {
+    return static_cast<std::uint64_t>((Wide{a % q} + q - b % q) % q);
+  };
+  std::vector<std::uint64_t> values{0, 1, q / 2, q - 2, q - 1, q, q + 1,
+                                    2 * q - 1, ~std::uint64_t{0},
+                                    ~std::uint64_t{0} - 1};
+  eppi::Rng rng(GetParam());
+  for (int k = 0; k < 64; ++k) values.push_back(rng.next_below(q));
+  for (int k = 0; k < 16; ++k) values.push_back(rng.next());
+  for (const std::uint64_t a : values) {
+    for (const std::uint64_t b : values) {
+      EXPECT_EQ(ring.add(a, b), ref_add(a, b)) << a << " + " << b;
+      EXPECT_EQ(ring.sub(a, b), ref_sub(a, b)) << a << " - " << b;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Moduli, ModRingSweep,
+    ::testing::Values(2, 3, 5, 8, 16, 97, 1024,
+                      (std::uint64_t{1} << 32) + 15, std::uint64_t{1} << 63,
+                      ~std::uint64_t{0} - 58));
 
 }  // namespace
 }  // namespace eppi::secret
