@@ -159,8 +159,9 @@ void BM_CentralizedConstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_CentralizedConstruct)->Arg(200)->Arg(1000);
 
-// One full sticky epoch as the daemon builds it: the β prologue over the
-// per-owner truth, the identity-major emitter and the PostingIndex encode.
+// One full sticky epoch as the daemon builds it, through
+// EpochManager::rebuild: the β prologue over the per-owner truth, then the
+// emitter and the encoder block by block on the CPUs of the affinity mask.
 void BM_PublishEpoch(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kOwners = 50000;

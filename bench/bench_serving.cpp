@@ -116,7 +116,14 @@ struct ThreadedResult {
   std::uint64_t owners_resolved = 0;
 };
 
-std::string owner_name(std::size_t j) { return "o" + std::to_string(j); }
+// A prefix and a number, appended (not `"o" + std::to_string(j)`, which
+// GCC 12 flags with a false -Wrestrict in Release builds).
+std::string numbered(const char* prefix, std::size_t k) {
+  std::string name = prefix;
+  name += std::to_string(k);
+  return name;
+}
+std::string owner_name(std::size_t j) { return numbered("o", j); }
 
 void populate_service(eppi::core::LocatorService& service,
                       const ServeConfig& cfg, std::uint64_t seed) {
@@ -128,7 +135,7 @@ void populate_service(eppi::core::LocatorService& service,
   for (std::size_t i = 0; i < cfg.providers; ++i) {
     for (std::size_t j = 0; j < cfg.owners; ++j) {
       if (net.membership.get(i, j)) {
-        service.delegate(owner_name(j), 0.5, "p" + std::to_string(i));
+        service.delegate(owner_name(j), 0.5, numbered("p", i));
       }
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "core/epoch_store.h"
 #include "core/mixing.h"
 #include "core/sticky_publisher.h"
@@ -98,7 +99,6 @@ EpochManager::EpochResult EpochManager::rebuild(
     info.betas.resize(n);
     info.is_common.assign(n, false);
     info.is_apparent_common.assign(n, false);
-    info.thresholds.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
       require(epsilons[j] >= 0.0 && epsilons[j] <= 1.0,
               "EpochManager: epsilon out of [0,1]");
@@ -106,8 +106,8 @@ EpochManager::EpochResult EpochManager::rebuild(
                            static_cast<double>(m);
       raw[j] = beta_raw(options_.policy, sigma, epsilons[j], m);
       info.is_common[j] = raw[j] >= 1.0;
-      info.thresholds[j] = common_threshold(options_.policy, epsilons[j], m);
     }
+    info.thresholds = common_thresholds(options_.policy, epsilons, m);
     std::size_t n_common = 0;
     for (std::size_t j = 0; j < n; ++j) n_common += info.is_common[j] ? 1 : 0;
     info.xi = xi_for(info.is_common, epsilons);
@@ -125,26 +125,56 @@ EpochManager::EpochResult EpochManager::rebuild(
     beta_span.attr("common", n_common);
   }
 
-  // Sticky publication, identity by identity, straight into posting lists.
-  PostingLists lists;
+  // Sticky publication and encoding, block by block across the CPUs: a
+  // task emits kEpochBuildBlock identities into its worker's lists and
+  // encodes them as one piece, and each shard then lays its pieces end to
+  // end. No list of the whole epoch is ever held.
+  std::shared_ptr<const PostingIndex> postings;
   {
     obs::Span emit_span("serve.rebuild.emit");
     const StickyEmitter emitter(provider_keys(m), info.betas,
                                 retired_prefix(m));
-    lists = emitter.publish(truth);
+    const std::size_t blocks = (n + kEpochBuildBlock - 1) / kEpochBuildBlock;
+    std::vector<EncodedRows> pieces(blocks);
+    std::vector<std::size_t> entries(blocks, 0);
+    std::vector<PostingLists> lists(parallel_workers(blocks));
+    parallel_for(blocks, [&](std::size_t worker, std::size_t b) {
+      PostingLists& rows = lists[worker];
+      rows.start.assign(1, 0);
+      rows.entries.clear();
+      const std::size_t last = std::min(n, (b + 1) * kEpochBuildBlock);
+      for (std::size_t j = b * kEpochBuildBlock; j < last; ++j) {
+        emitter.emit(static_cast<IdentityId>(j), truth.owners[j],
+                     rows.entries);
+        rows.end_row();
+      }
+      pieces[b].encode(rows, m);
+      entries[b] = rows.entries.size();
+    });
+    lists.clear();
+
+    constexpr std::size_t kPiecesPerShard = kDefaultShardSpan / kEpochBuildBlock;
+    std::vector<std::shared_ptr<const PostingShard>> shards(
+        (blocks + kPiecesPerShard - 1) / kPiecesPerShard);
+    parallel_for(shards.size(), [&](std::size_t, std::size_t k) {
+      const std::span<EncodedRows> mine =
+          std::span<EncodedRows>(pieces).subspan(
+              k * kPiecesPerShard,
+              std::min(kPiecesPerShard, blocks - k * kPiecesPerShard));
+      shards[k] = std::make_shared<const PostingShard>(
+          static_cast<IdentityId>(k * kDefaultShardSpan), m,
+          std::span<const EncodedRows>(mine));
+      for (EncodedRows& piece : mine) piece.release();
+    });
+    postings = std::make_shared<const PostingIndex>(m, n, kDefaultShardSpan,
+                                                    std::move(shards));
+    std::size_t total = 0;
+    for (const std::size_t e : entries) total += e;
     emit_span.attr("identities", n);
     emit_span.attr("cells_hashed", emitter.cells_hashed());
     emit_span.attr("full_columns", emitter.full_columns());
+    emit_span.attr("entries", total);
   }
-
-  // One encoding serves the snapshot and the store.
-  std::shared_ptr<const PostingIndex> postings;
-  {
-    obs::Span encode_span("serve.rebuild.encode");
-    postings = std::make_shared<const PostingIndex>(m, lists);
-    encode_span.attr("entries", lists.entries.size());
-  }
-  lists = PostingLists{};
 
   const std::size_t churn = churn_since_served(*postings);
   // Commit first (durable), then mutate: if the store throws, the manager

@@ -44,6 +44,12 @@
 
 namespace eppi::core {
 
+// Identities per task of a full epoch build (EpochManager::rebuild). A
+// divisor of the shard span, so a task never straddles two shards.
+inline constexpr std::size_t kEpochBuildBlock = 1024;
+static_assert(kDefaultShardSpan % kEpochBuildBlock == 0,
+              "a build block must not straddle two shards");
+
 class EpochManager {
  public:
   struct Options {
@@ -84,9 +90,11 @@ class EpochManager {
   };
 
   // Builds the next epoch's index for the current network state: the β
-  // prologue over list lengths, one identity-major StickyEmitter pass, and
-  // one PostingIndex encoded from its lists (spans serve.rebuild.beta,
-  // .emit and .encode).
+  // prologue over list lengths (span serve.rebuild.beta), then the sticky
+  // emitter and the encoder over blocks of kEpochBuildBlock identities,
+  // spread over min(blocks, CPUs in the affinity mask) workers, the caller
+  // among them (span serve.rebuild.emit). The index is byte-identical to a
+  // serial identity-by-identity emit and encode.
   EpochResult rebuild(const OwnerTruth& truth,
                       std::span<const double> epsilons);
   // The same over a dense truth, converted once with owner_truth().

@@ -165,6 +165,74 @@ void LocatorService::delegate(const std::string& owner, double epsilon,
   report_.reset();
 }
 
+void LocatorService::delegate_facts(
+    std::span<const std::string> owner_names,
+    std::span<const std::string> provider_names,
+    std::span<const eppi::MembershipFact> facts, double epsilon) {
+  require(epsilon >= 0.0 && epsilon <= 1.0,
+          "LocatorService: epsilon must be in [0,1]");
+  for (const auto& f : facts) {
+    require(f.identity < owner_names.size() &&
+                f.provider < provider_names.size(),
+            "LocatorService: fact names an owner or provider out of range");
+  }
+  if (facts.empty()) return;
+
+  // Ids in the per-fact loop's order: a name is registered at its first
+  // fact (the tables are sized for every name up front). Then each touched
+  // owner's list is sized once for its new facts.
+  owner_ids_.reserve(owner_ids_.size() + owner_names.size());
+  owner_names_.reserve(owner_names_.size() + owner_names.size());
+  epsilons_.reserve(owner_names_.capacity());
+  dirty_owners_.reserve(owner_names_.capacity());
+  truth_.owners.reserve(owner_names_.capacity());
+  constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
+  std::vector<IdentityId> owner_id(owner_names.size(), kUnseen);
+  std::vector<ProviderId> provider_id(provider_names.size(), kUnseen);
+  for (const auto& f : facts) {
+    if (owner_id[f.identity] == kUnseen) {
+      owner_id[f.identity] = register_owner(owner_names[f.identity]);
+    }
+    if (provider_id[f.provider] == kUnseen) {
+      provider_id[f.provider] = register_provider(provider_names[f.provider]);
+    }
+  }
+  std::vector<std::uint32_t> added(truth_.owners.size(), 0);
+  for (const auto& f : facts) ++added[owner_id[f.identity]];
+  for (std::size_t t = 0; t < added.size(); ++t) {
+    if (added[t] != 0) truth_.owners[t].reserve(truth_.owners[t].size() + added[t]);
+  }
+
+  // Facts in provider-major order append to every list in ascending order;
+  // a list that received a smaller id (an older owner, or facts in another
+  // order) is sorted once at the end. A repeated fact is a no-op.
+  std::vector<std::uint8_t> unsorted(added.size(), 0);
+  for (const auto& f : facts) {
+    const IdentityId t = owner_id[f.identity];
+    const ProviderId p = provider_id[f.provider];
+    std::vector<ProviderId>& holders = truth_.owners[t];
+    if (!holders.empty() && holders.back() >= p) {
+      if (holders.back() == p) continue;
+      unsorted[t] = 1;
+    }
+    holders.push_back(p);
+  }
+  for (std::size_t t = 0; t < added.size(); ++t) {
+    if (added[t] == 0) continue;
+    if (unsorted[t] != 0) sort_unique(truth_.owners[t]);
+    epsilons_[t] = epsilon;
+    mark_owner_dirty(static_cast<IdentityId>(t));
+  }
+  built_ = false;
+  index_.reset();
+  report_.reset();
+}
+
+double LocatorService::owner_epsilon(IdentityId t) const {
+  require(t < epsilons_.size(), "LocatorService: unknown owner id");
+  return epsilons_[t];
+}
+
 void LocatorService::mark_owner_dirty(IdentityId t) {
   if (t >= dirty_owners_.size()) dirty_owners_.resize(t + 1, 0);
   dirty_owners_[t] = 1;

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/bit_matrix.h"
+#include "common/membership_fact.h"
 #include "common/rng.h"
 #include "core/beta_policy.h"
 #include "core/distributed_constructor.h"
@@ -116,6 +117,21 @@ class LocatorService {
   // published epoch, which does not yet reflect this delegation.
   void delegate(const std::string& owner, double epsilon,
                 const std::string& provider);
+
+  // Bulk Delegate: every fact of a loaded collection at one ε. Fact k
+  // says provider_names[facts[k].provider] holds owner_names[facts[k].
+  // identity]'s records. The result — ids, truth lists, ε, dirty owners and
+  // pending joins — equals calling delegate() fact by fact in `facts`'
+  // order, but each name is registered once and each owner's list is sized
+  // once, with no hashing per fact. Names no fact refers to are not
+  // registered. Throws ConfigError (before changing anything) for ε
+  // outside [0,1] or a fact indexing past either name table.
+  void delegate_facts(std::span<const std::string> owner_names,
+                      std::span<const std::string> provider_names,
+                      std::span<const eppi::MembershipFact> facts,
+                      double epsilon);
+  // The privacy degree owner t last delegated with (the default before).
+  double owner_epsilon(IdentityId t) const;
 
   // --- membership churn ---------------------------------------------------
   // Retires a provider: its delegated facts are withdrawn, the identities it

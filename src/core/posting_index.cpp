@@ -60,20 +60,12 @@ PostingLists invert_range(const eppi::BitMatrix& matrix, std::size_t first,
   return flat;
 }
 
-// Encodes rows [from, from + n_rows) of `lists` as the shard of identities
-// [first, first + n_rows).
-PostingShard encode_shard(IdentityId first, std::size_t universe,
-                          const PostingLists& lists, std::size_t from,
-                          std::size_t n_rows) {
-  std::vector<std::span<const ProviderId>> rows(n_rows);
-  for (std::size_t r = 0; r < n_rows; ++r) rows[r] = lists.row(from + r);
-  return PostingShard(first, universe, rows);
-}
-
 PostingShard shard_from_matrix(const eppi::BitMatrix& matrix,
                                std::size_t first, std::size_t n_rows) {
-  return encode_shard(static_cast<IdentityId>(first), matrix.rows(),
-                      invert_range(matrix, first, n_rows), 0, n_rows);
+  EncodedRows piece;
+  piece.encode(invert_range(matrix, first, n_rows), matrix.rows());
+  return PostingShard(static_cast<IdentityId>(first), matrix.rows(),
+                      std::span<const EncodedRows>(&piece, 1));
 }
 
 // Encoded size of a row of `count` entries under `codec` (no padding).
@@ -87,6 +79,20 @@ std::size_t encoded_bytes(PostingCodec codec, std::size_t count,
       return elias_fano_encoded_bytes(count, universe);
   }
   return 0;
+}
+
+// Checks `list` (ascending, below `universe`) and appends its encoding to
+// `arena` as the next row, its tagged offset to `offsets`.
+void append_encoding(std::span<const ProviderId> list, std::size_t universe,
+                     std::vector<std::uint32_t>& offsets,
+                     std::vector<std::uint8_t>& arena) {
+  const PostingCodec codec = choose_codec(list.size(), universe);
+  const std::size_t offset = arena.size();
+  require(offset <= (std::size_t{1} << 30) - 1,
+          "PostingShard: arena exceeds the 1 GiB tagged-offset ceiling");
+  offsets.push_back(static_cast<std::uint32_t>(offset << 2) |
+                    static_cast<std::uint32_t>(codec));
+  encode_postings(codec, list, universe, arena);
 }
 
 // ------------------------------------------------- trusted row decoding --
@@ -178,6 +184,29 @@ void append_trusted(PostingCodec codec, const std::uint8_t* p,
 
 }  // namespace
 
+// ---------------------------------------------------------------- piece --
+
+void EncodedRows::encode(const PostingLists& lists, std::size_t universe) {
+  universe_ = universe;
+  offsets_.clear();
+  arena_.clear();
+  std::size_t payload = 0;
+  for (std::size_t r = 0; r < lists.rows(); ++r) {
+    const std::size_t count = lists.row(r).size();
+    payload += encoded_bytes(choose_codec(count, universe), count, universe);
+  }
+  offsets_.reserve(lists.rows());
+  arena_.reserve(payload);
+  for (std::size_t r = 0; r < lists.rows(); ++r) {
+    append_encoding(lists.row(r), universe, offsets_, arena_);
+  }
+}
+
+void EncodedRows::release() noexcept {
+  offsets_ = {};
+  arena_ = {};
+}
+
 // ---------------------------------------------------------------- shard --
 
 PostingShard::PostingShard(IdentityId first, std::size_t universe,
@@ -191,6 +220,34 @@ PostingShard::PostingShard(IdentityId first, std::size_t universe,
   }
   arena_.reserve(payload);
   for (const auto& list : lists) append_encoded(list);
+  tally_codecs();
+}
+
+PostingShard::PostingShard(IdentityId first, std::size_t universe,
+                           std::span<const EncodedRows> pieces)
+    : first_(first), universe_(universe) {
+  std::size_t n_rows = 0;
+  std::size_t payload = 0;
+  for (const EncodedRows& piece : pieces) {
+    require(piece.universe_ == universe || piece.rows() == 0,
+            "PostingShard: a piece was encoded under another universe");
+    if (!piece.offsets_.empty()) {
+      require(payload + (piece.offsets_.back() >> 2) <=
+                  (std::size_t{1} << 30) - 1,
+              "PostingShard: arena exceeds the 1 GiB tagged-offset ceiling");
+    }
+    n_rows += piece.rows();
+    payload += piece.arena_.size();
+  }
+  offsets_.reserve(n_rows);
+  arena_.reserve(payload);
+  for (const EncodedRows& piece : pieces) {
+    const auto moved = static_cast<std::uint32_t>(arena_.size() << 2);
+    for (const std::uint32_t offset : piece.offsets_) {
+      offsets_.push_back(offset + moved);
+    }
+    arena_.insert(arena_.end(), piece.arena_.begin(), piece.arena_.end());
+  }
   tally_codecs();
 }
 
@@ -268,13 +325,7 @@ PostingShard::PostingShard(IdentityId first, std::size_t universe,
 }
 
 void PostingShard::append_encoded(std::span<const ProviderId> list) {
-  const PostingCodec codec = choose_codec(list.size(), universe_);
-  const std::size_t offset = arena_.size();
-  require(offset <= (std::size_t{1} << 30) - 1,
-          "PostingShard: arena exceeds the 1 GiB tagged-offset ceiling");
-  offsets_.push_back(static_cast<std::uint32_t>(offset << 2) |
-                     static_cast<std::uint32_t>(codec));
-  encode_postings(codec, list, universe_, arena_);
+  append_encoding(list, universe_, offsets_, arena_);
 }
 
 std::span<const std::uint8_t> PostingShard::row_span(std::size_t row) const {
@@ -367,21 +418,6 @@ PostingIndex::PostingIndex(std::size_t providers,
     slice.assign(lists.begin() + first, lists.begin() + first + n);
     shards_.push_back(std::make_shared<const PostingShard>(
         PostingShard(static_cast<IdentityId>(first), providers, slice)));
-  }
-}
-
-PostingIndex::PostingIndex(std::size_t providers, const PostingLists& lists,
-                           std::size_t shard_span)
-    : providers_(providers), identities_(lists.rows()),
-      shard_span_(shard_span) {
-  require(shard_span_ > 0 && shard_span_ % 64 == 0,
-          "PostingIndex: shard span must be a positive multiple of 64");
-  shards_.reserve((identities_ + shard_span_ - 1) / shard_span_);
-  for (std::size_t first = 0; first < identities_; first += shard_span_) {
-    const std::size_t n = std::min(shard_span_, identities_ - first);
-    shards_.push_back(std::make_shared<const PostingShard>(
-        encode_shard(static_cast<IdentityId>(first), providers, lists, first,
-                     n)));
   }
 }
 

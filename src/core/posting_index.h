@@ -63,29 +63,57 @@ struct PostingLists {
   void end_row() { start.push_back(entries.size()); }
 };
 
+// Rows encoded back to back: one piece of a shard, encoded on its own (a
+// task of the parallel full build, EpochManager::rebuild) and laid end to
+// end with its neighbours by PostingShard's piece constructor. Every row is
+// checked as it is encoded, so a piece holds only rows the trusted decoder
+// may read.
+class EncodedRows {
+ public:
+  // Checks and encodes every row of `lists` (ascending provider ids below
+  // `universe`), replacing what the piece held. The arena is sized exactly.
+  void encode(const PostingLists& lists, std::size_t universe);
+
+  std::size_t rows() const noexcept { return offsets_.size(); }
+  // Frees the storage once the piece has been laid into its shard.
+  void release() noexcept;
+
+ private:
+  friend class PostingShard;
+
+  std::size_t universe_ = 0;
+  std::vector<std::uint32_t> offsets_;  // tagged, from arena_'s start
+  std::vector<std::uint8_t> arena_;
+};
+
 // Rows and encoded payload bytes under one codec (memory accounting).
 struct CodecFootprint {
   std::size_t rows = 0;
   std::size_t payload_bytes = 0;
 };
 
-// One immutable range of compressed posting rows. Built by PostingIndex
-// (from a matrix walk, explicit lists, a splice, or deserialized v3
-// sections). Every row is checked once, when it is first encoded or loaded:
-// the list and splice constructors check the rows they encode (a splice
-// copies the rest from a constructed shard), and the adopt constructor
-// runs the checked decoder (decode_postings) over every row, so a
-// CRC-passing-but-hostile arena never becomes a shard. Rows of a
-// constructed shard are decoded trusted after that, at word speed and
-// without re-checking.
+// One immutable range of compressed posting rows. Built from explicit
+// lists, from encoded pieces (the full epoch build and the matrix walk), by
+// a splice, or from deserialized v3 sections. Every row is checked once,
+// when it is first encoded or loaded: the list and splice constructors and
+// EncodedRows check the rows they encode (a splice copies the rest from a
+// constructed shard), and the adopt constructor runs the checked decoder
+// (decode_postings) over every row, so a CRC-passing-but-hostile arena
+// never becomes a shard. Rows of a constructed shard are decoded trusted
+// after that, at word speed and without re-checking.
 class PostingShard {
  public:
   // Encodes `lists[r]` (sorted provider ids < universe) as the rows of a
-  // shard covering identities [first, first + lists.size()). Spans, not
-  // vectors, so the matrix-inversion path can feed slices of one flat
-  // entries buffer without per-row allocations.
+  // shard covering identities [first, first + lists.size()).
   PostingShard(IdentityId first, std::size_t universe,
                std::span<const std::span<const ProviderId>> lists);
+
+  // Lays `pieces` end to end as the rows of a shard covering identities
+  // [first, first + their rows), each piece's offsets moved by where it
+  // lands. The result is byte-identical to encoding every row in one
+  // shard; the pieces' rows were checked when they were encoded.
+  PostingShard(IdentityId first, std::size_t universe,
+               std::span<const EncodedRows> pieces);
 
   // Adopts serialized storage (the v3 on-disk form). Decodes every row once
   // with the checked decoder, validating the arena; throws SerializeError on
@@ -171,14 +199,9 @@ class PostingIndex {
                std::span<const std::vector<ProviderId>> lists,
                std::size_t shard_span = kDefaultShardSpan);
 
-  // From lists laid end to end (the publication emitter's output): the
-  // epoch is encoded straight from them, with no matrix in between.
-  PostingIndex(std::size_t providers, const PostingLists& lists,
-               std::size_t shard_span = kDefaultShardSpan);
-
-  // From deserialized shards (the v3 load path). The shards must tile
-  // [0, identities) in order with `shard_span` geometry and agree on
-  // `providers`; throws SerializeError otherwise.
+  // From built or deserialized shards (the full epoch build, the v3 load
+  // path). The shards must tile [0, identities) in order with `shard_span`
+  // geometry and agree on `providers`; throws SerializeError otherwise.
   PostingIndex(std::size_t providers, std::size_t identities,
                std::size_t shard_span,
                std::vector<std::shared_ptr<const PostingShard>> shards);

@@ -109,32 +109,6 @@ bool StickyEmitter::publishes(ProviderId i, IdentityId j, bool truth) const {
          (truth || sticky_bit(mix(streams_[i] + j), thresholds_[j]));
 }
 
-PostingLists StickyEmitter::publish(const OwnerTruth& truth) const {
-  require(truth.providers == providers(),
-          "StickyEmitter: one key per provider required");
-  require(truth.identities() == identities(),
-          "StickyEmitter: beta count mismatch");
-  // Reserve the expected size (true cells plus β of the rest, with 1%
-  // headroom) so the entries buffer is allocated once, not doubled.
-  double expected = 0.0;
-  for (std::size_t j = 0; j < identities(); ++j) {
-    const double known = static_cast<double>(truth.owners[j].size());
-    const double rate = thresholds_[j] == kEveryDraw
-                            ? 1.0
-                            : static_cast<double>(thresholds_[j]) * 0x1p-64;
-    expected += known + rate * (static_cast<double>(providers()) - known);
-  }
-  PostingLists lists;
-  lists.start.reserve(identities() + 1);
-  lists.entries.reserve(static_cast<std::size_t>(expected * 1.01) +
-                        providers());
-  for (std::size_t j = 0; j < identities(); ++j) {
-    emit(static_cast<IdentityId>(j), truth.owners[j], lists.entries);
-    lists.end_row();
-  }
-  return lists;
-}
-
 std::size_t StickyEmitter::cells_hashed() const noexcept {
   std::size_t hashed = 0;
   for (const std::uint64_t t : thresholds_) {

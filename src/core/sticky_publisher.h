@@ -30,16 +30,17 @@
 // threshold is computed once per epoch, each provider's keyed half of the
 // PRF once per emitter, and a column costs one mix and one compare per
 // provider. A β = 0 column is its truth list, a β = 1 column is every
-// non-retired provider. Its output is sorted posting lists laid end to end,
-// which is what the compressed PostingIndex encodes.
+// non-retired provider. emit() only reads the emitter, so the full epoch
+// build runs it from several threads at once, each over its own block of
+// identities, and encodes the sorted lists it appends into the compressed
+// PostingIndex.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "core/owner_truth.h"
-#include "core/posting_index.h"
+#include "core/ppi_index.h"
 
 namespace eppi::core {
 
@@ -92,11 +93,8 @@ class StickyEmitter {
   // The same rule for one cell (the delta path's joined rows).
   bool publishes(ProviderId i, IdentityId j, bool truth) const;
 
-  // Every identity of `truth`, in order: the whole published epoch.
-  PostingLists publish(const OwnerTruth& truth) const;
-
-  // What publish() costs, in counts: PRF draws evaluated and columns
-  // published whole (β = 1).
+  // What emitting every identity costs, in counts: PRF draws evaluated
+  // and columns published whole (β = 1).
   std::size_t cells_hashed() const noexcept;
   std::size_t full_columns() const noexcept;
 

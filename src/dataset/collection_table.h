@@ -14,9 +14,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/membership_fact.h"
 #include "dataset/synthetic.h"
 
 namespace eppi::dataset {
@@ -33,17 +33,16 @@ struct CollectionTable {
 // ascending by provider and then by identity — the order of a row-major
 // walk over the matrix.
 struct CollectionFacts {
-  struct Fact {
-    std::uint32_t provider;
-    std::uint32_t identity;
-    bool operator==(const Fact&) const = default;
-  };
+  using Fact = eppi::MembershipFact;
   std::vector<std::string> provider_names;  // provider id -> collection id
   std::vector<std::string> identity_names;  // identity id -> identity
   std::vector<Fact> facts;
 };
 
-// Parses the CSV from a stream. Throws SerializeError on malformed lines.
+// Parses the CSV from a stream in one pass over large blocks. Blank lines
+// and lines starting with '#' are skipped, and one trailing '\r' is
+// stripped from every line, so a CRLF file parses like its LF twin. Throws
+// SerializeError on malformed lines.
 CollectionFacts load_collection_facts(std::istream& in);
 
 // The same, as a provider × identity matrix.

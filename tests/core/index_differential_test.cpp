@@ -23,6 +23,7 @@
 #include "core/posting_index.h"
 #include "core/sticky_publisher.h"
 #include "fixtures/legacy_formats.h"
+#include "fixtures/publication.h"
 #include "storage/mem_vfs.h"
 
 namespace eppi::core {
@@ -318,8 +319,8 @@ TEST(IndexDifferentialTest, StoreRecoveryMatchesDenseReplay) {
 // still replay and verify in posting space over its v2 base file.
 TEST(IndexDifferentialTest, LegacyMatrixPinnedDeltaReplaysOnV3) {
   MemVfs vfs;
-  fixtures::seed_type3_store(vfs, "store");
-  const eppi::BitMatrix e2 = fixtures::golden_next_matrix();
+  eppi::fixtures::seed_type3_store(vfs, "store");
+  const eppi::BitMatrix e2 = eppi::fixtures::golden_next_matrix();
 
   EpochStore reopened(vfs, "store");
   ASSERT_EQ(reopened.latest_epoch(), 2u);
@@ -328,7 +329,7 @@ TEST(IndexDifferentialTest, LegacyMatrixPinnedDeltaReplaysOnV3) {
   EXPECT_EQ(*rec.legacy_matrix_crc, dense_matrix_checksum(e2));
   expect_identical(e2, reopened.load_epoch_postings(2).postings, "legacy");
   // The dense oracle replays the same record to the same matrix.
-  EXPECT_EQ(apply_delta(fixtures::golden_matrix(), rec), e2);
+  EXPECT_EQ(apply_delta(eppi::fixtures::golden_matrix(), rec), e2);
 }
 
 // The manager's incremental rebuild (PR 8) committed through the new v3
@@ -393,7 +394,7 @@ TEST(IndexDifferentialTest, StickyPostingPublicationMatchesMatrix) {
     }
   }
   const PostingLists lists =
-      StickyEmitter(keys, betas).publish(owner_truth(truth));
+      fixtures::emit_all(StickyEmitter(keys, betas), owner_truth(truth));
   ASSERT_EQ(lists.rows(), n);
   for (std::size_t j = 0; j < n; ++j) {
     const auto row = lists.row(j);
@@ -403,7 +404,7 @@ TEST(IndexDifferentialTest, StickyPostingPublicationMatchesMatrix) {
   }
   // And the compressed index encoded from those lists answers like the
   // matrix built the classic way.
-  const PostingIndex postings(m, lists, 64);
+  const PostingIndex postings = fixtures::encode_lists(m, lists, 64);
   expect_identical(published, postings, "sticky postings");
 }
 

@@ -148,7 +148,9 @@ TEST(IndexV3IoTest, LexiconBitFlipNamesTheLexiconSection) {
   bool lexicon_failed = false;
   for (const auto& c : v.sections) {
     if (c.section == IndexSection::kLexicon && !c.ok) lexicon_failed = true;
-    if (c.section == IndexSection::kShard) EXPECT_TRUE(c.ok) << c.detail;
+    if (c.section == IndexSection::kShard) {
+      EXPECT_TRUE(c.ok) << c.detail;
+    }
   }
   EXPECT_TRUE(lexicon_failed);
 }

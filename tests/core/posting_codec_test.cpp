@@ -208,7 +208,9 @@ TEST(PostingCodecTest, MutatedBytesEitherThrowOrDecodeCanonically) {
         // Accepted: the decode must still be canonical.
         for (std::size_t k = 0; k < out.size(); ++k) {
           ASSERT_LT(out[k], 150u);
-          if (k > 0) ASSERT_LT(out[k - 1], out[k]);
+          if (k > 0) {
+            ASSERT_LT(out[k - 1], out[k]);
+          }
         }
       }
     }

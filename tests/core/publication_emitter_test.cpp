@@ -78,7 +78,8 @@ TEST(PublicationEmitterTest, MatchesPerCellReference) {
     for (int pass = 0; pass < 2; ++pass) {
       if (pass == 1) retired[0] = 1;
       const StickyEmitter emitter(keys, betas, retired);
-      const PostingLists lists = emitter.publish(owner_truth(truth));
+      const PostingLists lists =
+          fixtures::emit_all(emitter, owner_truth(truth));
       const eppi::BitMatrix expected =
           reference_publication(truth, betas, keys, retired);
       EXPECT_EQ(dense_lists(m, lists), expected) << "m=" << m;

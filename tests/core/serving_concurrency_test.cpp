@@ -33,8 +33,15 @@ constexpr double kHighEps = 0.95;
 constexpr std::size_t kProviders = 12;
 constexpr std::size_t kOwners = 30;
 
-std::string owner_name(std::size_t j) { return "o" + std::to_string(j); }
-std::string provider_name(std::size_t i) { return "p" + std::to_string(i); }
+// A prefix and a number, appended (not `"o" + std::to_string(j)`, which
+// GCC 12 flags with a false -Wrestrict in Release builds).
+std::string numbered(const char* prefix, std::size_t k) {
+  std::string name = prefix;
+  name += std::to_string(k);
+  return name;
+}
+std::string owner_name(std::size_t j) { return numbered("o", j); }
+std::string provider_name(std::size_t i) { return numbered("p", i); }
 
 LocatorService::Options serve_options() {
   LocatorService::Options options;

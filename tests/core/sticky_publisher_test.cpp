@@ -22,7 +22,8 @@ std::vector<std::uint8_t> publish_row(std::uint64_t key,
     if (local[j] != 0) truth.owners[j] = {0};
   }
   const std::vector<std::uint64_t> keys{key};
-  const PostingLists lists = StickyEmitter(keys, betas).publish(truth);
+  const PostingLists lists =
+      fixtures::emit_all(StickyEmitter(keys, betas), truth);
   std::vector<std::uint8_t> row(local.size());
   for (std::size_t j = 0; j < local.size(); ++j) {
     row[j] = lists.row(j).empty() ? 0 : 1;

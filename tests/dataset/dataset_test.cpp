@@ -101,6 +101,74 @@ TEST(CollectionTableTest, MalformedLineThrows) {
   EXPECT_THROW(load_collection_table(empty_field), eppi::SerializeError);
 }
 
+// A file saved with CRLF line ends — a blank line and a comment among
+// them — parses exactly like its LF twin: no name keeps the '\r'.
+TEST(CollectionTableTest, CrlfFileParsesLikeItsLfTwin) {
+  const std::string lf =
+      "# comment line\n"
+      "prov1,alice\n"
+      "\n"
+      "prov2,alice\n"
+      "prov2,bob\n"
+      "prov1,alice\n";
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  std::stringstream lf_in(lf), crlf_in(crlf);
+  const CollectionFacts a = load_collection_facts(lf_in);
+  const CollectionFacts b = load_collection_facts(crlf_in);
+  EXPECT_EQ(b.provider_names, (std::vector<std::string>{"prov1", "prov2"}));
+  EXPECT_EQ(b.identity_names, (std::vector<std::string>{"alice", "bob"}));
+  EXPECT_EQ(a.provider_names, b.provider_names);
+  EXPECT_EQ(a.identity_names, b.identity_names);
+  EXPECT_EQ(a.facts, b.facts);
+  // The last line may end without a line break, either way.
+  std::stringstream open_end("prov1,alice\r\nprov2,bob");
+  EXPECT_EQ(load_collection_facts(open_end).identity_names,
+            (std::vector<std::string>{"alice", "bob"}));
+  // A malformed CRLF line is reported at its own line number.
+  std::stringstream bad("prov1,alice\r\n\r\nprov2,\r\n");
+  try {
+    load_collection_facts(bad);
+    ADD_FAILURE() << "no exception";
+  } catch (const eppi::SerializeError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Lines that straddle the parser's read blocks, and one line longer than
+// a block, parse whole: names in first-appearance order, facts in file
+// order.
+TEST(CollectionTableTest, LinesAcrossReadBlocksParseWhole) {
+  std::string csv;
+  std::vector<std::string> owners;
+  for (std::size_t j = 0; j < 60000; ++j) {
+    owners.emplace_back("owner-");
+    owners.back() += std::to_string(j * 7919 % 60000);
+    csv += "prov-";
+    csv += std::to_string(j % 3);
+    csv += ',';
+    csv += owners.back();
+    csv += '\n';
+  }
+  const std::string long_name(3u << 20, 'x');  // past two read blocks
+  csv += "prov-long," + long_name + "\nprov-0,owner-0\n";
+  std::stringstream in(csv);
+  const CollectionTable table = load_collection_table(in);
+  ASSERT_EQ(table.identity_names.size(), owners.size() + 1);
+  for (std::size_t j = 0; j < owners.size(); ++j) {
+    ASSERT_EQ(table.identity_names[j], owners[j]);
+  }
+  EXPECT_EQ(table.identity_names.back(), long_name);
+  EXPECT_EQ(table.provider_names,
+            (std::vector<std::string>{"prov-0", "prov-1", "prov-2",
+                                      "prov-long"}));
+  EXPECT_EQ(table.network.membership.popcount(), owners.size() + 1);
+}
+
 TEST(CollectionTableTest, SaveUsesProvidedNames) {
   eppi::Rng rng(7);
   Network net;

@@ -29,8 +29,15 @@ using namespace std::chrono_literals;
 constexpr std::size_t kProviders = 5;
 constexpr std::size_t kOwners = 8;
 
-std::string prov(std::size_t i) { return "p" + std::to_string(i); }
-std::string owner(std::size_t j) { return "o" + std::to_string(j); }
+// A prefix and a number, appended (not `"o" + std::to_string(j)`, which
+// GCC 12 flags with a false -Wrestrict in Release builds).
+std::string numbered(const char* prefix, std::size_t k) {
+  std::string name = prefix;
+  name += std::to_string(k);
+  return name;
+}
+std::string prov(std::size_t i) { return numbered("p", i); }
+std::string owner(std::size_t j) { return numbered("o", j); }
 
 LocatorService::Options churn_options() {
   LocatorService::Options options;

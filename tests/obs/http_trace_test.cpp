@@ -2,8 +2,8 @@
 // LocatorHttp leaves one `http.request` span whose children are
 // `http.parse` (loop thread), `query.ppi_many` and `http.encode` (pool
 // thread) and `http.write` (loop thread). A full rebuild leaves
-// `serve.rebuild` with children `serve.rebuild.beta`, `.emit` and
-// `.encode`. No /trace export carries a span without its parent: the /trace
+// `serve.rebuild` with children `serve.rebuild.beta` and `.emit` (which
+// encodes too). No /trace export carries a span without its parent: the /trace
 // request's own spans leave with the next export. And the privacy rule for
 // exported telemetry: no owner name a client asked about or delegated
 // appears in /trace or /slowlog — span attributes and slow-log entries
@@ -163,7 +163,7 @@ TEST(HttpTraceTest, QuerySpansFormOneTreeAndCarryNoOwnerNames) {
   for (const auto& ev : events) {
     if (ev.parent != 0) children[ev.parent].push_back(ev.name);
   }
-  // The full rebuild: three child spans whose attributes are counts only.
+  // The full rebuild: two child spans whose attributes are counts only.
   const obs::TraceEvent* rebuild = nullptr;
   for (const auto& ev : events) {
     if (ev.name == "serve.rebuild") rebuild = &ev;
@@ -172,8 +172,11 @@ TEST(HttpTraceTest, QuerySpansFormOneTreeAndCarryNoOwnerNames) {
   std::vector<std::string> phases = children[rebuild->span];
   std::sort(phases.begin(), phases.end());
   EXPECT_EQ(phases, (std::vector<std::string>{"serve.rebuild.beta",
-                                              "serve.rebuild.emit",
-                                              "serve.rebuild.encode"}));
+                                              "serve.rebuild.emit"}));
+  // Every published cell of the epoch, as the queries below see it (the
+  // trace was drained already, so their spans do not reach `events`).
+  std::size_t published = 0;
+  for (const auto& owner : owners) published += service.query_ppi(owner).size();
   for (const auto& ev : events) {
     if (ev.name.rfind("serve.rebuild.", 0) != 0) continue;
     EXPECT_EQ(ev.parent, rebuild->span) << ev.name;
@@ -185,6 +188,7 @@ TEST(HttpTraceTest, QuerySpansFormOneTreeAndCarryNoOwnerNames) {
       EXPECT_EQ(ev.attr_u64("identities"), owners.size());
       EXPECT_TRUE(ev.has_attr("cells_hashed"));
       EXPECT_TRUE(ev.has_attr("full_columns"));
+      EXPECT_EQ(ev.attr_u64("entries"), published);
     }
   }
 

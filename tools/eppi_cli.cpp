@@ -730,8 +730,8 @@ int cmd_serve(const std::vector<std::string>& args) {
     if (!rebuilds_set) rebuilds = 1;
   }
 
-  // The facts alone, never the dense m×n table: they are delegated in the
-  // order of a row-major walk over it (providers ascending, then
+  // The facts alone, never the dense m×n table: they are delegated in bulk,
+  // in the order of a row-major walk over it (providers ascending, then
   // identities), which fixes every id and the served epoch.
   auto table = [&] {
     if (smoke) return smoke_facts();
@@ -751,10 +751,8 @@ int cmd_serve(const std::vector<std::string>& args) {
   // becomes a full one (delta epochs are otherwise on by default).
   options.enable_delta = !no_delta;
   eppi::core::LocatorService service(options);
-  for (const auto& fact : table.facts) {
-    service.delegate(table.identity_names[fact.identity], eps,
-                     table.provider_names[fact.provider]);
-  }
+  service.delegate_facts(table.identity_names, table.provider_names,
+                         table.facts, eps);
   table.facts = {};  // delegated; the service keeps the truth
   service.construct_ppi();
 
