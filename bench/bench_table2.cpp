@@ -27,7 +27,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "core/constructor.h"
-#include "core/mixing.h"
 #include "core/publisher.h"
 #include "dataset/synthetic.h"
 
@@ -116,7 +115,6 @@ int main() {
   // Ground truth for the common-identity attack: the same policy-level
   // common set ε-PPI defends (frequency above the saturation threshold).
   const auto& truly_common = eppi_result.info.is_common;
-  (void)eppi::core::xi_for(truly_common, epsilons);
 
   SystemOutcome grouping_outcome;
   SystemOutcome ss_outcome;

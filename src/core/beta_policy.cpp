@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/error.h"
+#include "core/beta_plan.h"
 #include "core/guarantee.h"
 
 namespace eppi::core {
@@ -100,9 +101,7 @@ double beta_raw(const BetaPolicy& policy, double sigma, double epsilon,
 
 double beta_clamped(const BetaPolicy& policy, double sigma, double epsilon,
                     std::size_t m) {
-  const double b = beta_raw(policy, sigma, epsilon, m);
-  if (b >= 1.0) return 1.0;
-  return b < 0.0 ? 0.0 : b;
+  return BetaPlan::final_beta(false, beta_raw(policy, sigma, epsilon, m));
 }
 
 std::uint64_t common_threshold(const BetaPolicy& policy, double epsilon,

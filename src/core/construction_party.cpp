@@ -1,12 +1,10 @@
 #include "core/construction_party.h"
 
-#include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/error.h"
 #include "common/serialize.h"
-#include "core/mixing.h"
+#include "core/beta_plan.h"
 #include "core/publisher.h"
 #include "mpc/eppi_circuits.h"
 #include "mpc/gmw.h"
@@ -167,11 +165,9 @@ ConstructionPartyResult run_construction_party(
     phase.reset();
 
     const double xi = er.value_of_rank(counted.max_xi_rank);
-    const double lambda =
-        options.enable_mixing
-            ? lambda_for(xi, static_cast<std::size_t>(counted.common_count),
-                         n)
-            : 0.0;
+    const double lambda = BetaPlan::lambda(
+        xi, static_cast<std::size_t>(counted.common_count), n,
+        options.enable_mixing);
 
     // Phase 1.2b: MixAndReveal.
     prepare.emplace("mpc.prepare");
@@ -236,15 +232,9 @@ ConstructionPartyResult run_construction_party(
   eppi::net::PhaseSpan phase(ctx, "phase:publish");
   result.betas.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    if (opened.mixed[j]) {
-      result.betas[j] = 1.0;
-    } else {
-      const double sigma = static_cast<double>(opened.frequencies[j]) /
-                           static_cast<double>(m_eff);
-      result.betas[j] =
-          std::clamp(beta_raw(options.policy, sigma, epsilons[j], m_eff), 0.0,
-                     1.0);
-    }
+    result.betas[j] =
+        BetaPlan::opened_beta(options.policy, opened.mixed[j],
+                              opened.frequencies[j], epsilons[j], m_eff);
   }
   result.published_row = publish_row(my_row, result.betas, ctx.rng());
   return result;

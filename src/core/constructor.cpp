@@ -1,7 +1,6 @@
 #include "core/constructor.h"
 
 #include "common/error.h"
-#include "core/mixing.h"
 #include "core/publisher.h"
 
 namespace eppi::core {
@@ -10,48 +9,16 @@ ConstructionInfo calculate_betas(const eppi::BitMatrix& truth,
                                  std::span<const double> epsilons,
                                  const ConstructionOptions& options,
                                  eppi::Rng& rng) {
-  const std::size_t m = truth.rows();
-  const std::size_t n = truth.cols();
-  require(epsilons.size() == n, "calculate_betas: epsilon count mismatch");
-  require(m >= 1, "calculate_betas: need at least one provider");
-
-  ConstructionInfo info;
-  info.betas.resize(n);
-  info.is_common.assign(n, false);
-  info.is_apparent_common.assign(n, false);
-  info.thresholds.resize(n);
-
-  // Raw β* per identity; saturation marks common identities (paper Eq. 8).
-  std::vector<double> raw(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    require(epsilons[j] >= 0.0 && epsilons[j] <= 1.0,
-            "calculate_betas: epsilon out of [0,1]");
-    const double sigma = static_cast<double>(truth.col_count(j)) /
-                         static_cast<double>(m);
-    raw[j] = beta_raw(options.policy, sigma, epsilons[j], m);
-    info.is_common[j] = raw[j] >= 1.0;
-    info.thresholds[j] = common_threshold(options.policy, epsilons[j], m);
-  }
-
-  // Identity mixing (Eq. 6/7): non-common identities are exaggerated to
-  // β = 1 with probability λ.
-  std::size_t n_common = 0;
-  for (std::size_t j = 0; j < n; ++j) n_common += info.is_common[j] ? 1 : 0;
-  info.xi = xi_for(info.is_common, epsilons);
-  info.lambda = options.enable_mixing ? lambda_for(info.xi, n_common, n) : 0.0;
-
-  for (std::size_t j = 0; j < n; ++j) {
-    if (info.is_common[j]) {
-      info.betas[j] = 1.0;
-      info.is_apparent_common[j] = true;
-    } else if (options.enable_mixing && rng.bernoulli(info.lambda)) {
-      info.betas[j] = 1.0;
-      info.is_apparent_common[j] = true;
-    } else {
-      info.betas[j] = raw[j] < 0.0 ? 0.0 : raw[j];
-    }
-  }
-  return info;
+  require(epsilons.size() == truth.cols(),
+          "calculate_betas: epsilon count mismatch");
+  return BetaPlan(
+             options.policy, options.enable_mixing,
+             [&rng](std::size_t, double lambda, std::uint64_t) {
+               return rng.bernoulli(lambda);
+             },
+             [&truth](std::size_t j) { return truth.col_count(j); },
+             epsilons, truth.rows())
+      .info();
 }
 
 ConstructionResult construct_centralized(const eppi::BitMatrix& truth,

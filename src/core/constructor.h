@@ -16,6 +16,7 @@
 
 #include "common/bit_matrix.h"
 #include "common/rng.h"
+#include "core/beta_plan.h"
 #include "core/beta_policy.h"
 #include "core/ppi_index.h"
 
@@ -26,15 +27,6 @@ struct ConstructionOptions {
   // Identity mixing on/off; off reproduces the mixing ablation (a PPI
   // vulnerable to the common-identity attack).
   bool enable_mixing = true;
-};
-
-struct ConstructionInfo {
-  std::vector<double> betas;        // final per-identity β (post mixing)
-  std::vector<bool> is_common;      // β* >= 1 by the true frequency
-  std::vector<bool> is_apparent_common;  // published with β == 1
-  std::vector<std::uint64_t> thresholds; // per-identity common thresholds t_j
-  double xi = 0.0;                  // max ε over common identities
-  double lambda = 0.0;              // mixing probability used
 };
 
 struct ConstructionResult {
@@ -50,8 +42,9 @@ ConstructionResult construct_centralized(const eppi::BitMatrix& truth,
                                          const ConstructionOptions& options,
                                          eppi::Rng& rng);
 
-// Computes only the final β vector (phase 1 of the two-phase framework);
-// exposed separately for the policy-comparison experiments (Fig. 5), which
+// Computes only the final β vector (phase 1 of the two-phase framework):
+// a BetaPlan whose mixing coins are rng.bernoulli(λ) draws. Exposed
+// separately for the policy-comparison experiments (Fig. 5), which
 // re-publish many times under one β calculation.
 ConstructionInfo calculate_betas(const eppi::BitMatrix& truth,
                                  std::span<const double> epsilons,

@@ -1,11 +1,12 @@
 #include "core/epoch_manager.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.h"
 #include "common/parallel.h"
+#include "core/beta_plan.h"
 #include "core/epoch_store.h"
-#include "core/mixing.h"
 #include "core/sticky_publisher.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -14,10 +15,11 @@ namespace eppi::core {
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+// Frequencies are the truth lists' lengths.
+BetaPlan::Frequency list_lengths(const OwnerTruth& truth) {
+  return [&truth](std::size_t j) -> std::uint64_t {
+    return truth.owners[j].size();
+  };
 }
 
 // Rows re-emitted over the served epoch. Each row is appended to
@@ -67,17 +69,6 @@ std::span<const std::uint8_t> EpochManager::retired_prefix(
       std::min(retired_.size(), m));
 }
 
-bool EpochManager::MixingCoins::operator()(
-    std::size_t identity) const noexcept {
-  return sticky_bit(mix64(stream + identity), threshold);
-}
-
-EpochManager::MixingCoins EpochManager::mixing_coins(
-    double lambda) const noexcept {
-  return MixingCoins{mix64(options_.master_key ^ 0x5bd1e995ULL),
-                     sticky_threshold(lambda)};
-}
-
 EpochManager::EpochResult EpochManager::rebuild(
     const OwnerTruth& truth, std::span<const double> epsilons) {
   const std::size_t m = truth.providers;
@@ -90,40 +81,15 @@ EpochManager::EpochResult EpochManager::rebuild(
   span.attr("identities", n);
   span.attr("distributed", false);
 
-  // β calculation with deterministic, monotone mixing. Frequencies are the
-  // truth lists' lengths.
-  ConstructionInfo info;
-  std::vector<double> raw(n);
-  {
-    obs::Span beta_span("serve.rebuild.beta");
-    info.betas.resize(n);
-    info.is_common.assign(n, false);
-    info.is_apparent_common.assign(n, false);
-    for (std::size_t j = 0; j < n; ++j) {
-      require(epsilons[j] >= 0.0 && epsilons[j] <= 1.0,
-              "EpochManager: epsilon out of [0,1]");
-      const double sigma = static_cast<double>(truth.owners[j].size()) /
-                           static_cast<double>(m);
-      raw[j] = beta_raw(options_.policy, sigma, epsilons[j], m);
-      info.is_common[j] = raw[j] >= 1.0;
-    }
-    info.thresholds = common_thresholds(options_.policy, epsilons, m);
-    std::size_t n_common = 0;
-    for (std::size_t j = 0; j < n; ++j) n_common += info.is_common[j] ? 1 : 0;
-    info.xi = xi_for(info.is_common, epsilons);
-    info.lambda =
-        options_.enable_mixing ? lambda_for(info.xi, n_common, n) : 0.0;
-    const MixingCoins mixed = mixing_coins(info.lambda);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (info.is_common[j] || (options_.enable_mixing && mixed(j))) {
-        info.betas[j] = 1.0;
-        info.is_apparent_common[j] = true;
-      } else {
-        info.betas[j] = raw[j] < 0.0 ? 0.0 : raw[j];
-      }
-    }
-    beta_span.attr("common", n_common);
-  }
+  // β calculation with deterministic, monotone mixing: identity j is mixed
+  // iff its fixed PRF draw under the master key falls below λ's threshold.
+  std::optional<obs::Span> beta_span(std::in_place, "serve.rebuild.beta");
+  BetaPlan plan(
+      options_.policy, options_.enable_mixing,
+      BetaPlan::keyed_coin(mix64(options_.master_key ^ 0x5bd1e995ULL)),
+      list_lengths(truth), epsilons, m);
+  beta_span->attr("common", plan.common_count());
+  beta_span.reset();
 
   // Sticky publication and encoding, block by block across the CPUs: a
   // task emits kEpochBuildBlock identities into its worker's lists and
@@ -132,7 +98,7 @@ EpochManager::EpochResult EpochManager::rebuild(
   std::shared_ptr<const PostingIndex> postings;
   {
     obs::Span emit_span("serve.rebuild.emit");
-    const StickyEmitter emitter(provider_keys(m), info.betas,
+    const StickyEmitter emitter(provider_keys(m), plan.info().betas,
                                 retired_prefix(m));
     const std::size_t blocks = (n + kEpochBuildBlock - 1) / kEpochBuildBlock;
     std::vector<EncodedRows> pieces(blocks);
@@ -179,19 +145,15 @@ EpochManager::EpochResult EpochManager::rebuild(
   const std::size_t churn = churn_since_served(*postings);
   // Commit first (durable), then mutate: if the store throws, the manager
   // keeps serving the old epoch unchanged and a retry is safe.
-  adopt_epoch(postings, info.lambda);
+  adopt_epoch(postings, plan.info().lambda);
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
-
-  // Retain the per-identity derivation state so the next rebuild_delta can
-  // recompute only what changed.
-  last_raw_ = std::move(raw);
-  last_info_ = info;
-  has_last_info_ = true;
+  // Retained so the next rebuild_delta re-derives only what changed.
+  plan_ = std::move(plan);
   record_churn_metrics(churn, /*delta=*/false);
 
   EpochResult result;
-  result.info = std::move(info);
+  result.info = plan_->info();
   result.epoch = epoch_;
   result.churn = churn;
   result.postings = std::move(postings);
@@ -207,7 +169,7 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   require(m >= 1, "EpochManager: need at least one provider");
   apply_membership(request, m);
 
-  if (!served_ || !has_last_info_ || served_->providers() > m ||
+  if (!served_ || !plan_ || served_->providers() > m ||
       served_->identities() > n) {
     // No base to splice over (first epoch, fresh restart, or a shrinking
     // shape): run the full path — same result, more work.
@@ -220,86 +182,36 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
   span.attr("providers", m);
   span.attr("identities", n);
 
-  const std::size_t n0 = served_->identities();
-  const bool shape_changed = served_->providers() != m || n0 != n;
+  const bool shape_changed =
+      served_->providers() != m || served_->identities() != n;
   // A joined row's noise and a leaving row's bits land in any column, so a
   // membership epoch re-emits every column: a full rebuild's work and
   // result, still journaled as a delta.
   const bool membership = !request.joined.empty() || !request.left.empty() ||
                           served_->providers() != m;
 
-  // Grow the retained derivation state; new identities are implicitly
-  // dirty, so the placeholder values below are always overwritten.
-  last_raw_.resize(n, 0.0);
-  last_info_.betas.resize(n, 0.0);
-  last_info_.is_common.resize(n, false);
-  last_info_.is_apparent_common.resize(n, false);
-  last_info_.thresholds.resize(n, 0.0);
-
-  std::vector<std::uint8_t> dirty(n, 0);
-  for (const IdentityId j : request.dirty) {
-    require(j < n, "EpochManager: dirty identity out of range");
-    dirty[j] = 1;
-  }
-  for (std::size_t j = n0; j < n; ++j) dirty[j] = 1;
-  // σ_j = f_j / m and the policies' m-dependent terms move every β when the
-  // provider count does.
-  if (served_->providers() != m) std::fill(dirty.begin(), dirty.end(), 1);
-
-  // Re-derive β*/commonness only where the global frequency or ε could have
-  // moved; everything else keeps the previous epoch's values verbatim.
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!dirty[j]) continue;
-    require(epsilons[j] >= 0.0 && epsilons[j] <= 1.0,
-            "EpochManager: epsilon out of [0,1]");
-    const double sigma = static_cast<double>(truth.owners[j].size()) /
-                         static_cast<double>(m);
-    last_raw_[j] = beta_raw(options_.policy, sigma, epsilons[j], m);
-    last_info_.is_common[j] = last_raw_[j] >= 1.0;
-    last_info_.thresholds[j] = common_threshold(options_.policy, epsilons[j], m);
-  }
-
-  // ξ and λ are global functions of the (updated) common set, recomputed
-  // with the same formulas as the full path — so they land on the same
-  // values a full rebuild would.
-  std::size_t n_common = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    n_common += last_info_.is_common[j] ? 1 : 0;
-  }
-  last_info_.xi = xi_for(last_info_.is_common, epsilons);
-  const double lambda =
-      options_.enable_mixing ? lambda_for(last_info_.xi, n_common, n) : 0.0;
-  last_info_.lambda = lambda;
-
-  // λ moving can flip any identity's sticky mixing decision, so the dirty
-  // set widens to every identity whose β or apparent-common bit changed.
-  std::vector<std::uint8_t> affected = dirty;
-  const MixingCoins mixed = mixing_coins(lambda);
-  for (std::size_t j = 0; j < n; ++j) {
-    const bool apparent =
-        last_info_.is_common[j] || (options_.enable_mixing && mixed(j));
-    const double beta =
-        apparent ? 1.0 : (last_raw_[j] < 0.0 ? 0.0 : last_raw_[j]);
-    if (apparent != last_info_.is_apparent_common[j] ||
-        beta != last_info_.betas[j]) {
-      affected[j] = 1;
-    }
-    last_info_.is_apparent_common[j] = apparent;
-    last_info_.betas[j] = beta;
-  }
+  // The plan is taken out until the epoch is adopted: if anything below
+  // throws, the next rebuild runs full instead of updating a plan that is
+  // ahead of the served epoch.
+  BetaPlan plan = std::move(*plan_);
+  plan_.reset();
+  const std::vector<IdentityId> affected =
+      plan.update(request.dirty, list_lengths(truth), epsilons, m);
 
   // Re-emit the affected columns (every column in a membership epoch) with
   // the same emitter, thresholds and PRF draws as the full path.
-  const StickyEmitter emitter(provider_keys(m), last_info_.betas,
+  const StickyEmitter emitter(provider_keys(m), plan.info().betas,
                               retired_prefix(m));
   RowSplice splice(*served_);
-  std::size_t recomputed = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    recomputed += affected[j];
-    if (!affected[j] && !membership) continue;
+  const auto emit = [&](std::size_t j) {
     const auto id = static_cast<IdentityId>(j);
     emitter.emit(id, truth.owners[j], splice.rows.entries);
     splice.close(id);
+  };
+  if (membership) {
+    for (std::size_t j = 0; j < n; ++j) emit(j);
+  } else {
+    for (const IdentityId j : affected) emit(j);
   }
   const std::size_t churn = shape_changed ? m * n : splice.churn;
   auto next = std::make_shared<const PostingIndex>(*served_, m, n, splice.ids,
@@ -307,28 +219,38 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
 
   EpochStore::EpochDelta rec;
   const bool journal = delta_commit_possible();
+  const double lambda = plan.info().lambda;
   if (journal) {
-    std::vector<IdentityId> columns;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (affected[j]) columns.push_back(static_cast<IdentityId>(j));
+    rec = delta_record(*next, lambda, request, affected);
+    // A joined provider's row, cell by cell from the emitter that just
+    // published every column of this membership epoch.
+    for (const ProviderId p : request.joined) {
+      EpochStore::EpochDelta::Row& row = rec.row_splices.emplace_back();
+      row.provider = p;
+      row.bits.assign((n + 7) / 8, 0);
+      for (std::size_t j = 0; j < n; ++j) {
+        const auto id = static_cast<IdentityId>(j);
+        if (emitter.publishes(p, id, truth.holds(p, id))) {
+          row.bits[j >> 3] |= 1u << (j & 7);
+        }
+      }
     }
-    rec = delta_record(*next, lambda, request, request.joined, columns);
   }
 
   adopt_epoch(next, lambda, journal ? &rec : nullptr);
-  has_last_info_ = true;
+  plan_ = std::move(plan);
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
-  span.attr("recomputed", recomputed);
+  span.attr("recomputed", affected.size());
   record_churn_metrics(churn, /*delta=*/true);
 
   EpochResult result;
   result.postings = std::move(next);
-  result.info = last_info_;
+  result.info = plan_->info();
   result.epoch = epoch_;
   result.churn = churn;
   result.delta.delta = true;
-  result.delta.recomputed = recomputed;
+  result.delta.recomputed = affected.size();
   result.delta.spliced_rows = request.joined.size();
   return result;
 }
@@ -353,7 +275,6 @@ bool EpochManager::delta_commit_possible() const {
 
 EpochStore::EpochDelta EpochManager::delta_record(
     const PostingIndex& next, double lambda, const DeltaRequest& request,
-    std::span<const ProviderId> rows,
     std::span<const IdentityId> columns) const {
   EpochStore::EpochDelta rec;
   rec.epoch = epoch_ + 1;
@@ -364,18 +285,6 @@ EpochStore::EpochDelta EpochManager::delta_record(
   rec.joined = request.joined;
   rec.left = request.left;
   std::vector<ProviderId> list;
-  for (const ProviderId p : rows) {
-    EpochStore::EpochDelta::Row row;
-    row.provider = p;
-    row.bits.assign((rec.cols + 7) / 8, 0);
-    for (std::size_t j = 0; j < rec.cols; ++j) {
-      next.query_into(static_cast<IdentityId>(j), list);
-      if (std::binary_search(list.begin(), list.end(), p)) {
-        row.bits[j >> 3] |= 1u << (j & 7);
-      }
-    }
-    rec.row_splices.push_back(std::move(row));
-  }
   for (const IdentityId j : columns) {
     EpochStore::EpochDelta::Column col;
     col.identity = j;
@@ -499,6 +408,7 @@ std::shared_ptr<const Lexicon> EpochManager::attach_store(EpochStore& store) {
     // the newest committed id when recovery quarantined a rotted file.
     LoadedIndex loaded = store.load_epoch_postings(*latest);
     served_ = std::make_shared<const PostingIndex>(std::move(loaded.postings));
+    plan_.reset();  // no plan derived that epoch
     lexicon = std::move(loaded.lexicon);
     served_epoch_ = *latest;
     epoch_time_ = std::chrono::steady_clock::now();
@@ -575,8 +485,8 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_distributed(
   const std::size_t churn = churn_since_served(*next);
   adopt_epoch(next, built.report.lambda);
   // The distributed constructor derives β inside the MPC, so the retained
-  // centralized derivation state no longer matches what is being served.
-  has_last_info_ = false;
+  // centralized plan no longer matches what is being served.
+  plan_.reset();
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
   record_churn_metrics(churn, /*delta=*/false);
@@ -607,19 +517,10 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
   span.attr("identities", n);
   span.attr("distributed", true);
 
-  const std::size_t n0 = served_->identities();
-  const bool shape_changed = served_->providers() != m || n0 != n;
-
-  std::vector<std::uint8_t> dirty(n, 0);
-  for (const IdentityId j : request.dirty) {
-    require(j < n, "EpochManager: dirty identity out of range");
-    dirty[j] = 1;
-  }
-  for (std::size_t j = n0; j < n; ++j) dirty[j] = 1;
-  std::vector<IdentityId> dirty_ids;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (dirty[j]) dirty_ids.push_back(static_cast<IdentityId>(j));
-  }
+  const bool shape_changed =
+      served_->providers() != m || served_->identities() != n;
+  const std::vector<IdentityId> dirty_ids =
+      dirty_identities(request.dirty, served_->identities(), n);
 
   // The sub-run is an active-providers × dirty-identities job: retired rows
   // never participate again, and a joining party enters here — after having
@@ -704,10 +605,10 @@ EpochManager::DistributedEpochResult EpochManager::rebuild_delta_distributed(
 
   EpochStore::EpochDelta rec;
   const bool journal = delta_commit_possible();
-  if (journal) rec = delta_record(*next, lambda, request, {}, dirty_ids);
+  if (journal) rec = delta_record(*next, lambda, request, dirty_ids);
 
   adopt_epoch(next, lambda, journal ? &rec : nullptr);
-  has_last_info_ = false;
+  plan_.reset();
   span.attr("epoch", epoch_);
   span.attr("churn", churn);
   span.attr("recomputed", dirty_ids.size());

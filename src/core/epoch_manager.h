@@ -30,13 +30,14 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/bit_matrix.h"
+#include "core/beta_plan.h"
 #include "core/beta_policy.h"
-#include "core/constructor.h"
 #include "core/distributed_constructor.h"
 #include "core/epoch_store.h"
 #include "core/owner_truth.h"
@@ -89,8 +90,8 @@ class EpochManager {
     DeltaStats delta;
   };
 
-  // Builds the next epoch's index for the current network state: the β
-  // prologue over list lengths (span serve.rebuild.beta), then the sticky
+  // Builds the next epoch's index for the current network state: a fresh
+  // BetaPlan over list lengths (span serve.rebuild.beta), then the sticky
   // emitter and the encoder over blocks of kEpochBuildBlock identities,
   // spread over min(blocks, CPUs in the affinity mask) workers, the caller
   // among them (span serve.rebuild.emit). The index is byte-identical to a
@@ -107,11 +108,11 @@ class EpochManager {
   // identity whose global frequency or ε could have changed since the
   // previous epoch — including every identity appearing in a joined or
   // leaving provider's row (the locator service derives this set from
-  // provider-reported diffs). The manager re-derives β/ξ/λ only over that
+  // provider-reported diffs). The manager updates its BetaPlan over that
   // set (over every identity when the provider count changed, since σ_j is
-  // a share of m) and widens it automatically to identities whose λ-mixing
-  // decision flipped, so the published epoch is bit-identical to a full
-  // rebuild() over the same truth.
+  // a share of m); when λ's coin threshold moves the plan widens it to the
+  // identities whose λ-mixing decision flipped, so the published epoch is
+  // bit-identical to a full rebuild() over the same truth.
   struct DeltaRequest {
     std::vector<IdentityId> dirty;
     std::vector<ProviderId> joined;  // provider rows entering this epoch
@@ -229,14 +230,6 @@ class EpochManager {
   std::uint64_t provider_key(std::size_t provider) const noexcept;
 
  private:
-  // The sticky λ-mixing coins under one λ: identity j is mixed iff its
-  // fixed PRF draw falls below λ's threshold, both derived once.
-  struct MixingCoins {
-    std::uint64_t stream = 0;
-    std::uint64_t threshold = 0;
-    bool operator()(std::size_t identity) const noexcept;
-  };
-  MixingCoins mixing_coins(double lambda) const noexcept;
   std::vector<std::uint64_t> provider_keys(std::size_t m) const;
   // retired_ clipped to the first m providers (the emitter's view).
   std::span<const std::uint8_t> retired_prefix(std::size_t m) const noexcept;
@@ -248,11 +241,11 @@ class EpochManager {
   // Whether the next commit may be a delta record (store attached, chain
   // below delta_base_interval, lineage head the intact served epoch).
   bool delta_commit_possible() const;
-  // The delta record of `next`: its provider `rows` and identity `columns`
-  // read off it, the membership lists and the postings checksum.
+  // The delta record of `next`: its identity `columns` read off it, the
+  // membership lists and the postings checksum. Joined rows are the
+  // caller's to add.
   EpochStore::EpochDelta delta_record(
       const PostingIndex& next, double lambda, const DeltaRequest& request,
-      std::span<const ProviderId> rows,
       std::span<const IdentityId> columns) const;
   // Commits (store attached) and starts serving `next`, journaled as
   // `delta_rec` instead of a full index file when that is non-null and fits.
@@ -273,13 +266,11 @@ class EpochManager {
   std::uint64_t served_epoch_ = 0;  // epoch of served_ — older than epoch_
                                     // when recovery quarantined newer files
   std::shared_ptr<const PostingIndex> served_;
-  // Per-identity derivation state of the served epoch, the base the delta
-  // path recomputes from. Only valid alongside served_ when that epoch was
-  // built in-process (attach_store restores the postings but not this, so
-  // the first rebuild after a restart runs full).
-  bool has_last_info_ = false;
-  std::vector<double> last_raw_;  // pre-mixing β* per identity
-  ConstructionInfo last_info_;
+  // The β derivation of the served epoch, the base the delta path updates.
+  // Present only when that epoch was built in-process (attach_store
+  // restores the postings but not this, so the first rebuild after a
+  // restart runs full).
+  std::optional<BetaPlan> plan_;
   // retired_[p] != 0: provider p has left; its row publishes as all-zero in
   // every epoch until the same id rejoins.
   std::vector<std::uint8_t> retired_;

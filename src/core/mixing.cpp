@@ -17,16 +17,6 @@ double lambda_for(double xi, std::size_t n_common, std::size_t n_total) {
   return std::clamp(lambda, 0.0, 1.0);
 }
 
-double xi_for(const std::vector<bool>& is_common,
-              std::span<const double> epsilons) {
-  require(is_common.size() == epsilons.size(), "xi_for: size mismatch");
-  double xi = 0.0;
-  for (std::size_t j = 0; j < is_common.size(); ++j) {
-    if (is_common[j]) xi = std::max(xi, epsilons[j]);
-  }
-  return xi;
-}
-
 double achieved_decoy_fraction(const std::vector<bool>& is_common,
                                const std::vector<bool>& is_apparent_common) {
   require(is_common.size() == is_apparent_common.size(),

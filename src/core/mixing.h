@@ -13,19 +13,14 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace eppi::core {
 
 // Eq. 7: minimal mixing probability. Clamped to [0,1]; returns 1 when
-// xi == 1 or when every identity is common.
+// xi == 1 or when every identity is common. Every construction path takes
+// λ through BetaPlan::lambda (core/beta_plan.h), which also owns ξ.
 double lambda_for(double xi, std::size_t n_common, std::size_t n_total);
-
-// ξ = max ε over the common identities (0 if none). `is_common` and
-// `epsilons` are parallel over identities.
-double xi_for(const std::vector<bool>& is_common,
-              std::span<const double> epsilons);
 
 // Decoy fraction actually achieved by a published apparent-common set:
 // (#mixed non-common) / (#apparent common). The privacy degree against the

@@ -9,18 +9,9 @@ namespace eppi::core {
 
 namespace {
 
-// Two rounds of a splitmix64-style finalizer over the (key, identity) pair:
-// cheap, stateless and statistically indistinguishable from uniform for
-// this purpose (the adversary never sees raw draws, only threshold bits).
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-// The key's half of draw(key, j) = mix(stream(key) + j).
+// The key's half of draw(key, j) = mix64(stream(key) + j).
 std::uint64_t stream_of(std::uint64_t key) noexcept {
-  return mix(key ^ 0x9e3779b97f4a7c15ULL);
+  return mix64(key ^ 0x9e3779b97f4a7c15ULL);
 }
 
 }  // namespace
@@ -38,7 +29,7 @@ StickyPublisher::StickyPublisher(std::uint64_t key) noexcept
     : stream_(stream_of(key)) {}
 
 std::uint64_t StickyPublisher::draw(std::uint64_t identity) const noexcept {
-  return mix(stream_ + identity);
+  return mix64(stream_ + identity);
 }
 
 bool StickyPublisher::noise_bit(std::uint64_t identity,
@@ -89,7 +80,8 @@ void StickyEmitter::emit(IdentityId j, std::span<const ProviderId> truth,
     const std::uint64_t* streams = streams_.data() + base;
     std::uint64_t bits = 0;
     for (std::size_t b = 0; b < width; ++b) {
-      bits |= static_cast<std::uint64_t>(mix(streams[b] + j) < threshold) << b;
+      bits |= static_cast<std::uint64_t>(mix64(streams[b] + j) < threshold)
+              << b;
     }
     for (; k < truth.size() && truth[k] < base + 64; ++k) {
       bits |= std::uint64_t{1} << (truth[k] - base);
@@ -106,7 +98,7 @@ bool StickyEmitter::publishes(ProviderId i, IdentityId j, bool truth) const {
   require(i < streams_.size() && j < thresholds_.size(),
           "StickyEmitter: cell out of range");
   return active(i) &&
-         (truth || sticky_bit(mix(streams_[i] + j), thresholds_[j]));
+         (truth || sticky_bit(mix64(streams_[i] + j), thresholds_[j]));
 }
 
 std::size_t StickyEmitter::cells_hashed() const noexcept {

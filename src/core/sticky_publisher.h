@@ -44,6 +44,16 @@
 
 namespace eppi::core {
 
+// A splitmix64-style finalizer, applied to (key stream + identity) for every
+// keyed draw: cheap, stateless and statistically indistinguishable from
+// uniform for this purpose (the adversary never sees raw draws, only
+// threshold bits).
+inline std::uint64_t mix64(std::uint64_t x) noexcept {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 // The threshold that marks "every draw publishes" (β >= 1). No β < 1 maps
 // to it: ⌊β·2⁶⁴⌋ is at most 2⁶⁴ − 2¹¹ for the largest double below 1.
 inline constexpr std::uint64_t kEveryDraw = ~std::uint64_t{0};

@@ -36,24 +36,6 @@ TEST(LambdaForTest, MonotoneInXiAndCommons) {
   EXPECT_LT(lambda_for(0.5, 5, 1000), lambda_for(0.5, 20, 1000));
 }
 
-TEST(XiForTest, MaxOverCommonsOnly) {
-  const std::vector<bool> common{true, false, true, false};
-  const std::vector<double> eps{0.3, 0.99, 0.7, 0.5};
-  EXPECT_DOUBLE_EQ(xi_for(common, eps), 0.7);
-}
-
-TEST(XiForTest, NoCommonsGivesZero) {
-  const std::vector<bool> common{false, false};
-  const std::vector<double> eps{0.9, 0.8};
-  EXPECT_EQ(xi_for(common, eps), 0.0);
-}
-
-TEST(XiForTest, SizeMismatchThrows) {
-  const std::vector<bool> common{true};
-  const std::vector<double> eps{0.9, 0.8};
-  EXPECT_THROW(xi_for(common, eps), eppi::ConfigError);
-}
-
 TEST(DecoyFractionTest, CountsDecoysAmongApparent) {
   const std::vector<bool> common{true, false, false, true, false};
   const std::vector<bool> apparent{true, true, false, true, true};

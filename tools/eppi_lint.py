@@ -62,6 +62,15 @@ suppression in the tree documents why it is safe:
   build-artifact     build directories, object files, or binaries committed
                      to the repository.
 
+  beta-derivation    under src/core, a call of beta_raw( or lambda_for(
+                     outside core/beta_plan.cpp and the files defining them
+                     (core/beta_policy.*, core/mixing.*), or of sticky_bit(
+                     outside core/beta_plan.cpp (the keyed mixing coin) and
+                     core/sticky_publisher.* (publication). Every path
+                     derives β*, λ and its mixing coins through BetaPlan, so
+                     a second hand-written copy of the chain cannot drift
+                     from it. src/attack, bench and tests are out of scope.
+
   allow-without-reason  an `// eppi-lint: allow(<rule>)` suppression with no
                      `: <reason>` tail. Reasonless suppressions rot: the next
                      reader cannot tell a reviewed exemption from a silenced
@@ -369,6 +378,38 @@ def check_layering(path: str, text: str, out: list):
 
 
 # --------------------------------------------------------------------------
+# Rule: beta-derivation
+
+BETA_CALL_RE = re.compile(r"(?<![\w.>])(beta_raw|lambda_for|sticky_bit)\s*\(")
+
+# For each derivation primitive, the src/core files that may call it.
+BETA_CALLERS = {
+    "beta_raw": ("src/core/beta_plan.cpp", "src/core/beta_policy.h",
+                 "src/core/beta_policy.cpp"),
+    "lambda_for": ("src/core/beta_plan.cpp", "src/core/mixing.h",
+                   "src/core/mixing.cpp"),
+    "sticky_bit": ("src/core/beta_plan.cpp", "src/core/sticky_publisher.h",
+                   "src/core/sticky_publisher.cpp"),
+}
+
+
+def check_beta_derivation(path: str, text: str, out: list):
+    if not path.startswith("src/core/"):
+        return
+    for lineno, raw, code in iter_code_lines(text):
+        for m in BETA_CALL_RE.finditer(code):
+            name = m.group(1)
+            if path in BETA_CALLERS[name] \
+                    or allowed(raw, "beta-derivation"):
+                continue
+            out.append(Violation(
+                "beta-derivation", path, lineno,
+                f"{name}() called outside BetaPlan; derive β*, λ and the "
+                f"mixing coins through core/beta_plan.h so every path runs "
+                f"the one derivation"))
+
+
+# --------------------------------------------------------------------------
 # Rule: allow-without-reason
 
 def check_allow_reason(path: str, text: str, out: list):
@@ -410,11 +451,12 @@ def check_build_artifacts(root: str, out: list):
 
 SOURCE_CHECKS = (check_rng, check_secret_logging, check_unbounded_recv,
                  check_escape_hatch, check_raw_file_write,
-                 check_secret_trace_attr, check_layering, check_allow_reason)
+                 check_secret_trace_attr, check_layering, check_allow_reason,
+                 check_beta_derivation)
 
 RULES = ("rng-construction", "secret-logging", "unbounded-recv",
          "escape-hatch", "raw-file-write", "secret-trace-attr", "layering",
-         "build-artifact", "allow-without-reason")
+         "build-artifact", "allow-without-reason", "beta-derivation")
 
 
 def collect_files(root: str, explicit):
@@ -568,6 +610,27 @@ SELF_TEST_CASES = [
      '#include "secret/secret.h"\n', False),
     ("layering", "src/secret/x.cpp",  # commented out: not an include
      '// #include "mpc/gmw.h"\n', False),
+    ("beta-derivation", "src/core/epoch_manager.cpp",
+     "raw[j] = beta_raw(policy, sigma, eps, m);\n", True),
+    ("beta-derivation", "src/core/construction_party.cpp",
+     "const double lambda =\n    eppi::core::lambda_for(xi, common, n);\n",
+     True),
+    ("beta-derivation", "src/core/epoch_manager.cpp",
+     "return sticky_bit(mix64(stream + j), threshold);\n", True),
+    ("beta-derivation", "src/core/beta_plan.cpp",
+     "return beta_raw(policy, sigma, epsilon, m);\n", False),
+    ("beta-derivation", "src/core/beta_policy.cpp",  # the definition
+     "double beta_raw(const BetaPolicy& policy, double sigma,\n", False),
+    ("beta-derivation", "src/core/sticky_publisher.cpp",
+     "return sticky_bit(draw(identity), sticky_threshold(beta));\n", False),
+    ("beta-derivation", "src/core/construction_party.cpp",  # the plan's rule
+     "BetaPlan::raw_beta(policy, frequency, epsilon, m);\n", False),
+    ("beta-derivation", "src/core/x.cpp",  # a comment naming the formula
+     "// beta_raw(policy, f/m, epsilon, m) >= 1\n", False),
+    ("beta-derivation", "src/attack/beta_inversion.cpp",  # out of scope
+     "if (eppi::core::beta_raw(policy, hi, epsilon, m) < beta) {\n", False),
+    ("beta-derivation", "tests/core/mixing_test.cpp",
+     "EXPECT_EQ(lambda_for(0.8, 0, 100), 0.0);\n", False),
 ]
 
 
