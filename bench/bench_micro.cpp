@@ -4,12 +4,16 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/beta_policy.h"
 #include "core/constructor.h"
 #include "core/epoch_manager.h"
+#include "core/lexicon.h"
 #include "core/owner_truth.h"
 #include "core/posting_index.h"
 #include "core/ppi_index.h"
@@ -283,6 +287,43 @@ void BM_DecodePostings(benchmark::State& state) {
 BENCHMARK(BM_DecodePostings)
     ->ArgNames({"rows", "trusted"})
     ->ArgsProduct({{0, 1, 2}, {0, 1}});
+
+// Lexicon::find over the daemon's owner names ("owner%06zu", ids in a
+// shuffled registration order) at n = 50k and 10^6: random present names,
+// or absent ones (a present name plus one byte, which sorts between two
+// entries and reaches the same restart block).
+void BM_LexiconFind(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool present = state.range(1) != 0;
+  const auto name = [](std::size_t j) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "owner%06zu", j);
+    return std::string(buf);
+  };
+  eppi::Rng rng(11);
+  std::vector<eppi::core::IdentityId> ids(n);
+  std::iota(ids.begin(), ids.end(), eppi::core::IdentityId{0});
+  for (std::size_t j = n; j > 1; --j) {
+    std::swap(ids[j - 1], ids[rng.next_below(j)]);
+  }
+  std::vector<std::pair<std::string, eppi::core::IdentityId>> pairs;
+  pairs.reserve(n);
+  for (std::size_t j = 0; j < n; ++j) pairs.emplace_back(name(j), ids[j]);
+  const eppi::core::Lexicon lexicon(std::move(pairs));
+  std::vector<std::string> probes(1 << 16);
+  for (auto& probe : probes) {
+    probe = name(rng.next_below(n));
+    if (!present) probe.push_back('x');
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lexicon.find(probes[k]));
+    k = (k + 1) & (probes.size() - 1);
+  }
+}
+BENCHMARK(BM_LexiconFind)
+    ->ArgNames({"names", "present"})
+    ->ArgsProduct({{50000, 1000000}, {1, 0}});
 
 void BM_PpiQuery(benchmark::State& state) {
   eppi::Rng rng(7);

@@ -29,7 +29,7 @@ int main() {
   const auto e1 = manager.rebuild(network.membership, epsilons);
   std::cout << "epoch 1: published "
             << e1.postings->to_matrix_index().matrix().popcount()
-            << " claims, lambda=" << e1.info.lambda << "\n";
+            << " claims, lambda=" << manager.construction_info().lambda << "\n";
 
   // Epoch 2: nothing changed — the snapshot must be bit-identical.
   const auto e2 = manager.rebuild(network.membership, epsilons);

@@ -18,13 +18,7 @@ void BinaryWriter::write_u64(std::uint64_t v) {
   }
 }
 
-void BinaryWriter::write_varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
+void BinaryWriter::write_varint(std::uint64_t v) { put_varint(buf_, v); }
 
 void BinaryWriter::write_bytes(std::span<const std::uint8_t> bytes) {
   write_varint(bytes.size());
@@ -63,19 +57,7 @@ std::uint64_t BinaryReader::read_u64() {
   return v;
 }
 
-std::uint64_t BinaryReader::read_varint() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    need(1);
-    const std::uint8_t byte = data_[pos_++];
-    if (shift >= 64) throw SerializeError("BinaryReader: varint overflow");
-    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-  }
-  return v;
-}
+std::uint64_t BinaryReader::read_varint() { return get_varint(data_, pos_); }
 
 std::vector<std::uint8_t> BinaryReader::read_bytes() {
   const std::uint64_t len = read_varint();

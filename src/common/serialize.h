@@ -11,7 +11,49 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
+
 namespace eppi {
+
+// LEB128 varints over byte spans: the one codec the message framing, the
+// posting rows and the lexicon share.
+
+// Encoded length of `v` in bytes (1..10).
+inline std::size_t varint_size(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+// Reads the varint at bytes[pos] and advances pos past it. Throws
+// SerializeError for a varint cut off by the end of the span and for one
+// that does not fit 64 bits: an 11th byte, or a 10th byte above 1.
+inline std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
+                                std::size_t& pos) {
+  std::uint64_t v = 0;
+  unsigned shift = 0;
+  for (;;) {
+    if (pos >= bytes.size()) throw SerializeError("varint: truncated");
+    const std::uint8_t b = bytes[pos++];
+    if (shift >= 64 || (shift == 63 && (b & 0x7E) != 0)) {
+      throw SerializeError("varint: overflows 64 bits");
+    }
+    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+    if ((b & 0x80) == 0) return v;
+    shift += 7;
+  }
+}
 
 class BinaryWriter {
  public:

@@ -153,7 +153,6 @@ EpochManager::EpochResult EpochManager::rebuild(
   record_churn_metrics(churn, /*delta=*/false);
 
   EpochResult result;
-  result.info = plan_->info();
   result.epoch = epoch_;
   result.churn = churn;
   result.postings = std::move(postings);
@@ -246,7 +245,6 @@ EpochManager::EpochResult EpochManager::rebuild_delta(
 
   EpochResult result;
   result.postings = std::move(next);
-  result.info = plan_->info();
   result.epoch = epoch_;
   result.churn = churn;
   result.delta.delta = true;
@@ -418,6 +416,12 @@ std::shared_ptr<const Lexicon> EpochManager::attach_store(EpochStore& store) {
     }
   }
   return lexicon;
+}
+
+const ConstructionInfo& EpochManager::construction_info() const {
+  require(plan_.has_value(),
+          "EpochManager: the served epoch has no in-process construction info");
+  return plan_->info();
 }
 
 EpochManager::ServingStatus EpochManager::serving_status() const {

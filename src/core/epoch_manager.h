@@ -81,7 +81,6 @@ class EpochManager {
     // The epoch as served: the pointer the manager holds, the store
     // committed and a serving snapshot shares. Never null.
     std::shared_ptr<const PostingIndex> postings;
-    ConstructionInfo info;
     std::uint64_t epoch = 0;
     // Cells that differ from the previous published epoch (0 when data and
     // requirements are unchanged); the full m×n size on the first epoch or
@@ -219,6 +218,12 @@ class EpochManager {
   ServingStatus serving_status() const;
 
   bool serving() const noexcept { return served_ != nullptr; }
+  // The β derivation (β, commonness, ξ, λ, mixing) of the served epoch,
+  // read from the plan the manager keeps for the next delta: no copy per
+  // epoch. Valid until the next rebuild. Throws ConfigError when the
+  // served epoch was not built in this process by rebuild or rebuild_delta
+  // (none yet, recovered by attach_store, or built distributed).
+  const ConstructionInfo& construction_info() const;
   // The served epoch (null until one is built or recovered); the next
   // successful rebuild or attach_store replaces the pointer.
   const std::shared_ptr<const PostingIndex>& served_postings() const noexcept {

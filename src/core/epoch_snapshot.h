@@ -100,12 +100,11 @@ struct EpochSnapshot {
   std::shared_ptr<const PostingIndex> postings;
 
   // The catalogs the served epoch was built against. Readers resolve names
-  // through these frozen copies, never through the live (writer-mutable)
-  // registration maps: an owner delegated after this epoch was built is
-  // simply "unknown" to it, exactly as it is unknown to the index itself.
-  // The owner catalog is the front-coded Lexicon (core/lexicon.h), not a
-  // hash map — at millions of owners the map's per-node overhead would
-  // dwarf the compressed index it sits next to.
+  // through these frozen copies, never through the writer's live catalog:
+  // an owner delegated after this epoch was built is simply "unknown" to
+  // it, exactly as it is unknown to the index itself. The owner catalog is
+  // a copy of the service's lexicon (core/lexicon.h), taken right after a
+  // merge: it holds the immutable front-coded base by pointer.
   std::shared_ptr<const Lexicon> owners;
   std::shared_ptr<const ProviderNameTable> provider_names;
 

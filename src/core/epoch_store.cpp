@@ -666,54 +666,6 @@ std::size_t EpochStore::deltas_since_full() const {
   return n;
 }
 
-eppi::BitMatrix apply_delta(const eppi::BitMatrix& base,
-                            const EpochStore::EpochDelta& delta) {
-  require(delta.rows >= base.rows() && delta.cols >= base.cols(),
-          "apply_delta: delta shrinks the matrix");
-  eppi::BitMatrix next(delta.rows, delta.cols);
-  if (delta.rows == base.rows() && delta.cols == base.cols()) {
-    next = base;
-  } else {
-    // Shape grew: re-seat the surviving bits (sparse walk via row words).
-    for (std::size_t i = 0; i < base.rows(); ++i) {
-      const std::uint64_t* words = base.row_words(i);
-      for (std::size_t k = 0; k < base.words_per_row(); ++k) {
-        std::uint64_t word = words[k];
-        while (word != 0) {
-          const int bit = std::countr_zero(word);
-          word &= word - 1;
-          next.set(i, k * 64 + static_cast<std::size_t>(bit), true);
-        }
-      }
-    }
-  }
-  // Covered sections carry FINAL values, so the write order below never
-  // changes the result: a cell touched twice receives the same bit twice.
-  const std::size_t row_bytes = (delta.cols + 7) / 8;
-  const std::size_t col_bytes = (delta.rows + 7) / 8;
-  for (const std::uint32_t p : delta.left) {
-    require(p < delta.rows, "apply_delta: retired row out of range");
-    for (std::size_t j = 0; j < delta.cols; ++j) next.set(p, j, false);
-  }
-  for (const auto& r : delta.row_splices) {
-    require(r.provider < delta.rows, "apply_delta: row splice out of range");
-    require(r.bits.size() == row_bytes,
-            "apply_delta: row splice length mismatch");
-    for (std::size_t j = 0; j < delta.cols; ++j) {
-      next.set(r.provider, j, (r.bits[j >> 3] >> (j & 7)) & 1);
-    }
-  }
-  for (const auto& c : delta.col_splices) {
-    require(c.identity < delta.cols, "apply_delta: column splice out of range");
-    require(c.bits.size() == col_bytes,
-            "apply_delta: column splice length mismatch");
-    for (std::size_t i = 0; i < delta.rows; ++i) {
-      next.set(i, c.identity, (c.bits[i >> 3] >> (i & 7)) & 1);
-    }
-  }
-  return next;
-}
-
 std::uint32_t matrix_checksum(const PostingIndex& postings) {
   const std::size_t rows = postings.providers();
   const std::size_t cols = postings.identities();
@@ -811,7 +763,7 @@ PostingIndex apply_delta_postings(const PostingIndex& base,
   const std::size_t col_bytes = (delta.rows + 7) / 8;
   // Providers whose base rows are replaced wholesale — retired (zeroed) or
   // re-rowed by a splice — leave every list, which is what makes this the
-  // posting-space mirror of apply_delta's row writes.
+  // posting-space mirror of a dense splice's row writes.
   std::vector<bool> dropped(delta.rows, false);
   const bool any_dropped = !delta.left.empty() || !delta.row_splices.empty();
   for (const std::uint32_t p : delta.left) {
@@ -824,8 +776,8 @@ PostingIndex apply_delta_postings(const PostingIndex& base,
             "apply_delta: row splice length mismatch");
     dropped[r.provider] = true;
   }
-  // Column splices carry FINAL values and apply_delta writes them last, so
-  // they replace whatever the row pass would produce for the same cell.
+  // Column splices carry FINAL values and a dense splice writes them last,
+  // so they replace whatever the row pass would produce for the same cell.
   std::vector<const EpochStore::EpochDelta::Column*> column(delta.cols);
   for (const auto& c : delta.col_splices) {
     require(c.identity < delta.cols, "apply_delta: column splice out of range");

@@ -212,19 +212,14 @@ std::uint32_t matrix_checksum(const PostingIndex& postings);
 std::uint32_t postings_checksum(const eppi::BitMatrix& matrix);
 std::uint32_t postings_checksum(const PostingIndex& postings);
 
-// Applies one delta to its base matrix (pure; shared by the commit-side
-// verification and the dense differential tests). Throws ConfigError when
-// the base shape does not fit under the delta's result shape.
-eppi::BitMatrix apply_delta(const eppi::BitMatrix& base,
-                            const EpochStore::EpochDelta& delta);
-
-// The same splice computed entirely in posting space: the spliced columns
-// take their FINAL values, and when the delta retires or re-rows a
+// Applies one delta to its base epoch in posting space: the spliced
+// columns take their FINAL values, and when the delta retires or re-rows a
 // provider every other row drops it and grafts the spliced rows back in.
 // Only those rows are re-encoded (PostingIndex's splice constructor), so a
 // column-only delta shares or copies the rest of the base. Recovery and
-// load_epoch_postings replay with this — bit-identical to apply_delta (the
-// differential suite pins it) with no dense intermediate.
+// load_epoch_postings replay with this, with no dense intermediate; the
+// differential suite pins it bit-identical to a dense splice of the same
+// delta (tests/fixtures/publication.h).
 PostingIndex apply_delta_postings(const PostingIndex& base,
                                   const EpochStore::EpochDelta& delta);
 

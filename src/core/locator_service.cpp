@@ -119,16 +119,13 @@ ProviderId LocatorService::register_provider(const std::string& name) {
 }
 
 IdentityId LocatorService::register_owner(const std::string& name) {
-  const auto [it, inserted] = owner_ids_.try_emplace(
-      name, static_cast<IdentityId>(owner_names_.size()));
-  if (inserted) {
-    owner_names_.push_back(name);
+  const IdentityId t = owners_.insert(name);
+  if (t == epsilons_.size()) {
     epsilons_.push_back(options_.default_epsilon);
     dirty_owners_.push_back(1);  // a new column is dirty by definition
     truth_.owners.emplace_back();
-    lexicon_dirty_ = true;
   }
-  return it->second;
+  return t;
 }
 
 const std::string& LocatorService::provider_name(ProviderId p) const {
@@ -136,9 +133,9 @@ const std::string& LocatorService::provider_name(ProviderId p) const {
   return provider_names_[p];
 }
 
-const std::string& LocatorService::owner_name(IdentityId t) const {
-  require(t < owner_names_.size(), "LocatorService: unknown owner id");
-  return owner_names_[t];
+std::string LocatorService::owner_name(IdentityId t) const {
+  require(t < owners_.size(), "LocatorService: unknown owner id");
+  return owners_.name_of(t);
 }
 
 void LocatorService::delegate(const std::string& owner, double epsilon,
@@ -177,26 +174,29 @@ void LocatorService::delegate_facts(
             "LocatorService: fact names an owner or provider out of range");
   }
   if (facts.empty()) return;
+  obs::Span span("serve.delegate");
+  span.attr("facts", facts.size());
 
   // Ids in the per-fact loop's order: a name is registered at its first
-  // fact (the tables are sized for every name up front). Then each touched
-  // owner's list is sized once for its new facts.
-  owner_ids_.reserve(owner_ids_.size() + owner_names.size());
-  owner_names_.reserve(owner_names_.size() + owner_names.size());
-  epsilons_.reserve(owner_names_.capacity());
-  dirty_owners_.reserve(owner_names_.capacity());
-  truth_.owners.reserve(owner_names_.capacity());
+  // fact, and the new names are folded into the lexicon's base at once.
+  // Then each touched owner's list is sized once for its new facts.
   constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
   std::vector<IdentityId> owner_id(owner_names.size(), kUnseen);
   std::vector<ProviderId> provider_id(provider_names.size(), kUnseen);
   for (const auto& f : facts) {
     if (owner_id[f.identity] == kUnseen) {
-      owner_id[f.identity] = register_owner(owner_names[f.identity]);
+      owner_id[f.identity] = owners_.insert(owner_names[f.identity]);
     }
     if (provider_id[f.provider] == kUnseen) {
       provider_id[f.provider] = register_provider(provider_names[f.provider]);
     }
   }
+  merge_lexicon();
+  const std::size_t n = owners_.size();
+  epsilons_.resize(n, options_.default_epsilon);
+  dirty_owners_.resize(n, 1);  // a new column is dirty by definition
+  truth_.owners.resize(n);
+  span.attr("owners", n);
   std::vector<std::uint32_t> added(truth_.owners.size(), 0);
   for (const auto& f : facts) ++added[owner_id[f.identity]];
   for (std::size_t t = 0; t < added.size(); ++t) {
@@ -231,6 +231,14 @@ void LocatorService::delegate_facts(
 double LocatorService::owner_epsilon(IdentityId t) const {
   require(t < epsilons_.size(), "LocatorService: unknown owner id");
   return epsilons_[t];
+}
+
+void LocatorService::merge_lexicon() {
+  if (owners_.pending_size() == 0) return;
+  obs::Span span("serve.lexicon");
+  span.attr("names", owners_.pending_size());
+  owners_.merge();
+  span.attr("owners", owners_.size());
 }
 
 void LocatorService::mark_owner_dirty(IdentityId t) {
@@ -271,14 +279,10 @@ void LocatorService::construct_ppi() {
           "LocatorService: nothing delegated yet");
   obs::Span span("serve.build");
   span.attr("providers", provider_names_.size());
-  span.attr("owners", owner_names_.size());
+  span.attr("owners", owners_.size());
   span.attr("distributed", options_.distributed);
-  const std::size_t n = owner_names_.size();
+  const std::size_t n = owners_.size();
   dirty_owners_.resize(n, 0);
-  // Freeze the owner catalog the epoch is built against; a store-attached
-  // manager persists it with the full-epoch commit (eppi-index-v3 lexicon
-  // section) so a recovered store answers by name too.
-  manager_.set_commit_lexicon(serving_lexicon());
 
   EpochManager::DeltaRequest req;
   sort_unique(pending_joined_);
@@ -309,6 +313,12 @@ void LocatorService::construct_ppi() {
   const bool use_delta =
       may_delta && (membership_pending || !options_.distributed);
   span.attr("delta", use_delta);
+  // Freeze the owner catalog the epoch is built against, every owner
+  // registered since the last epoch merged in; a store-attached manager
+  // persists it with a full-epoch commit (eppi-index-v3 lexicon section)
+  // so a recovered store answers by name too.
+  merge_lexicon();
+  manager_.set_commit_lexicon(std::make_shared<const Lexicon>(owners_));
 
   last_rebuild_ = RebuildInfo{};
   last_rebuild_.dirty = req.dirty.size();
@@ -371,39 +381,20 @@ void LocatorService::attach_store(EpochStore& store) {
   // a fresh one.
   built_ = true;
   index_.reset();
-  if (lexicon != nullptr && !lexicon->empty() && owner_names_.empty()) {
+  if (lexicon != nullptr && !lexicon->empty() && owners_.empty()) {
     // A fresh process attaching a populated store has no in-memory owner
     // catalog; the committed epoch carries one (v3 lexicon section).
-    // Restore it so the recovered epoch answers by name immediately — the
-    // restored owners are dirty-by-definition, like any new registration,
-    // and re-delegate their facts before the next rebuild. The persisted
-    // ids must survive verbatim — they are the index's column numbers — so
-    // names are seated at their id, not re-assigned in registration order.
-    owner_names_.resize(lexicon->size());
-    for (auto& [name, id] : lexicon->entries()) {
-      owner_ids_.emplace(name, id);
-      owner_names_[id] = std::move(name);
-    }
-    epsilons_.assign(owner_names_.size(), options_.default_epsilon);
-    dirty_owners_.assign(owner_names_.size(), 1);
-    truth_.owners.resize(owner_names_.size());
-    lexicon_cache_ = std::move(lexicon);
-    lexicon_dirty_ = false;
+    // Adopt it (the copy shares its base) so the recovered epoch answers by
+    // name immediately — the restored owners are dirty-by-definition, like
+    // any new registration, and re-delegate their facts before the next
+    // rebuild. The persisted ids are the index's column numbers and stay
+    // as they are; new owners are numbered after them.
+    owners_ = *lexicon;
+    epsilons_.assign(owners_.size(), options_.default_epsilon);
+    dirty_owners_.assign(owners_.size(), 1);
+    truth_.owners.resize(owners_.size());
   }
   publish_with(manager_.served_postings());
-}
-
-std::shared_ptr<const Lexicon> LocatorService::serving_lexicon() {
-  if (lexicon_dirty_ || lexicon_cache_ == nullptr) {
-    std::vector<std::pair<std::string, IdentityId>> entries;
-    entries.reserve(owner_names_.size());
-    for (std::size_t t = 0; t < owner_names_.size(); ++t) {
-      entries.emplace_back(owner_names_[t], static_cast<IdentityId>(t));
-    }
-    lexicon_cache_ = std::make_shared<const Lexicon>(std::move(entries));
-    lexicon_dirty_ = false;
-  }
-  return lexicon_cache_;
 }
 
 void LocatorService::publish_with(
@@ -411,7 +402,7 @@ void LocatorService::publish_with(
   obs::Span span("serve.publish");
   auto snap = std::make_shared<EpochSnapshot>();
   snap->postings = std::move(postings);
-  snap->owners = serving_lexicon();
+  snap->owners = std::make_shared<const Lexicon>(owners_);
   snap->provider_names =
       std::make_shared<const ProviderNameTable>(provider_names_);
   // Surface the compression story per publish: encoded payload by codec,
@@ -434,7 +425,8 @@ void LocatorService::publish_with(
               "Shard count of the served posting index")
         .set(static_cast<std::int64_t>(fp.shards));
     reg.gauge("eppi_lexicon_bytes", {},
-              "Heap bytes of the served owner-name lexicon")
+              "Heap bytes of the served owner-name lexicon: front-coded "
+              "base, its rank hash table and the names pending a merge")
         .set(static_cast<std::int64_t>(snap->owners->memory_bytes()));
   }
   const auto status = manager_.serving_status();
@@ -607,19 +599,19 @@ const PpiIndex& LocatorService::index() const {
 LocatorService::SearchResult LocatorService::search(
     const std::string& searcher, const std::string& owner,
     const Authorizer& authorize) const {
-  const auto it = owner_ids_.find(owner);
-  require(it != owner_ids_.end(), "LocatorService: unknown owner");
+  const std::optional<IdentityId> t = owners_.find(owner);
+  require(t.has_value(), "LocatorService: unknown owner");
   require(built_, "LocatorService: ConstructPPI has not been run");
 
   SearchResult result;
-  for (const ProviderId p : acquire_serving()->postings->query(it->second)) {
+  for (const ProviderId p : acquire_serving()->postings->query(*t)) {
     const std::string& name = provider_names_[p];
     result.contacted.push_back(name);
     if (authorize && !authorize(searcher, name)) {
       result.denied.push_back(name);
       continue;
     }
-    if (truth_.holds(p, it->second)) result.matched.push_back(name);
+    if (truth_.holds(p, *t)) result.matched.push_back(name);
   }
   return result;
 }

@@ -54,6 +54,7 @@
 #include "core/distributed_constructor.h"
 #include "core/epoch_manager.h"
 #include "core/epoch_snapshot.h"
+#include "core/lexicon.h"
 #include "core/owner_truth.h"
 #include "core/ppi_index.h"
 #include "obs/registry.h"
@@ -106,9 +107,10 @@ class LocatorService {
   IdentityId register_owner(const std::string& name);
 
   std::size_t n_providers() const noexcept { return provider_names_.size(); }
-  std::size_t n_owners() const noexcept { return owner_names_.size(); }
+  std::size_t n_owners() const noexcept { return owners_.size(); }
   const std::string& provider_name(ProviderId p) const;
-  const std::string& owner_name(IdentityId t) const;
+  // Read back from the lexicon (front-coded), so returned by value.
+  std::string owner_name(IdentityId t) const;
 
   // --- Delegate(<t, eps>, p) ---------------------------------------------
   // Records the membership fact and the owner's privacy degree. Repeating a
@@ -123,9 +125,12 @@ class LocatorService {
   // identity]'s records. The result — ids, truth lists, ε, dirty owners and
   // pending joins — equals calling delegate() fact by fact in `facts`'
   // order, but each name is registered once and each owner's list is sized
-  // once, with no hashing per fact. Names no fact refers to are not
-  // registered. Throws ConfigError (before changing anything) for ε
-  // outside [0,1] or a fact indexing past either name table.
+  // once, with no hashing per fact. The new owner names are merged into
+  // the lexicon's base before it returns (span serve.lexicon), which sorts
+  // them once. Names no fact refers to are not registered, and the service
+  // keeps no reference to the name tables. Throws ConfigError (before
+  // changing anything) for ε outside [0,1] or a fact indexing past either
+  // name table. Span serve.delegate.
   void delegate_facts(std::span<const std::string> owner_names,
                       std::span<const std::string> provider_names,
                       std::span<const eppi::MembershipFact> facts,
@@ -307,17 +312,16 @@ class LocatorService {
   LocatorService(Options options, const obs::Labels& instance);
 
   void mark_owner_dirty(IdentityId t);
+  // Folds the owners registered since the last merge into the lexicon's
+  // base (span serve.lexicon); no-op with none.
+  void merge_lexicon();
   // Writer side: freeze `postings` (the manager's served epoch), the owner
-  // catalog and the manager's staleness into a new immutable snapshot and
-  // swap it in.
+  // catalog (a copy of the lexicon, which shares its base) and the manager's staleness into a
+  // new immutable snapshot and swap it in.
   void publish_with(std::shared_ptr<const PostingIndex> postings);
   // Writer side, degraded rebuild: republish the already-served epoch with
   // updated staleness accounting (shares the served postings; no copy).
   void publish_staleness_update();
-  // Writer side: the frozen owner-name catalog for the next snapshot —
-  // rebuilt from the registration state only when an owner was added since
-  // the last publication, shared (two refcounts) otherwise.
-  std::shared_ptr<const Lexicon> serving_lexicon();
   // Reader side: the served snapshot, or ConfigError if none is published.
   std::shared_ptr<const EpochSnapshot> acquire_serving() const;
   // The resolve loop under every query entry point: appends each owner's
@@ -332,9 +336,12 @@ class LocatorService {
   Options options_;
   EpochManager manager_;
   std::vector<std::string> provider_names_;
-  std::vector<std::string> owner_names_;
   std::unordered_map<std::string, ProviderId> provider_ids_;
-  std::unordered_map<std::string, IdentityId> owner_ids_;
+  // The owner catalog, name → id and id → name: the only place an owner
+  // name is kept. Registration adds a pending name; delegate_facts and
+  // every construct_ppi merge the pending names into the base, which each
+  // snapshot shares.
+  Lexicon owners_;
   std::vector<double> epsilons_;                 // per owner
   // Delegated facts, per owner: the truth the epochs are built from.
   // delegate() inserts into one list, retire_provider() erases a provider
@@ -354,11 +361,6 @@ class LocatorService {
   bool built_ = false;
   mutable std::optional<PpiIndex> index_;  // index()'s lazily built copy
   std::optional<DistributedReport> report_;
-  // Cached frozen owner catalog; rebuilt lazily when registrations dirtied
-  // it (front-coding a million names on every republish would make the
-  // staleness-only path quadratic).
-  std::shared_ptr<const Lexicon> lexicon_cache_;
-  bool lexicon_dirty_ = true;
   SnapshotSlot snapshot_;
   // Serving instruments on obs::Registry::global(), registered once at
   // construction; recording is one relaxed fetch_add each, so the wait-free

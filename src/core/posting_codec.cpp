@@ -3,47 +3,11 @@
 #include <bit>
 
 #include "common/error.h"
+#include "common/serialize.h"
 
 namespace eppi::core {
 
 namespace {
-
-std::size_t varint_len(std::uint64_t v) noexcept {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-// Reads a varint at bytes[pos], advancing pos. Bounds- and width-checked:
-// a truncated or >64-bit varint throws instead of reading past the span.
-std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
-                         std::size_t& pos) {
-  std::uint64_t v = 0;
-  unsigned shift = 0;
-  for (;;) {
-    if (pos >= bytes.size()) {
-      throw SerializeError("posting codec: truncated varint");
-    }
-    const std::uint8_t b = bytes[pos++];
-    if (shift >= 64 || (shift == 63 && (b & 0x7E) != 0)) {
-      throw SerializeError("posting codec: varint overflows 64 bits");
-    }
-    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
 
 // The Elias-Fano low-bit width for `count` values over [0, universe):
 // ⌊log2(universe/count)⌋, the width that balances the packed low array
@@ -83,14 +47,14 @@ const char* to_string(PostingCodec codec) noexcept {
 
 std::size_t bitvector_encoded_bytes(std::size_t count,
                                     std::size_t universe) noexcept {
-  return varint_len(count) + (universe + 7) / 8;
+  return varint_size(count) + (universe + 7) / 8;
 }
 
 std::size_t elias_fano_encoded_bytes(std::size_t count,
                                      std::size_t universe) noexcept {
-  if (count == 0) return varint_len(0) + 1;
+  if (count == 0) return varint_size(0) + 1;
   const unsigned l = ef_lo_bits(count, universe);
-  return varint_len(count) + 1 + (count * l + 7) / 8 +
+  return varint_size(count) + 1 + (count * l + 7) / 8 +
          (ef_hi_bits(count, universe, l) + 7) / 8;
 }
 

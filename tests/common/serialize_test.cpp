@@ -86,6 +86,30 @@ TEST(SerializeTest, MalformedVarintThrows) {
   EXPECT_THROW(r.read_varint(), SerializeError);
 }
 
+// The 10th byte of a varint carries bit 63 only: anything above 1 there
+// does not fit 64 bits and must be rejected, not dropped. UINT64_MAX itself
+// (a 10th byte of exactly 1) still decodes, through the reader and the span
+// codec alike.
+TEST(SerializeTest, TenthVarintByteAboveOneThrows) {
+  std::vector<std::uint8_t> max(9, 0xFF);
+  max.push_back(0x01);
+  BinaryReader ok(max);
+  EXPECT_EQ(ok.read_varint(), ~std::uint64_t{0});
+  EXPECT_TRUE(ok.exhausted());
+  for (const std::uint8_t last : {0x02, 0x03, 0x40, 0x7F}) {
+    std::vector<std::uint8_t> bad(9, 0xFF);
+    bad.push_back(last);
+    BinaryReader r(bad);
+    EXPECT_THROW(r.read_varint(), SerializeError) << int{last};
+    std::size_t pos = 0;
+    EXPECT_THROW(get_varint(bad, pos), SerializeError) << int{last};
+  }
+  std::vector<std::uint8_t> out;
+  put_varint(out, ~std::uint64_t{0});
+  EXPECT_EQ(out, max);
+  EXPECT_EQ(varint_size(~std::uint64_t{0}), max.size());
+}
+
 TEST(SerializeTest, TakeMovesBuffer) {
   BinaryWriter w;
   w.write_u8(9);

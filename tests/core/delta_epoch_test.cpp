@@ -449,7 +449,7 @@ TEST(DeltaEpochTest, MultiShardDeltaMatchesFullRebuildShardByShard) {
       }
     }
     EXPECT_EQ(next.shard(0) == served->shard(0), !shard0_changed);
-    lambda = result.info.lambda;
+    lambda = manager.construction_info().lambda;
     served = result.postings;
   };
 

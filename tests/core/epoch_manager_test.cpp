@@ -51,10 +51,12 @@ TEST(EpochManagerTest, DecoySetStableAcrossEpochs) {
   // intersection attack over time.
   const Fixture f = make_fixture(3);
   EpochManager manager;
-  const auto a = manager.rebuild(f.network.membership, f.epsilons);
-  const auto b = manager.rebuild(f.network.membership, f.epsilons);
-  EXPECT_EQ(a.info.is_apparent_common, b.info.is_apparent_common);
-  EXPECT_GT(a.info.lambda, 0.0);
+  manager.rebuild(f.network.membership, f.epsilons);
+  const ConstructionInfo a = manager.construction_info();
+  manager.rebuild(f.network.membership, f.epsilons);
+  EXPECT_EQ(a.is_apparent_common,
+            manager.construction_info().is_apparent_common);
+  EXPECT_GT(a.lambda, 0.0);
 }
 
 TEST(EpochManagerTest, MembershipChangeTouchesOnlyAffectedColumns) {
@@ -64,7 +66,7 @@ TEST(EpochManagerTest, MembershipChangeTouchesOnlyAffectedColumns) {
   // A new delegation for some non-mixed identity, at a provider whose
   // published bit was 0 — the change must surface, and only in that column.
   std::size_t target = 1;
-  while (before.info.is_apparent_common[target]) ++target;
+  while (manager.construction_info().is_apparent_common[target]) ++target;
   std::size_t provider = 0;
   while (fixtures::dense(*before.postings).get(provider, target)) ++provider;
   f.network.membership.set(provider, target, true);
@@ -115,6 +117,19 @@ TEST(EpochManagerTest, FirstEpochChurnIsFullMatrix) {
   const auto result = manager.rebuild(f.network.membership, f.epsilons);
   EXPECT_EQ(result.churn,
             f.network.membership.rows() * f.network.membership.cols());
+}
+
+// construction_info() reads the plan the manager keeps: there is none
+// before the first epoch, and it follows every rebuild.
+TEST(EpochManagerTest, ConstructionInfoFollowsTheServedEpoch) {
+  const Fixture f = make_fixture(6);
+  EpochManager manager;
+  EXPECT_THROW((void)manager.construction_info(), eppi::ConfigError);
+  manager.rebuild(f.network.membership, f.epsilons);
+  const ConstructionInfo& info = manager.construction_info();
+  EXPECT_EQ(info.betas.size(), f.network.membership.cols());
+  EXPECT_EQ(info.is_apparent_common.size(), f.network.membership.cols());
+  EXPECT_GT(info.lambda, 0.0);
 }
 
 TEST(EpochManagerTest, ValidatesInput) {

@@ -218,7 +218,7 @@ TEST(IndexDifferentialTest, DeltaSpliceMatchesDenseApplyDelta) {
   }
 
   for (auto& c : cases) {
-    const eppi::BitMatrix dense = apply_delta(base, c.delta);
+    const eppi::BitMatrix dense = fixtures::apply_delta(base, c.delta);
     ASSERT_EQ(dense, c.next) << c.name << ": oracle disagrees with intent";
     const PostingIndex compressed =
         apply_delta_postings(base_postings, c.delta);
@@ -268,7 +268,7 @@ TEST(IndexDifferentialTest, RandomizedDeltaFuzz) {
     }
     const auto delta =
         make_delta(next, round + 2, round + 1, {}, left, rows, cols);
-    const eppi::BitMatrix dense = apply_delta(current, delta);
+    const eppi::BitMatrix dense = fixtures::apply_delta(current, delta);
     const PostingIndex compressed =
         apply_delta_postings(current_postings, delta);
     expect_identical(dense, compressed, "round " + std::to_string(round));
@@ -329,7 +329,7 @@ TEST(IndexDifferentialTest, LegacyMatrixPinnedDeltaReplaysOnV3) {
   EXPECT_EQ(*rec.legacy_matrix_crc, dense_matrix_checksum(e2));
   expect_identical(e2, reopened.load_epoch_postings(2).postings, "legacy");
   // The dense oracle replays the same record to the same matrix.
-  EXPECT_EQ(apply_delta(eppi::fixtures::golden_matrix(), rec), e2);
+  EXPECT_EQ(fixtures::apply_delta(eppi::fixtures::golden_matrix(), rec), e2);
 }
 
 // The manager's incremental rebuild (PR 8) committed through the new v3

@@ -102,7 +102,8 @@ void expect_equals_serial_reference(const EpochManager& manager,
   const std::size_t m = truth.providers;
   std::vector<std::uint64_t> keys(m);
   for (std::size_t i = 0; i < m; ++i) keys[i] = manager.provider_key(i);
-  const StickyEmitter emitter(keys, result.info.betas, retired);
+  const StickyEmitter emitter(keys, manager.construction_info().betas,
+                              retired);
   const PostingIndex expected =
       fixtures::encode_lists(m, fixtures::emit_all(emitter, truth));
 
@@ -235,6 +236,18 @@ TEST(DelegateFactsTest, EqualsThePerFactLoop) {
   delegate_one_by_one(loop, first, 0.4);
   bulk.delegate_facts(first.owners, first.providers, first.facts, 0.4);
   expect_same_service(loop, bulk, "fresh");
+  // Every id stays with its owner from here on, through new owners pending
+  // in the lexicon (the per-fact loop) and the merges that fold them in.
+  std::vector<std::string> first_ids;
+  for (IdentityId t = 0; t < bulk.n_owners(); ++t) {
+    first_ids.push_back(bulk.owner_name(t));
+  }
+  const auto expect_ids_kept = [&](const std::string& what) {
+    for (IdentityId t = 0; t < first_ids.size(); ++t) {
+      EXPECT_EQ(bulk.owner_name(t), first_ids[t]) << what;
+      EXPECT_EQ(loop.owner_name(t), first_ids[t]) << what;
+    }
+  };
   loop.construct_ppi();
   bulk.construct_ppi();
   EXPECT_EQ(postings_checksum(loop.index().matrix()),
@@ -251,6 +264,7 @@ TEST(DelegateFactsTest, EqualsThePerFactLoop) {
   delegate_one_by_one(loop, second, 0.7);
   bulk.delegate_facts(second.owners, second.providers, second.facts, 0.7);
   expect_same_service(loop, bulk, "serving");
+  expect_ids_kept("serving");
   loop.construct_ppi();
   bulk.construct_ppi();
   EXPECT_TRUE(bulk.last_rebuild().delta);
@@ -277,6 +291,17 @@ TEST(DelegateFactsTest, EqualsThePerFactLoop) {
   EXPECT_EQ(loop.last_rebuild().joined, bulk.last_rebuild().joined);
   EXPECT_EQ(postings_checksum(loop.index().matrix()),
             postings_checksum(bulk.index().matrix()));
+  expect_ids_kept("rejoin");
+  // Without deltas, every build is full; the ids stay.
+  LocatorService::Options full_options = options;
+  full_options.enable_delta = false;
+  LocatorService full(full_options);
+  full.delegate_facts(first.owners, first.providers, first.facts, 0.4);
+  full.delegate_facts(second.owners, second.providers, second.facts, 0.7);
+  full.construct_ppi();
+  for (IdentityId t = 0; t < bulk.n_owners(); ++t) {
+    EXPECT_EQ(full.owner_name(t), bulk.owner_name(t));
+  }
 }
 
 TEST(DelegateFactsTest, RejectsBadInputBeforeChangingAnything) {

@@ -11,6 +11,7 @@
 // maps, so the metamorphic check is set membership, not a tautology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -223,6 +224,61 @@ TEST(ServingConcurrencyTest, ReadersUninterruptedAcrossDeltaSplices) {
   run_threads(bodies);
   EXPECT_GE(service.metrics().epoch_swaps, kSplices + 1);
   EXPECT_GT(answered.load(), 0u);
+}
+
+// New owners registered under readers: each epoch merges its new owner
+// into a new lexicon base while readers still hold snapshots sharing the
+// old one. Readers resolve old and new owners the whole time; every owner
+// a finished publication announced must resolve, with its true providers
+// in the answer.
+TEST(ServingConcurrencyTest, ReadersResolveOwnersRegisteredUnderThem) {
+  LocatorService service{serve_options()};
+  populate(service, kLowEps);
+  service.construct_ppi();
+
+  constexpr std::size_t kNewOwners = 60;
+  constexpr std::size_t kReaders = 3;
+  std::atomic<std::size_t> published{0};  // new owners served so far
+  std::atomic<std::size_t> reading{0};
+  const auto holds = [](const std::vector<std::string>& answer,
+                        const std::string& provider) {
+    return std::find(answer.begin(), answer.end(), provider) != answer.end();
+  };
+
+  std::vector<std::function<void()>> bodies;
+  bodies.push_back([&] {  // writer
+    wait_for_readers(reading, kReaders);
+    for (std::size_t k = 0; k < kNewOwners; ++k) {
+      service.delegate(numbered("new", k), 0.4, provider_name(k % kProviders));
+      service.construct_ppi();
+      require(service.last_rebuild().delta, "a new owner is a delta epoch");
+      published.store(k + 1, std::memory_order_release);
+    }
+  });
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    bodies.push_back([&, r] {
+      std::size_t j = r;
+      bool first = true;
+      std::size_t seen = 0;
+      do {
+        seen = published.load(std::memory_order_acquire);
+        j = (j + 1) % kOwners;
+        const auto base = service.query_ppi(owner_name(j));
+        require(holds(base, provider_name(j % kProviders)),
+                "a base owner lost a true provider");
+        if (seen > 0) {
+          const std::size_t k = (j * 7 + r) % seen;
+          const auto added = service.query_ppi(numbered("new", k));
+          require(holds(added, provider_name(k % kProviders)),
+                  "a registered owner lost its provider");
+        }
+        if (first) reading.fetch_add(1, std::memory_order_release);
+        first = false;
+      } while (seen < kNewOwners);
+    });
+  }
+  run_threads(bodies);
+  EXPECT_EQ(service.n_owners(), kOwners + kNewOwners);
 }
 
 // Metamorphic snapshot consistency for the batched path: a batch resolved

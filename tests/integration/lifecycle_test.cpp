@@ -44,7 +44,7 @@ TEST(LifecycleTest, EvolvingNetworkStaysPrivateAcrossEpochs) {
     // Ground-truth common flags at this epoch.
     std::vector<bool> common(kN);
     for (std::size_t j = 0; j < kN; ++j) {
-      common[j] = result.info.is_common[j];
+      common[j] = manager.construction_info().is_common[j];
     }
     const auto report =
         attack::audit_index(net.membership,

@@ -734,10 +734,17 @@ int cmd_serve(const std::vector<std::string>& args) {
   // in the order of a row-major walk over it (providers ascending, then
   // identities), which fixes every id and the served epoch.
   auto table = [&] {
-    if (smoke) return smoke_facts();
-    std::ifstream file(csv_path);
-    if (!file) throw eppi::ConfigError("cannot open " + csv_path);
-    return eppi::dataset::load_collection_facts(file);
+    eppi::obs::Span span("serve.load");
+    auto loaded = [&] {
+      if (smoke) return smoke_facts();
+      std::ifstream file(csv_path);
+      if (!file) throw eppi::ConfigError("cannot open " + csv_path);
+      return eppi::dataset::load_collection_facts(file);
+    }();
+    span.attr("facts", loaded.facts.size());
+    span.attr("owners", loaded.identity_names.size());
+    span.attr("providers", loaded.provider_names.size());
+    return loaded;
   }();
   const std::size_t providers = table.provider_names.size();
   const std::size_t identities = table.identity_names.size();
@@ -753,7 +760,13 @@ int cmd_serve(const std::vector<std::string>& args) {
   eppi::core::LocatorService service(options);
   service.delegate_facts(table.identity_names, table.provider_names,
                          table.facts, eps);
-  table.facts = {};  // delegated; the service keeps the truth
+  // Delegated: the service keeps the truth. Moving an empty vector in
+  // frees the storage (`= {}` would keep the capacity).
+  table.facts = decltype(table.facts)();
+  // The daemon resolves names through the service's lexicon alone, so it
+  // frees the loaded names before the first build, whose peak can then
+  // reuse that heap. The benchmark mode below still reads them.
+  if (listen_set) table.identity_names = decltype(table.identity_names)();
   service.construct_ppi();
 
   if (listen_set) {
