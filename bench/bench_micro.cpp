@@ -18,6 +18,7 @@
 #include "core/posting_index.h"
 #include "core/ppi_index.h"
 #include "core/publisher.h"
+#include "core/sticky_publisher.h"
 #include "dataset/synthetic.h"
 #include "mpc/circuit_builder.h"
 #include "mpc/eppi_circuits.h"
@@ -184,6 +185,72 @@ void BM_PublishEpoch(benchmark::State& state) {
                           static_cast<std::int64_t>(m * kOwners));
 }
 BENCHMARK(BM_PublishEpoch)->Arg(200)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+// The sticky rule's keyed draws, in ns per hashed cell: one StickyKernel's
+// masks over the padded streams of a 1000-provider epoch (16 blocks of 64)
+// for 2000 identities at a threshold every cell is compared against. One
+// benchmark per kernel this CPU runs, named after it.
+void BM_StickyEmit(benchmark::State& state,
+                   const eppi::core::StickyKernel& kernel) {
+  constexpr std::size_t kBlocks = 16;
+  constexpr std::size_t kOwners = 2000;
+  eppi::Rng rng(13);
+  std::vector<std::uint64_t> streams(64 * kBlocks);
+  for (std::size_t i = 0; i < 1000; ++i) streams[i] = rng.next();
+  const std::uint64_t threshold = eppi::core::sticky_threshold(0.02);
+  for (auto _ : state) {
+    for (std::size_t j = 0; j < kOwners; ++j) {
+      for (std::size_t base = 0; base < streams.size(); base += 64) {
+        benchmark::DoNotOptimize(
+            kernel.mask(streams.data() + base, j, threshold));
+      }
+    }
+  }
+  // Shown as time per cell.
+  state.counters["per_cell"] = benchmark::Counter(
+      static_cast<double>(streams.size() * kOwners),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+const bool kStickyEmitRegistered = [] {
+  for (const eppi::core::StickyKernel& kernel : eppi::core::sticky_kernels()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_StickyEmit/") + kernel.name).c_str(), BM_StickyEmit,
+        kernel);
+  }
+  return true;
+}();
+
+// Lexicon::merge of the daemon's owner names ("owner%06zu") into an empty
+// lexicon, inserted in first-seen order (a shuffle of name order), at
+// n = 50k and 10^6: the sort of the pending names and the build of the
+// front-coded base with its rank table. The inserts are not timed.
+void BM_LexiconMerge(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::string> names(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "owner%06zu", j);
+    names[j] = buf;
+  }
+  eppi::Rng rng(17);
+  for (std::size_t j = n; j > 1; --j) {
+    std::swap(names[j - 1], names[rng.next_below(j)]);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    eppi::core::Lexicon lexicon;
+    for (const std::string& name : names) lexicon.insert(name);
+    state.ResumeTiming();
+    lexicon.merge();
+    benchmark::DoNotOptimize(lexicon.size());
+  }
+}
+BENCHMARK(BM_LexiconMerge)
+    ->ArgName("names")
+    ->Arg(50000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PostingIndexQuery(benchmark::State& state) {
   eppi::Rng rng(8);

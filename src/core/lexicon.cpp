@@ -1,9 +1,11 @@
 #include "core/lexicon.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <functional>
 #include <numeric>
+#include <utility>
 
 #include "common/error.h"
 #include "common/serialize.h"
@@ -212,15 +214,67 @@ std::size_t Lexicon::memory_bytes() const noexcept {
              sizeof(std::uint32_t);
 }
 
+std::vector<std::uint32_t> Lexicon::pending_order() const {
+  const std::size_t count = pending_size();
+  if (count == 0) return {};
+  // The prefix every pending name shares tells no two apart, so each
+  // name's key is the 8 bytes after it, big-endian and zero-padded:
+  // unequal keys order two names as the names themselves do, and only
+  // names whose keys tie are compared whole.
+  const std::string_view first = pending_name(0);
+  std::size_t shared = first.size();
+  for (std::size_t k = 1; k < count && shared > 0; ++k) {
+    shared = common_prefix(first.substr(0, shared), pending_name(k));
+  }
+  struct Keyed {
+    std::uint64_t key;
+    std::uint32_t k;
+  };
+  std::vector<Keyed> keyed(count);
+  std::array<std::array<std::size_t, 256>, 8> histograms{};
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::string_view rest = pending_name(k).substr(shared);
+    std::uint64_t key = 0;
+    for (std::size_t b = 0; b < 8 && b < rest.size(); ++b) {
+      key |= std::uint64_t{static_cast<unsigned char>(rest[b])} << (56 - 8 * b);
+    }
+    keyed[k] = {key, static_cast<std::uint32_t>(k)};
+    for (std::size_t b = 0; b < 8; ++b) {
+      ++histograms[b][(key >> (8 * b)) & 0xff];
+    }
+  }
+  // Sorted by key, one byte a pass from the lowest (a stable LSD radix
+  // sort); a byte every key shares moves nothing and is skipped.
+  std::vector<Keyed> scratch(count);
+  for (std::size_t b = 0; b < 8; ++b) {
+    std::array<std::size_t, 256>& start = histograms[b];
+    if (start[(keyed[0].key >> (8 * b)) & 0xff] == count) continue;
+    std::size_t at = 0;
+    for (std::size_t& bucket : start) at += std::exchange(bucket, at);
+    for (const Keyed& e : keyed) {
+      scratch[start[(e.key >> (8 * b)) & 0xff]++] = e;
+    }
+    keyed.swap(scratch);
+  }
+  std::vector<std::uint32_t> order(count);
+  for (std::size_t lo = 0, hi = 0; lo < count; lo = hi) {
+    while (hi < count && keyed[hi].key == keyed[lo].key) ++hi;
+    if (hi - lo > 1) {
+      std::sort(keyed.begin() + static_cast<std::ptrdiff_t>(lo),
+                keyed.begin() + static_cast<std::ptrdiff_t>(hi),
+                [&](const Keyed& a, const Keyed& b) {
+                  return pending_name(a.k) < pending_name(b.k);
+                });
+    }
+    for (std::size_t k = lo; k < hi; ++k) order[k] = keyed[k].k;
+  }
+  return order;
+}
+
 template <typename Visit>
 void Lexicon::for_each_sorted(Visit&& visit) const {
   const std::size_t n = base_size();
-  std::vector<std::uint32_t> pending(pending_size());
-  std::iota(pending.begin(), pending.end(), 0u);
-  std::sort(pending.begin(), pending.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return pending_name(a) < pending_name(b);
-            });
+  const std::vector<std::uint32_t> pending = pending_order();
   std::string name;  // base entry `rank`, expanded in rank order
   std::size_t rank = 0;
   std::size_t at = 0;

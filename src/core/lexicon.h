@@ -88,6 +88,8 @@ class Lexicon {
   explicit Lexicon(std::shared_ptr<const Base> base);
   std::size_t base_size() const noexcept;
   std::string_view pending_name(std::size_t k) const noexcept;
+  // The pending names' ks in name order.
+  std::vector<std::uint32_t> pending_order() const;
   // Calls visit(name, id) for every entry in name order, base and pending
   // names interleaved.
   template <typename Visit>

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <functional>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "common/clock.h"
 
@@ -30,6 +34,61 @@ EpochManager::Options manager_options(const LocatorService::Options& o) {
 void sort_unique(std::vector<ProviderId>& ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+// `facts` with each identity's facts in one run: the facts themselves when
+// they ascend by identity (a collection file grouped by owner loads that
+// way), else a stable counting sort of them by identity into `sorted`.
+std::span<const eppi::MembershipFact> group_by_identity(
+    std::span<const eppi::MembershipFact> facts, std::size_t identities,
+    std::vector<eppi::MembershipFact>& sorted) {
+  const auto identity = [](const eppi::MembershipFact& f) {
+    return f.identity;
+  };
+  if (std::ranges::is_sorted(facts, {}, identity)) return facts;
+  std::vector<std::size_t> start(identities + 1, 0);
+  for (const auto& f : facts) ++start[f.identity + 1];
+  for (std::size_t x = 0; x < identities; ++x) start[x + 1] += start[x];
+  sorted.resize(facts.size());
+  for (const auto& f : facts) sorted[start[f.identity]++] = f;
+  return sorted;
+}
+
+// Adds the providers of one owner's facts to its list, which stays
+// ascending and distinct. With fewer providers (list and run together)
+// than the bitmap `seen` has words, the run is appended and the list
+// sorted only if the run does not extend it in order. Otherwise they are
+// set in `seen` (one bit per provider, all clear between calls) and read
+// back in order: m/64 words, no more than the k providers themselves,
+// where a sort costs k log k. On the daemon benchmark's collection
+// (m = 1000) the 2% of owners past 16 facts hold 70% of the facts.
+void add_run(std::vector<ProviderId>& holders,
+             std::span<const eppi::MembershipFact> run,
+             std::span<const ProviderId> provider_id,
+             std::vector<std::uint64_t>& seen) {
+  if (holders.size() + run.size() < seen.size()) {
+    holders.reserve(holders.size() + run.size());
+    for (const auto& f : run) holders.push_back(provider_id[f.provider]);
+    if (std::adjacent_find(holders.begin(), holders.end(),
+                           std::greater_equal<>()) != holders.end()) {
+      sort_unique(holders);
+    }
+    return;
+  }
+  const auto mark = [&seen](ProviderId p) {
+    seen[p >> 6] |= std::uint64_t{1} << (p & 63);
+  };
+  for (const ProviderId p : holders) mark(p);
+  for (const auto& f : run) mark(provider_id[f.provider]);
+  holders.clear();
+  holders.reserve(run.size());
+  for (std::size_t w = 0; w < seen.size(); ++w) {
+    for (std::uint64_t bits = std::exchange(seen[w], 0); bits != 0;
+         bits &= bits - 1) {
+      holders.push_back(
+          static_cast<ProviderId>(64 * w + std::countr_zero(bits)));
+    }
+  }
 }
 
 double elapsed_us(std::chrono::steady_clock::time_point start) noexcept {
@@ -168,28 +227,45 @@ void LocatorService::delegate_facts(
     std::span<const eppi::MembershipFact> facts, double epsilon) {
   require(epsilon >= 0.0 && epsilon <= 1.0,
           "LocatorService: epsilon must be in [0,1]");
+  // Ids as a per-fact loop over the facts in provider-major order gives
+  // them, whatever order they arrive in: new providers by index, new
+  // owners by (smallest provider index among their facts, identity index).
+  constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
+  std::vector<std::uint32_t> first_provider(owner_names.size(), kUnseen);
+  std::vector<ProviderId> provider_id(provider_names.size(), kUnseen);
   for (const auto& f : facts) {
     require(f.identity < owner_names.size() &&
                 f.provider < provider_names.size(),
             "LocatorService: fact names an owner or provider out of range");
+    first_provider[f.identity] = std::min(first_provider[f.identity],
+                                          f.provider);
+    provider_id[f.provider] = 0;  // named by a fact: registered below
   }
   if (facts.empty()) return;
   obs::Span span("serve.delegate");
   span.attr("facts", facts.size());
 
-  // Ids in the per-fact loop's order: a name is registered at its first
-  // fact, and the new names are folded into the lexicon's base at once.
-  // Then each touched owner's list is sized once for its new facts.
-  constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
+  for (std::size_t p = 0; p < provider_id.size(); ++p) {
+    if (provider_id[p] != kUnseen) {
+      provider_id[p] = register_provider(provider_names[p]);
+    }
+  }
+  // The owners a fact names, counting-sorted by first provider; a scan in
+  // identity order keeps each bucket in identity order.
+  std::vector<std::uint32_t> start(provider_names.size() + 1, 0);
+  for (const std::uint32_t p : first_provider) {
+    if (p != kUnseen) ++start[p + 1];
+  }
+  for (std::size_t p = 0; p < provider_names.size(); ++p) {
+    start[p + 1] += start[p];
+  }
+  std::vector<std::uint32_t> order(start.back());
+  for (std::uint32_t x = 0; x < first_provider.size(); ++x) {
+    if (first_provider[x] != kUnseen) order[start[first_provider[x]]++] = x;
+  }
   std::vector<IdentityId> owner_id(owner_names.size(), kUnseen);
-  std::vector<ProviderId> provider_id(provider_names.size(), kUnseen);
-  for (const auto& f : facts) {
-    if (owner_id[f.identity] == kUnseen) {
-      owner_id[f.identity] = owners_.insert(owner_names[f.identity]);
-    }
-    if (provider_id[f.provider] == kUnseen) {
-      provider_id[f.provider] = register_provider(provider_names[f.provider]);
-    }
+  for (const std::uint32_t x : order) {
+    owner_id[x] = owners_.insert(owner_names[x]);
   }
   merge_lexicon();
   const std::size_t n = owners_.size();
@@ -197,31 +273,20 @@ void LocatorService::delegate_facts(
   dirty_owners_.resize(n, 1);  // a new column is dirty by definition
   truth_.owners.resize(n);
   span.attr("owners", n);
-  std::vector<std::uint32_t> added(truth_.owners.size(), 0);
-  for (const auto& f : facts) ++added[owner_id[f.identity]];
-  for (std::size_t t = 0; t < added.size(); ++t) {
-    if (added[t] != 0) truth_.owners[t].reserve(truth_.owners[t].size() + added[t]);
-  }
 
-  // Facts in provider-major order append to every list in ascending order;
-  // a list that received a smaller id (an older owner, or facts in another
-  // order) is sorted once at the end. A repeated fact is a no-op.
-  std::vector<std::uint8_t> unsorted(added.size(), 0);
-  for (const auto& f : facts) {
-    const IdentityId t = owner_id[f.identity];
-    const ProviderId p = provider_id[f.provider];
-    std::vector<ProviderId>& holders = truth_.owners[t];
-    if (!holders.empty() && holders.back() >= p) {
-      if (holders.back() == p) continue;
-      unsorted[t] = 1;
+  // Each owner's facts are one run, added to its list in one step.
+  std::vector<eppi::MembershipFact> sorted;
+  const std::span<const eppi::MembershipFact> runs =
+      group_by_identity(facts, owner_names.size(), sorted);
+  std::vector<std::uint64_t> seen((provider_names_.size() + 63) / 64, 0);
+  for (std::size_t at = 0, end = 0; at < runs.size(); at = end) {
+    while (end < runs.size() && runs[end].identity == runs[at].identity) {
+      ++end;
     }
-    holders.push_back(p);
-  }
-  for (std::size_t t = 0; t < added.size(); ++t) {
-    if (added[t] == 0) continue;
-    if (unsorted[t] != 0) sort_unique(truth_.owners[t]);
+    const IdentityId t = owner_id[runs[at].identity];
+    add_run(truth_.owners[t], runs.subspan(at, end - at), provider_id, seen);
     epsilons_[t] = epsilon;
-    mark_owner_dirty(static_cast<IdentityId>(t));
+    dirty_owners_[t] = 1;
   }
   built_ = false;
   index_.reset();

@@ -122,15 +122,19 @@ class LocatorService {
 
   // Bulk Delegate: every fact of a loaded collection at one ε. Fact k
   // says provider_names[facts[k].provider] holds owner_names[facts[k].
-  // identity]'s records. The result — ids, truth lists, ε, dirty owners and
-  // pending joins — equals calling delegate() fact by fact in `facts`'
-  // order, but each name is registered once and each owner's list is sized
-  // once, with no hashing per fact. The new owner names are merged into
-  // the lexicon's base before it returns (span serve.lexicon), which sorts
-  // them once. Names no fact refers to are not registered, and the service
-  // keeps no reference to the name tables. Throws ConfigError (before
-  // changing anything) for ε outside [0,1] or a fact indexing past either
-  // name table. Span serve.delegate.
+  // identity]'s records; facts may come in any order and repeat. The
+  // result — ids, truth lists, ε, dirty owners and pending joins — equals
+  // calling delegate() fact by fact over the facts sorted provider-major
+  // (by provider index, then identity index), whatever order they arrive
+  // in: a new provider gets its id in index order, and a new owner in
+  // order of (smallest provider index among its facts, identity index).
+  // Each name is registered once and each owner's list is built from its
+  // own run of facts, with no hashing per fact; facts not ascending by
+  // identity pay one counting sort to form those runs. The new owner names
+  // are merged into the lexicon's base before the lists are built (span
+  // serve.lexicon). Names no fact refers to are not registered, and the
+  // service keeps no reference to the name tables. Throws ConfigError (before changing anything) for ε outside
+  // [0,1] or a fact indexing past either name table. Span serve.delegate.
   void delegate_facts(std::span<const std::string> owner_names,
                       std::span<const std::string> provider_names,
                       std::span<const eppi::MembershipFact> facts,
@@ -305,6 +309,8 @@ class LocatorService {
   eppi::BitMatrix membership_for_testing() const {
     return dense_truth(truth_);
   }
+  // The same, as the per-owner lists themselves (ascending, distinct).
+  const OwnerTruth& truth_for_testing() const noexcept { return truth_; }
 
  private:
   // All seven serving instruments share one freshly minted `instance` label,

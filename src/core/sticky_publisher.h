@@ -26,14 +26,14 @@
 //    (verified statistically in tests).
 //
 // StickyEmitter is the one place the rule is applied. Eq. 2 is a per-owner
-// rule, so the emitter walks identity by identity: each identity's compare
-// threshold is computed once per epoch, each provider's keyed half of the
-// PRF once per emitter, and a column costs one mix and one compare per
-// provider. A β = 0 column is its truth list, a β = 1 column is every
-// non-retired provider. emit() only reads the emitter, so the full epoch
-// build runs it from several threads at once, each over its own block of
-// identities, and encodes the sorted lists it appends into the compressed
-// PostingIndex.
+// rule, so the emitter walks identity by identity: each provider's keyed
+// half of the PRF is computed once per emitter, an identity's compare
+// threshold when that identity is emitted, and a column costs one mix and
+// one compare per provider, 64 providers to a StickyKernel call. A β = 0
+// column is its truth list, a β = 1 column is every non-retired provider.
+// emit() only reads the emitter, so the full epoch build runs it from
+// several threads at once, each over its own block of identities, and
+// encodes the sorted lists it appends into the compressed PostingIndex.
 #pragma once
 
 #include <cstdint>
@@ -82,17 +82,34 @@ class StickyPublisher {
   std::uint64_t stream_;  // the key's half of every draw, mixed once
 };
 
+// The emitter's hot loop for one block of 64 providers: bit b of
+// mask(streams, identity, threshold) is set iff
+// mix64(streams[b] + identity) < threshold. The loop has a fixed trip count
+// and is compiled once per instruction set: on x86-64 for AVX-512 (F and
+// DQ, which has the 64-bit multiply), for AVX2 and for the baseline, and
+// elsewhere for the baseline only. Every build computes the same mask.
+struct StickyKernel {
+  const char* name;
+  std::uint64_t (*mask)(const std::uint64_t* streams, std::uint64_t identity,
+                        std::uint64_t threshold) noexcept;
+};
+
+// The kernels this CPU runs, fastest first; the baseline is always last.
+std::span<const StickyKernel> sticky_kernels() noexcept;
+
 class StickyEmitter {
  public:
   // Provider i publishes under keys[i]; identity j at rate betas[j]. A
   // provider with retired[i] != 0 publishes nothing (`retired` may be
-  // shorter than `keys`; missing entries mean active).
+  // shorter than `keys`; missing entries mean active). The emitter reads
+  // `betas` at every emit, so they must outlive it. It draws through the
+  // fastest kernel this CPU runs.
   StickyEmitter(std::span<const std::uint64_t> keys,
                 std::span<const double> betas,
                 std::span<const std::uint8_t> retired = {});
 
-  std::size_t providers() const noexcept { return streams_.size(); }
-  std::size_t identities() const noexcept { return thresholds_.size(); }
+  std::size_t providers() const noexcept { return providers_; }
+  std::size_t identities() const noexcept { return betas_.size(); }
 
   // Appends identity j's published providers, ascending, to `out`: every
   // active provider of `truth` (ascending ids < providers()) plus every
@@ -104,7 +121,8 @@ class StickyEmitter {
   bool publishes(ProviderId i, IdentityId j, bool truth) const;
 
   // What emitting every identity costs, in counts: PRF draws evaluated
-  // and columns published whole (β = 1).
+  // and columns published whole (β = 1). Each β is classified by its
+  // threshold, exactly as emit() branches on it.
   std::size_t cells_hashed() const noexcept;
   std::size_t full_columns() const noexcept;
 
@@ -113,8 +131,11 @@ class StickyEmitter {
     return (active_[i >> 6] >> (i & 63)) & 1;
   }
 
-  std::vector<std::uint64_t> streams_;     // per provider
-  std::vector<std::uint64_t> thresholds_;  // per identity
+  std::size_t providers_;
+  // Per provider, padded with zeros to a whole number of 64-provider
+  // blocks; active_ masks the padding out.
+  std::vector<std::uint64_t> streams_;
+  std::span<const double> betas_;          // per identity
   std::vector<std::uint64_t> active_;      // bitset of non-retired providers
   std::vector<ProviderId> active_ids_;     // the same, as a β = 1 column
 };

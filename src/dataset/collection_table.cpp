@@ -1,6 +1,5 @@
 #include "dataset/collection_table.h"
 
-#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <istream>
@@ -12,18 +11,6 @@
 namespace eppi::dataset {
 
 namespace {
-
-// Stable counting sort of `from` into `to` by key(fact) < buckets.
-template <typename Key>
-void counting_sort(const std::vector<CollectionFacts::Fact>& from,
-                   std::vector<CollectionFacts::Fact>& to, std::size_t buckets,
-                   Key key) {
-  std::vector<std::size_t> start(buckets + 1, 0);
-  for (const auto& f : from) ++start[key(f) + 1];
-  for (std::size_t b = 0; b < buckets; ++b) start[b + 1] += start[b];
-  to.resize(from.size());
-  for (const auto& f : from) to[start[key(f)]++] = f;
-}
 
 // Names interned to ids in order of first appearance. A line usually
 // repeats the previous line's name in a field (the files are grouped by one
@@ -72,8 +59,9 @@ class Interner {
 // doubles it.
 constexpr std::size_t kReadBlock = std::size_t{1} << 20;
 
-// The CSV's names and facts, facts in file order (duplicates kept).
-CollectionFacts parse_collection(std::istream& in) {
+}  // namespace
+
+CollectionFacts load_collection_facts(std::istream& in) {
   CollectionFacts out;
   Interner providers(out.provider_names);
   Interner identities(out.identity_names);
@@ -118,33 +106,8 @@ CollectionFacts parse_collection(std::istream& in) {
   }
 }
 
-}  // namespace
-
-CollectionFacts load_collection_facts(std::istream& in) {
-  CollectionFacts out = parse_collection(in);
-  // Two stable counting passes (identity, then provider) leave the facts
-  // provider-major with identities ascending; duplicates end up adjacent.
-  // A file grouped by identity is in identity order already, and the
-  // first pass is skipped.
-  const auto by_identity_key = [](const CollectionFacts::Fact& f) {
-    return f.identity;
-  };
-  std::vector<CollectionFacts::Fact> by_identity;
-  if (std::ranges::is_sorted(out.facts, {}, by_identity_key)) {
-    by_identity.swap(out.facts);
-  } else {
-    counting_sort(out.facts, by_identity, out.identity_names.size(),
-                  by_identity_key);
-  }
-  counting_sort(by_identity, out.facts, out.provider_names.size(),
-                [](const CollectionFacts::Fact& f) { return f.provider; });
-  out.facts.erase(std::unique(out.facts.begin(), out.facts.end()),
-                  out.facts.end());
-  return out;
-}
-
 CollectionTable load_collection_table(std::istream& in) {
-  CollectionFacts parsed = parse_collection(in);
+  CollectionFacts parsed = load_collection_facts(in);
   CollectionTable table;
   table.network.membership =
       BitMatrix(parsed.provider_names.size(), parsed.identity_names.size());

@@ -28,10 +28,11 @@ struct CollectionTable {
 };
 
 // A collection table's facts without the dense matrix. Provider and
-// identity ids are the ones load_collection_table assigns (order of first
-// appearance); `facts` holds every distinct (provider, identity) fact,
-// ascending by provider and then by identity — the order of a row-major
-// walk over the matrix.
+// identity ids are assigned in order of first appearance, as
+// load_collection_table assigns them; `facts` holds one fact per line in
+// file order, repeats included. A file grouped by owner therefore loads
+// with its facts ascending by identity, the order LocatorService::
+// delegate_facts builds owner lists from without sorting.
 struct CollectionFacts {
   using Fact = eppi::MembershipFact;
   std::vector<std::string> provider_names;  // provider id -> collection id
@@ -39,10 +40,10 @@ struct CollectionFacts {
   std::vector<Fact> facts;
 };
 
-// Parses the CSV from a stream in one pass over large blocks. Blank lines
-// and lines starting with '#' are skipped, and one trailing '\r' is
-// stripped from every line, so a CRLF file parses like its LF twin. Throws
-// SerializeError on malformed lines.
+// Parses the CSV from a stream in one pass over large blocks, without
+// sorting the facts. Blank lines and lines starting with '#' are skipped,
+// and one trailing '\r' is stripped from every line, so a CRLF file parses
+// like its LF twin. Throws SerializeError on malformed lines.
 CollectionFacts load_collection_facts(std::istream& in);
 
 // The same, as a provider × identity matrix.

@@ -227,6 +227,59 @@ TEST(LexiconTest, PendingAndMergeMatchAMap) {
   expect_same_as(fresh, oracle, probes);
 }
 
+// A merge sorts the pending names by the 8 bytes past the prefix they all
+// share and compares whole names only where those keys tie. Here every
+// name shares a long prefix, and most tie on the key: the same 8 bytes
+// followed by different tails, and names that end inside the key, so
+// zero padding ties them with names that go on with '\0' bytes.
+TEST(LexiconTest, MergeOrdersNamesThatTieOnTheSortKey) {
+  const std::string prefix(40, 'p');
+  const std::vector<std::string> keys = {"", "a", std::string(1, '\0'),
+                                         "abcdefgh", "abcdefg",
+                                         std::string("abc\0", 4),
+                                         std::string(8, '\xff')};
+  const std::vector<std::string> tails = {"", std::string(1, '\0'), "x",
+                                          "xy", std::string(2, '\0'),
+                                          "\x80", std::string(9, 'z')};
+  std::set<std::string> all;
+  for (const std::string& key : keys) {
+    for (const std::string& tail : tails) all.insert(prefix + key + tail);
+  }
+  std::vector<std::string> order(all.begin(), all.end());
+  eppi::Rng rng(29);
+  for (std::size_t k = order.size(); k > 1; --k) {
+    std::swap(order[k - 1], order[rng.next_below(k)]);
+  }
+  // Half the names in a base, the other half pending, then all pending
+  // in a fresh lexicon: both merges must give the oracle's order.
+  const std::size_t in_base = order.size() / 2;
+  std::vector<std::pair<std::string, IdentityId>> pairs;
+  std::map<std::string, IdentityId> oracle;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (k < in_base) pairs.emplace_back(order[k], static_cast<IdentityId>(k));
+    oracle.emplace(order[k], static_cast<IdentityId>(k));
+  }
+  Lexicon lexicon(pairs);
+  Lexicon fresh;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (k >= in_base) {
+      EXPECT_EQ(lexicon.insert(order[k]), k);
+    }
+    EXPECT_EQ(fresh.insert(order[k]), k);
+  }
+  const std::vector<std::uint8_t> want =
+      Lexicon(std::vector<std::pair<std::string, IdentityId>>(oracle.begin(),
+                                                              oracle.end()))
+          .serialize();
+  const std::vector<std::string> probes = probes_for(order);
+  for (Lexicon* merged : {&lexicon, &fresh}) {
+    EXPECT_EQ(merged->serialize(), want);
+    merged->merge();
+    expect_same_as(*merged, oracle, probes);
+    EXPECT_EQ(merged->serialize(), want);
+  }
+}
+
 // Absent names aimed at occupied rank-table slots: same length and suffix
 // as a present name, with the shared prefix changed, so only the walk from
 // the block's restart can tell them apart. The home slot is worked out as

@@ -4,15 +4,18 @@
 // workers, and the bulk delegate. Each is checked against the serial form
 // it replaces: the build against an identity-by-identity emit and one
 // encode of the whole epoch (byte-identical shards, same postings CRC),
-// the bulk delegate against the per-fact delegate loop (same ids, truth,
-// ε, dirty owners, joins and next epoch).
+// the bulk delegate, fed its facts provider-major, grouped by owner and
+// shuffled, against the per-fact delegate loop over provider-major facts
+// (same ids, truth, ε, dirty owners, joins and next epoch).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -201,11 +204,41 @@ Collection small_collection(std::size_t m, std::size_t n) {
   return c;
 }
 
+// The per-fact reference: delegate() over the facts sorted provider-major
+// (by provider index, then identity index), the order whose ids
+// delegate_facts gives.
 void delegate_one_by_one(LocatorService& service, const Collection& c,
                          double eps) {
-  for (const auto& f : c.facts) {
+  std::vector<eppi::MembershipFact> facts = c.facts;
+  std::stable_sort(facts.begin(), facts.end(),
+                   [](const auto& a, const auto& b) {
+                     return std::pair(a.provider, a.identity) <
+                            std::pair(b.provider, b.identity);
+                   });
+  for (const auto& f : facts) {
     service.delegate(c.owners[f.identity], eps, c.providers[f.provider]);
   }
+}
+
+// The same facts in the orders delegate_facts must not depend on: as
+// built, grouped by owner (identities ascending, each owner's providers
+// descending), and shuffled.
+struct FactOrder {
+  const char* name;
+  std::vector<eppi::MembershipFact> facts;
+};
+
+std::vector<FactOrder> fact_orders(const Collection& c, std::uint64_t seed) {
+  std::vector<FactOrder> orders{
+      {"as built", c.facts}, {"grouped", c.facts}, {"shuffled", c.facts}};
+  std::sort(orders[1].facts.begin(), orders[1].facts.end(),
+            [](const auto& a, const auto& b) {
+              return std::pair(a.identity, b.provider) <
+                     std::pair(b.identity, a.provider);
+            });
+  eppi::Rng rng(seed);
+  std::shuffle(orders[2].facts.begin(), orders[2].facts.end(), rng);
+  return orders;
 }
 
 void expect_same_service(const LocatorService& a, const LocatorService& b,
@@ -219,7 +252,23 @@ void expect_same_service(const LocatorService& a, const LocatorService& b,
   for (ProviderId p = 0; p < a.n_providers(); ++p) {
     EXPECT_EQ(a.provider_name(p), b.provider_name(p)) << what;
   }
-  EXPECT_EQ(a.membership_for_testing(), b.membership_for_testing()) << what;
+  EXPECT_EQ(a.truth_for_testing().providers, b.truth_for_testing().providers)
+      << what;
+  EXPECT_EQ(a.truth_for_testing().owners, b.truth_for_testing().owners)
+      << what;
+}
+
+// Builds b's next epoch and compares it, and what the build did, with the
+// epoch `built` has just built.
+void expect_same_next_epoch(const LocatorService& built, LocatorService& b,
+                            const std::string& what) {
+  b.construct_ppi();
+  EXPECT_EQ(built.last_rebuild().delta, b.last_rebuild().delta) << what;
+  EXPECT_EQ(built.last_rebuild().dirty, b.last_rebuild().dirty) << what;
+  EXPECT_EQ(built.last_rebuild().joined, b.last_rebuild().joined) << what;
+  EXPECT_EQ(postings_checksum(built.index().matrix()),
+            postings_checksum(b.index().matrix()))
+      << what;
 }
 
 TEST(DelegateFactsTest, EqualsThePerFactLoop) {
@@ -227,54 +276,72 @@ TEST(DelegateFactsTest, EqualsThePerFactLoop) {
   options.distributed = false;
   options.seed = 31;
   LocatorService loop(options);
-  LocatorService bulk(options);
-
   // Owners and providers first seen out of name-table order: owner ids
   // follow the facts, not owner_names.
   Collection first = small_collection(9, 40);
   std::reverse(first.owners.begin(), first.owners.end());
+  const std::vector<FactOrder> first_orders = fact_orders(first, 7);
+  std::vector<std::unique_ptr<LocatorService>> bulks;
+  for (std::size_t k = 0; k < first_orders.size(); ++k) {
+    bulks.push_back(std::make_unique<LocatorService>(options));
+  }
+  const auto with_order = [&](std::size_t k, const std::string& what) {
+    return what + " (" + first_orders[k].name + ")";
+  };
+
   delegate_one_by_one(loop, first, 0.4);
-  bulk.delegate_facts(first.owners, first.providers, first.facts, 0.4);
-  expect_same_service(loop, bulk, "fresh");
+  for (std::size_t k = 0; k < bulks.size(); ++k) {
+    bulks[k]->delegate_facts(first.owners, first.providers,
+                             first_orders[k].facts, 0.4);
+    expect_same_service(loop, *bulks[k], with_order(k, "fresh"));
+  }
   // Every id stays with its owner from here on, through new owners pending
   // in the lexicon (the per-fact loop) and the merges that fold them in.
   std::vector<std::string> first_ids;
-  for (IdentityId t = 0; t < bulk.n_owners(); ++t) {
-    first_ids.push_back(bulk.owner_name(t));
+  for (IdentityId t = 0; t < loop.n_owners(); ++t) {
+    first_ids.push_back(loop.owner_name(t));
   }
   const auto expect_ids_kept = [&](const std::string& what) {
     for (IdentityId t = 0; t < first_ids.size(); ++t) {
-      EXPECT_EQ(bulk.owner_name(t), first_ids[t]) << what;
       EXPECT_EQ(loop.owner_name(t), first_ids[t]) << what;
+      for (std::size_t k = 0; k < bulks.size(); ++k) {
+        EXPECT_EQ(bulks[k]->owner_name(t), first_ids[t]) << with_order(k, what);
+      }
     }
   };
   loop.construct_ppi();
-  bulk.construct_ppi();
-  EXPECT_EQ(postings_checksum(loop.index().matrix()),
-            postings_checksum(bulk.index().matrix()));
+  for (std::size_t k = 0; k < bulks.size(); ++k) {
+    expect_same_next_epoch(loop, *bulks[k], with_order(k, "fresh"));
+  }
 
   // On a serving service: new providers join, known owners gain facts
   // from providers with smaller and larger ids, new owners appear, and
-  // every touched owner takes the new ε.
+  // every touched owner takes the new ε. The facts come with provider
+  // indices descending, so a per-fact loop in the facts' own order would
+  // number the new providers the other way round.
   Collection second = small_collection(12, 55);
   std::reverse(second.providers.begin(), second.providers.end());
   for (auto& f : second.facts) f.provider = 11 - f.provider;
   second.providers.push_back("late-prov");
   second.facts.push_back({12, 3});
+  const std::vector<FactOrder> second_orders = fact_orders(second, 8);
   delegate_one_by_one(loop, second, 0.7);
-  bulk.delegate_facts(second.owners, second.providers, second.facts, 0.7);
-  expect_same_service(loop, bulk, "serving");
+  for (std::size_t k = 0; k < bulks.size(); ++k) {
+    bulks[k]->delegate_facts(second.owners, second.providers,
+                             second_orders[k].facts, 0.7);
+    expect_same_service(loop, *bulks[k], with_order(k, "serving"));
+  }
+  EXPECT_EQ(loop.provider_name(9), "prov-11");
   expect_ids_kept("serving");
   loop.construct_ppi();
-  bulk.construct_ppi();
-  EXPECT_TRUE(bulk.last_rebuild().delta);
-  EXPECT_EQ(loop.last_rebuild().dirty, bulk.last_rebuild().dirty);
-  EXPECT_EQ(loop.last_rebuild().joined, bulk.last_rebuild().joined);
-  EXPECT_EQ(bulk.last_rebuild().joined, 4u);  // prov-9..11 and late-prov
-  EXPECT_EQ(postings_checksum(loop.index().matrix()),
-            postings_checksum(bulk.index().matrix()));
+  EXPECT_TRUE(loop.last_rebuild().delta);
+  EXPECT_EQ(loop.last_rebuild().joined, 4u);  // prov-9..11 and late-prov
+  for (std::size_t k = 0; k < bulks.size(); ++k) {
+    expect_same_next_epoch(loop, *bulks[k], with_order(k, "serving"));
+  }
 
   // A retired provider named by a fact rejoins, as with delegate().
+  LocatorService& bulk = *bulks[0];
   loop.retire_provider("prov-2");
   bulk.retire_provider("prov-2");
   loop.construct_ppi();
@@ -287,10 +354,7 @@ TEST(DelegateFactsTest, EqualsThePerFactLoop) {
   EXPECT_FALSE(bulk.provider_retired(2));
   expect_same_service(loop, bulk, "rejoin");
   loop.construct_ppi();
-  bulk.construct_ppi();
-  EXPECT_EQ(loop.last_rebuild().joined, bulk.last_rebuild().joined);
-  EXPECT_EQ(postings_checksum(loop.index().matrix()),
-            postings_checksum(bulk.index().matrix()));
+  expect_same_next_epoch(loop, bulk, "rejoin");
   expect_ids_kept("rejoin");
   // Without deltas, every build is full; the ids stay.
   LocatorService::Options full_options = options;
@@ -301,6 +365,55 @@ TEST(DelegateFactsTest, EqualsThePerFactLoop) {
   full.construct_ppi();
   for (IdentityId t = 0; t < bulk.n_owners(); ++t) {
     EXPECT_EQ(full.owner_name(t), bulk.owner_name(t));
+  }
+
+  // Past one 64-provider word, as on the benchmark: 1000 providers, so an
+  // owner's list is built by appending and sorting while it holds fewer
+  // than 16 providers (one per 64-bit word), else through the bitmap.
+  // Owners 0-29 hold ~400 providers, owners 30-59 8-18. Then a sparse
+  // serving call over 1030 providers, shifted so that known owners gain
+  // providers below and above the ones they hold: short lists merge by
+  // sorting, long ones through the bitmap, and new owners start short.
+  LocatorService wide_loop(options);
+  Collection wide = small_collection(1000, 60);
+  std::erase_if(wide.facts, [](const eppi::MembershipFact& f) {
+    return f.identity >= 30 && (f.provider * 13 + f.identity * 29) % 47 != 0;
+  });
+  const std::vector<FactOrder> wide_orders = fact_orders(wide, 9);
+  std::vector<std::unique_ptr<LocatorService>> wide_bulks;
+  delegate_one_by_one(wide_loop, wide, 0.5);
+  for (const FactOrder& order : wide_orders) {
+    const std::string what = std::string("wide fresh (") + order.name + ")";
+    wide_bulks.push_back(std::make_unique<LocatorService>(options));
+    wide_bulks.back()->delegate_facts(wide.owners, wide.providers,
+                                      order.facts, 0.5);
+    expect_same_service(wide_loop, *wide_bulks.back(), what);
+  }
+  wide_loop.construct_ppi();
+  for (std::size_t k = 0; k < wide_bulks.size(); ++k) {
+    expect_same_next_epoch(wide_loop, *wide_bulks[k],
+                           std::string("wide fresh (") + wide_orders[k].name +
+                               ")");
+  }
+  Collection sparse = small_collection(1030, 80);
+  std::erase_if(sparse.facts, [](const eppi::MembershipFact& f) {
+    return (f.provider * 13 + f.identity * 29) % 53 != 0;
+  });
+  for (auto& f : sparse.facts) f.provider = (f.provider + 3) % 1030;
+  const std::vector<FactOrder> sparse_orders = fact_orders(sparse, 10);
+  delegate_one_by_one(wide_loop, sparse, 0.8);
+  for (std::size_t k = 0; k < wide_bulks.size(); ++k) {
+    const std::string what =
+        std::string("wide serving (") + sparse_orders[k].name + ")";
+    wide_bulks[k]->delegate_facts(sparse.owners, sparse.providers,
+                                  sparse_orders[k].facts, 0.8);
+    expect_same_service(wide_loop, *wide_bulks[k], what);
+  }
+  wide_loop.construct_ppi();
+  for (std::size_t k = 0; k < wide_bulks.size(); ++k) {
+    expect_same_next_epoch(wide_loop, *wide_bulks[k],
+                           std::string("wide serving (") +
+                               sparse_orders[k].name + ")");
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bit_matrix.h"
@@ -102,6 +103,77 @@ TEST(PublicationEmitterTest, CountsWhatItHashes) {
   const StickyEmitter emitter(keys, betas);
   EXPECT_EQ(emitter.cells_hashed(), 2u * 70u);  // the two 0 < β < 1 columns
   EXPECT_EQ(emitter.full_columns(), 2u);
+}
+
+// Every kernel this CPU runs, against the draw written cell by cell: the
+// mask at the threshold edges and at a draw's own value. The baseline is
+// always among them, so it runs on every host. Then whole columns emitted
+// through the emitter's kernel, with retired providers (the last one among
+// them), at every provider count around the 64-provider block.
+TEST(PublicationEmitterTest, EveryKernelMatchesTheDrawCellByCell) {
+  const std::span<const StickyKernel> kernels = sticky_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.back().name, "baseline");
+  const std::vector<std::uint64_t> thresholds = {
+      0, 1, std::uint64_t{1} << 63, kEveryDraw - 1, kEveryDraw};
+  eppi::Rng rng(41);
+  for (const StickyKernel& kernel : kernels) {
+    SCOPED_TRACE(kernel.name);
+    std::vector<std::uint64_t> streams(64);
+    for (int round = 0; round < 64; ++round) {
+      for (auto& stream : streams) stream = rng.next();
+      const std::uint64_t j = rng.next_below(std::uint64_t{1} << 32);
+      std::vector<std::uint64_t> edges = thresholds;
+      const std::uint64_t own = mix64(streams[round] + j);
+      edges.push_back(own);  // lane `round` is not below its own draw
+      edges.push_back(own + 1);
+      for (const std::uint64_t t : edges) {
+        std::uint64_t want = 0;
+        for (std::size_t b = 0; b < 64; ++b) {
+          want |= static_cast<std::uint64_t>(mix64(streams[b] + j) < t) << b;
+        }
+        ASSERT_EQ(kernel.mask(streams.data(), j, t), want) << "threshold " << t;
+      }
+    }
+  }
+
+  // β for the thresholds emit() reaches: 0, 1, 2^63, 2^64 - 2^11 (the
+  // largest below kEveryDraw a β maps to) and kEveryDraw.
+  const std::vector<double> edge_betas = {0.0, std::ldexp(1.0, -64), 0.5,
+                                          1.0 - std::ldexp(1.0, -53), 1.0};
+  ASSERT_EQ(sticky_threshold(edge_betas[1]), 1u);
+  ASSERT_EQ(sticky_threshold(edge_betas[2]), thresholds[2]);
+  ASSERT_EQ(sticky_threshold(edge_betas[3]), kEveryDraw - 2047);
+  for (const std::size_t m : {1u, 63u, 64u, 65u, 1000u, 1025u}) {
+    const std::size_t n = 4 * edge_betas.size();
+    std::vector<double> betas(n);
+    for (std::size_t j = 0; j < n; ++j) betas[j] = edge_betas[j % 5];
+    std::vector<std::uint64_t> keys(m);
+    for (auto& k : keys) k = rng.next();
+    const OwnerTruth truth = owner_truth(random_truth(m, n, m + 3, 0.1));
+    std::vector<std::uint8_t> retired(m, 0);
+    for (std::size_t i = 2; i < m; i += 5) retired[i] = 1;
+    retired[m - 1] = 1;
+    const StickyEmitter emitter(keys, betas, retired);
+    std::vector<ProviderId> got;
+    std::vector<ProviderId> want;
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto id = static_cast<IdentityId>(j);
+      got.clear();
+      emitter.emit(id, truth.owners[j], got);
+      want.clear();
+      const std::uint64_t threshold = sticky_threshold(betas[j]);
+      for (std::size_t i = 0; i < m; ++i) {
+        const auto p = static_cast<ProviderId>(i);
+        if (retired[i] == 0 &&
+            (truth.holds(p, id) ||
+             sticky_bit(StickyPublisher(keys[i]).draw(j), threshold))) {
+          want.push_back(p);
+        }
+      }
+      ASSERT_EQ(got, want) << "m=" << m << " identity " << j;
+    }
+  }
 }
 
 // Epochs through the manager: retire, publish, re-join through the delta

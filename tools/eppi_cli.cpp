@@ -730,9 +730,10 @@ int cmd_serve(const std::vector<std::string>& args) {
     if (!rebuilds_set) rebuilds = 1;
   }
 
-  // The facts alone, never the dense m×n table: they are delegated in bulk,
-  // in the order of a row-major walk over it (providers ascending, then
-  // identities), which fixes every id and the served epoch.
+  // The facts alone, never the dense m×n table, in file order: they are
+  // delegated in bulk, and delegate_facts numbers every id as a row-major
+  // walk over the table (providers ascending, then identities) would,
+  // whatever order the file lists them in.
   auto table = [&] {
     eppi::obs::Span span("serve.load");
     auto loaded = [&] {
